@@ -25,7 +25,7 @@ spec = PopulationSpec(
 )
 print(f"population digest {population_digest(spec)} (hash of every parameter)")
 
-dataset = simulate_dataset(spec, workers=4)
+dataset = simulate_dataset(spec)
 print(f"simulated {len(dataset)} subjects, 2 price lists each")
 
 # Per-subject identical RNG streams across treatments: subject j in

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .design import PriceList, Treatment, TreatmentSpec, price_list
-from .preferences import ROOT_TOL, Bundle, UtilityModel
+from .preferences import ROOT_TOL, Bundle, UtilityModel, stack_models
 
 __all__ = [
     "Broad",
@@ -28,6 +31,8 @@ __all__ = [
     "WAGE_BRACKET",
     "evaluate_option",
     "reservation_wage_exact",
+    "reservation_wages",
+    "snap_rows",
     "snap_to_list",
 ]
 
@@ -45,7 +50,14 @@ class ModeUnsupported(Exception):
 
 
 class NoIndifference(Exception):
-    """No wage in the search bracket makes the agent indifferent."""
+    """No wage in the search bracket makes the agent indifferent.
+
+    index is the position of the first such agent in a block, if known.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -109,69 +121,123 @@ def evaluate_option(agent: Agent, presented: Bundle, endowment: Bundle) -> float
     return _framed_value(agent.model, agent.mode, presented, endowment)
 
 
-def _mode_reservation(model: UtilityModel, mode: BracketingMode, spec: TreatmentSpec) -> float:
-    """Extra wage equating the framed values of options A and B."""
+_FRAMES = (Broad, Narrow, Partial)
+
+
+def _frame_weights(mode: BracketingMode) -> dict[type, float]:
+    """The pure frames a mode's wage is built from, with their weights."""
+    if isinstance(mode, ConvexKappa):
+        return {Broad: 1.0 - mode.kappa, Narrow: mode.kappa}
+    for frame in _FRAMES:
+        if isinstance(mode, frame):
+            return {frame: 1.0}
+    raise ModeUnsupported(f"{type(mode).__name__} is not a pure frame")
+
+
+def _frame_wages(model: UtilityModel, frame: type, spec: TreatmentSpec, n: int) -> np.ndarray:
+    """Extra wages equating the framed values of options A and B.
+
+    Bisects n wages at once; model may be a stack of n models (see
+    stack_models). Each element halves its own bracket until it is
+    narrower than ROOT_TOL, exactly as a lone bisection would.
+    """
     at, am = spec.option_a.tasks, spec.option_a.money
     bt = spec.option_b_tasks
     et, em = spec.endowment.tasks, spec.endowment.money
-    if isinstance(mode, Broad):
-        target = model.value(at + et, am + em)
-        task_arg, money_base = bt + et, am + em
-    elif isinstance(mode, Narrow):
-        target = model.value(at, am)
-        task_arg, money_base = bt, am
-    elif isinstance(mode, Partial):
-        target = model.value(at + et, am)
-        task_arg, money_base = bt + et, am
+    if frame is Broad:
+        tasks_a, tasks_b, money_base = at + et, bt + et, am + em
+    elif frame is Narrow:
+        tasks_a, tasks_b, money_base = at, bt, am
     else:
-        raise ModeUnsupported(f"{type(mode).__name__} is not a pure frame")
+        tasks_a, tasks_b, money_base = at + et, bt + et, am
+    # option A on an array too, so one agent alone takes the same (numpy) path as in a block
+    target = model.at_tasks(tasks_a)(np.full(n, money_base))
+    utility_b = model.at_tasks(tasks_b)
 
-    def gap(r: float) -> float:
-        return model.value(task_arg, money_base + r) - target
+    def gap(r: np.ndarray) -> np.ndarray:
+        return utility_b(money_base + r) - target
 
-    lo, hi = -WAGE_BRACKET, WAGE_BRACKET
-    if not gap(lo) <= 0.0 <= gap(hi):  # also catches NaN
-        raise NoIndifference(
-            f"no switch on [-{WAGE_BRACKET:g}, {WAGE_BRACKET:g}] for {spec.treatment.value} {spec.scenario.value}"
-        )
-    while hi - lo > ROOT_TOL:
+    lo = np.full(n, -WAGE_BRACKET)
+    hi = np.full(n, WAGE_BRACKET)
+    switches = (gap(lo) <= 0.0) & (gap(hi) >= 0.0)  # also false on NaN
+    if not switches.all():
+        raise NoIndifference(_no_switch(spec), index=int(np.argmin(switches)))
+    while True:
+        open_ = hi - lo > ROOT_TOL
+        if not open_.any():
+            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = gap(mid) < 0.0
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def _no_switch(spec: TreatmentSpec) -> str:
+    return f"no switch on [-{WAGE_BRACKET:g}, {WAGE_BRACKET:g}] for {spec.treatment.value} {spec.scenario.value}"
+
+
+def reservation_wages(agents: Sequence[Agent], spec: TreatmentSpec) -> np.ndarray:
+    """Continuous extra wages at which each agent switches to option B.
+
+    Agents are grouped by pure frame and model type, and each group is
+    solved by one array bisection. ConvexKappa agents get the affine
+    combination of their Broad and Narrow wages. The framing shift
+    enters through the narrow component and only under BEFORE or AFTER.
+    NoIndifference.index is the position of the first agent without a
+    switch.
+    """
+    weights = [_frame_weights(agent.mode) for agent in agents]
+    groups: dict[tuple[type, type], list[int]] = {}
+    for i, (agent, parts) in enumerate(zip(agents, weights)):
+        for frame in parts:
+            groups.setdefault((frame, type(agent.model)), []).append(i)
+    shifted = spec.treatment in (Treatment.BEFORE, Treatment.AFTER)
+    wages = np.zeros(len(agents))
+    failed = []
+    # Broad before Narrow, so a ConvexKappa wage adds up in the same order as its formula
+    for (frame, _), idx in sorted(groups.items(), key=lambda item: _FRAMES.index(item[0][0])):
+        try:
+            r = _frame_wages(stack_models([agents[i].model for i in idx]), frame, spec, len(idx))
+        except NoIndifference as exc:
+            failed.append(idx[exc.index])
+            continue
+        if frame is Narrow and shifted:
+            r = r + np.array([agents[i].framing_shift for i in idx])
+        wages[idx] += np.array([weights[i][frame] for i in idx]) * r
+    if failed:
+        raise NoIndifference(_no_switch(spec), index=min(failed))
+    return wages
 
 
 def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     """Continuous extra wage at which the agent switches to option B.
 
-    ConvexKappa agents get the affine combination of the Broad and
-    Narrow wages. The framing shift enters through the narrow
-    component and only under BEFORE or AFTER.
+    The one-agent case of reservation_wages.
     """
-    shift = agent.framing_shift if spec.treatment in (Treatment.BEFORE, Treatment.AFTER) else 0.0
-    mode = agent.mode
-    if isinstance(mode, ConvexKappa):
-        r_broad = _mode_reservation(agent.model, Broad(), spec)
-        r_narrow = _mode_reservation(agent.model, Narrow(), spec) + shift
-        return (1.0 - mode.kappa) * r_broad + mode.kappa * r_narrow
-    r = _mode_reservation(agent.model, mode, spec)
-    if isinstance(mode, Narrow):
-        r += shift
-    return r
+    return float(reservation_wages((agent,), spec)[0])
+
+
+def snap_rows(r, plist: PriceList | None = None) -> np.ndarray:
+    """Index of the grid row each continuous wage is recorded at.
+
+    The agent accepts at indifference, so that is the smallest grid
+    wage at or above r; an index equal to the grid length means the
+    wage lies above the grid (censored).
+    """
+    if plist is None:
+        plist = price_list()
+    return np.searchsorted(plist.extra_wages, np.asarray(r) - _SNAP_SLACK)
 
 
 def snap_to_list(r: float, plist: PriceList | None = None) -> tuple[float, bool]:
     """Record a continuous wage on the grid: (recorded wage, censored).
 
-    The agent accepts at indifference, so the recorded wage is the
-    smallest grid wage at or above r; above the grid the record is
-    CENSOR_CODE with the censored flag set.
+    The recorded wage is the grid wage at snap_rows(r); above the grid
+    the record is CENSOR_CODE with the censored flag set.
     """
     if plist is None:
         plist = price_list()
-    for wage in plist.extra_wages:
-        if wage >= r - _SNAP_SLACK:
-            return wage, False
+    k = int(snap_rows(r, plist))
+    if k < len(plist.extra_wages):
+        return plist.extra_wages[k], False
     return CENSOR_CODE, True

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import CENSOR_CODE
+from .agents import CENSOR_CODE, ModeUnsupported, NoIndifference
 from .config import ConfigError, parse_config
 from .design import Scenario, Treatment
 from .estimation import (
@@ -29,7 +29,7 @@ from .estimation import (
     tobit_right,
 )
 from .experiment import DataFormatError, iter_observations, read_csv, simulate_dataset, write_csv
-from .preferences import Bundle, Lottery, money_metric
+from .preferences import Bundle, Lottery, NonMonotoneModel, money_metric
 from .reports import (
     MwuRow,
     VerifyRow,
@@ -71,6 +71,9 @@ _FAILURES = (
     AllCensored,
     RankDeficient,
     DataFormatError,
+    NoIndifference,
+    NonMonotoneModel,
+    ModeUnsupported,
     OSError,
 )
 
@@ -86,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="INI run configuration")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--workers", type=int, default=None, help="simulation threads")
+    sim.add_argument(
+        "--workers", type=int, default=None, help="accepted for compatibility; no effect on output or speed"
+    )
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate statistics from a dataset CSV")
@@ -201,7 +206,7 @@ def cmd_estimate(args) -> int:
             raise EmptySample("need at least two treatments with data in one scenario")
         _write_reports(args.out, "mwu", render_mwu_markdown(rows), render_mwu_csv(rows))
     elif args.stat == "kappa":
-        fit = nls_kappa(dataset)
+        fit = nls_kappa(dataset, drop_inconsistent=drop)
         _write_reports(args.out, "kappa", render_kappa_markdown(fit), render_kappa_csv(fit))
     else:
         fits = _tobit_fits(dataset, drop, censor)

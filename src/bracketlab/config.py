@@ -193,6 +193,7 @@ age_min = 18
 age_max = 70
 # shift applied to the narrow component in framed treatments
 framing_shift = 0.0
+# accepted for compatibility (at least 1); no effect on output or speed
 workers = 1
 
 [estimators]

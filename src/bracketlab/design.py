@@ -107,6 +107,9 @@ def treatment_spec(t: Treatment, s: Scenario) -> TreatmentSpec:
     )
 
 
+_PRICE_LIST = PriceList(tuple(0.25 * k for k in range(1, 17)))
+
+
 def price_list() -> PriceList:
     """The 16-row extra-wage grid: 0.25 to 4.00 in 0.25 steps."""
-    return PriceList(tuple(0.25 * k for k in range(1, 17)))
+    return _PRICE_LIST

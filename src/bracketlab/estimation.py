@@ -250,13 +250,19 @@ def mwu_exact(x, y) -> float:
 _SCENARIOS = (Scenario.S1, Scenario.S2)
 
 
-def _kappa_arrays(dataset: Dataset, broad_label: Treatment, narrow_label: Treatment, mid_label: Treatment):
-    """Responses with group/scenario codes, consistent scenarios only."""
+def _kappa_arrays(
+    dataset: Dataset,
+    broad_label: Treatment,
+    narrow_label: Treatment,
+    mid_label: Treatment,
+    drop_inconsistent: bool = True,
+):
+    """Responses with group/scenario codes, by default consistent scenarios only."""
     labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
     if len(labels) != 3:
         raise ValueError("the three treatment labels must be distinct")
     y, group, scen = [], [], []
-    for record, outcome in iter_observations(dataset, drop_inconsistent=True):
+    for record, outcome in iter_observations(dataset, drop_inconsistent):
         if record.treatment not in labels:
             continue
         y.append(outcome.res_wage)
@@ -269,7 +275,8 @@ def _kappa_arrays(dataset: Dataset, broad_label: Treatment, narrow_label: Treatm
         for s in range(2):
             if not ((group == g) & (scen == s)).any():
                 raise Degenerate(
-                    f"no consistent observations for {label.value} in {_SCENARIOS[s].value}; "
+                    f"no {'consistent ' if drop_inconsistent else ''}observations for "
+                    f"{label.value} in {_SCENARIOS[s].value}; "
                     "kappa needs all three treatments in both scenarios"
                 )
     means = np.zeros((3, 2))
@@ -308,15 +315,20 @@ def nls_kappa(
     broad_label: Treatment = Treatment.BROAD,
     narrow_label: Treatment = Treatment.LOW,
     mid_label: Treatment = Treatment.NARROW,
+    *,
+    drop_inconsistent: bool = True,
 ) -> KappaFit:
     """Estimate the bracketing weight by damped Gauss-Newton.
 
     The mid treatment's cell is modeled as the kappa-weighted
     combination of the broad-anchor and narrow-anchor cells, jointly
-    with the four cell effects, on consistent observations. Starts at
-    the saturated cell means with kappa = 0.5.
+    with the four cell effects, on consistent observations (on all of
+    them with drop_inconsistent=False). Starts at the saturated cell
+    means with kappa = 0.5.
     """
-    y, group, scen, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
+    y, group, scen, means, counts = _kappa_arrays(
+        dataset, broad_label, narrow_label, mid_label, drop_inconsistent
+    )
     theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
 
     def rss_at(t):

@@ -5,15 +5,16 @@ a population specification, goes through both scenarios of one
 treatment, and leaves a 16-row accept/reject record per scenario. The
 random stream for subject j is derived from (master seed, j) alone, so
 subject j faces the same preference draw in every treatment (common
-random numbers) and the dataset is identical under any worker count.
+random numbers). The simulator draws each subject index once, reuses
+those draws in every treatment, and solves each (treatment, scenario)
+block of subjects with one array bisection per frame.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -24,8 +25,9 @@ from .agents import (
     CENSOR_CODE,
     ConvexKappa,
     Narrow,
-    reservation_wage_exact,
-    snap_to_list,
+    NoIndifference,
+    reservation_wages,
+    snap_rows,
 )
 from .design import Scenario, Treatment, price_list, treatment_spec
 from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel
@@ -214,6 +216,58 @@ def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
     return consistent, _switch_wage(choices)
 
 
+_ROW_INDEX = np.arange(N_ROWS)
+_ROW_BITS = 1 << _ROW_INDEX
+
+
+def _scenario_outcome(scenario: Scenario, code: int, interned: dict) -> ScenarioOutcome:
+    """The outcome whose row i is accepted iff bit i of code is set, built once per table."""
+    outcome = interned.get((scenario, code))
+    if outcome is None:
+        flags = tuple(bool(code >> i & 1) for i in range(N_ROWS))
+        consistent, recorded = classify_consistency(flags)
+        outcome = interned[(scenario, code)] = ScenarioOutcome(
+            scenario=scenario,
+            choices=flags,
+            res_wage=recorded,
+            censored=not any(flags),
+            consistent=consistent,
+        )
+    return outcome
+
+
+def _simulate_block(
+    agents: Sequence[Agent],
+    covariates: Sequence[Covariates],
+    subject_ids: Sequence[str],
+    treatment: Treatment,
+    uniforms: np.ndarray | None,
+    tremble: float,
+    interned: dict,
+) -> list[SubjectRecord]:
+    """Run a block of agents through both scenarios of one treatment.
+
+    uniforms holds each subject's 2 x 16 tremble draws (None when
+    tremble is 0); interned caches ScenarioOutcomes by accept pattern.
+    """
+    per_scenario = []
+    for s, scenario in enumerate(Scenario):
+        spec = treatment_spec(treatment, scenario)
+        try:
+            wages = reservation_wages(agents, spec)
+        except NoIndifference as exc:
+            raise NoIndifference(f"{exc}, subject {subject_ids[exc.index]}", exc.index) from None
+        accept = _ROW_INDEX >= snap_rows(wages)[:, None]
+        if uniforms is not None:
+            accept ^= uniforms[:, s] < tremble
+        codes = (accept @ _ROW_BITS).tolist()
+        per_scenario.append([_scenario_outcome(scenario, code, interned) for code in codes])
+    return [
+        SubjectRecord(sid, treatment, outcomes, cov)
+        for sid, cov, outcomes in zip(subject_ids, covariates, zip(*per_scenario))
+    ]
+
+
 def simulate_subject(
     rng: np.random.Generator,
     agent: Agent,
@@ -229,26 +283,8 @@ def simulate_subject(
     only when tremble > 0), keeping streams aligned across runs that
     differ only in the tremble rate being zero or absent.
     """
-    wages = price_list().extra_wages
-    outcomes = []
-    for scenario in (Scenario.S1, Scenario.S2):
-        r = reservation_wage_exact(agent, treatment_spec(treatment, scenario))
-        snapped, censored = snap_to_list(r)
-        flags = [(not censored) and wage >= snapped - 1e-12 for wage in wages]
-        if tremble > 0.0:
-            u = rng.random(N_ROWS)
-            flags = [f != (ui < tremble) for f, ui in zip(flags, u)]
-        consistent, recorded = classify_consistency(tuple(flags))
-        outcomes.append(
-            ScenarioOutcome(
-                scenario=scenario,
-                choices=tuple(flags),
-                res_wage=recorded,
-                censored=not any(flags),
-                consistent=consistent,
-            )
-        )
-    return SubjectRecord(subject_id, treatment, tuple(outcomes), covariates)
+    uniforms = rng.random((1, 2, N_ROWS)) if tremble > 0.0 else None
+    return _simulate_block([agent], [covariates], [subject_id], treatment, uniforms, tremble, {})[0]
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
@@ -313,33 +349,37 @@ def population_digest(spec: PopulationSpec) -> str:
 def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     """Simulate every subject in the population specification.
 
-    Deterministic for a fixed seed under any worker count; records are
-    ordered by treatment (declaration order), then subject index.
+    Deterministic for a fixed seed; records are ordered by treatment
+    (declaration order), then subject index. Subject j is drawn once, in
+    the documented order followed by its tremble draws, and those draws
+    serve every treatment. workers is kept for compatibility: it must be
+    at least 1 and has no effect on the output or the speed.
     """
-
-    def build(job: tuple[Treatment, int]) -> SubjectRecord:
-        treatment, j = job
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    agents, covariates, uniforms = [], [], []
+    for j in range(max(spec.counts.values(), default=0)):
         rng = subject_stream(spec.seed, j)
-        covariates, agent = _draw_subject(spec, rng)
-        return simulate_subject(
-            rng,
-            agent,
-            treatment,
-            covariates,
-            subject_id=f"{treatment.value}-{j:04d}",
-            tremble=spec.tremble,
-        )
-
-    jobs = [
-        (treatment, j)
-        for treatment in Treatment
-        for j in range(spec.counts.get(treatment, 0))
-    ]
-    if workers <= 1:
-        records = [build(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(build, jobs))
+        person, agent = _draw_subject(spec, rng)
+        covariates.append(person)
+        agents.append(agent)
+        if spec.tremble > 0.0:
+            uniforms.append(rng.random((2, N_ROWS)))
+    trembles = np.array(uniforms) if spec.tremble > 0.0 else None
+    interned: dict = {}
+    records = []
+    for treatment in Treatment:
+        n = spec.counts.get(treatment, 0)
+        if n:
+            records += _simulate_block(
+                agents[:n],
+                covariates[:n],
+                [f"{treatment.value}-{j:04d}" for j in range(n)],
+                treatment,
+                None if trembles is None else trembles[:n],
+                spec.tremble,
+                interned,
+            )
     return Dataset(tuple(records), seed=spec.seed, spec_digest=population_digest(spec))
 
 

@@ -6,11 +6,19 @@ payment that makes the decision maker indifferent between receiving b
 and paying M(b), and staying at the zero bundle. All root finding goes
 through one bisection routine so every model variant shares a code path;
 closed forms appear only in the test suite as oracles.
+
+``value`` also evaluates elementwise over a money array, and over
+parameter arrays when a population of one model type is stacked with
+``stack_models``; the simulator runs its root finding on such arrays.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Bundle",
@@ -26,6 +34,7 @@ __all__ = [
     "expected_utility",
     "money_metric",
     "certainty_equivalent",
+    "stack_models",
 ]
 
 ROOT_TOL = 1e-12
@@ -119,15 +128,44 @@ class Lottery:
         return Lottery(outcomes)
 
 
-def _safe_exp(x: float) -> float:
+def _safe_exp(x):
+    """exp(x), and inf from _EXP_CAP up; a clipped np.exp on arrays."""
+    if isinstance(x, np.ndarray):
+        return np.where(x < _EXP_CAP, np.exp(np.minimum(x, _EXP_CAP)), np.inf)
     return math.exp(x) if x < _EXP_CAP else math.inf
 
 
+def _power(base: float, exponent):
+    """base ** exponent, elementwise when the exponent is an array.
+
+    Python's ** calls the C library's pow, which numpy's vectorised pow
+    misses by one ulp on a few percent of inputs.
+    """
+    if isinstance(exponent, np.ndarray):
+        return np.array([base**e for e in exponent.tolist()])
+    return base**exponent
+
+
 class UtilityModel:
-    """Base for the model variants; subclasses implement ``value``."""
+    """Base for the model variants; subclasses implement ``value``.
+
+    ``value`` must broadcast over a money array (and over parameter
+    arrays, see ``stack_models``).
+    """
 
     def value(self, tasks: float, money: float) -> float:
         raise NotImplementedError
+
+    def at_tasks(self, tasks: float) -> Callable:
+        """u(tasks, .) as a function of money alone.
+
+        Root finding over money evaluates it many times at one task
+        count. The power-cost models override it to compute the task
+        term once, with the C library's pow even on parameter arrays,
+        so a stacked population gets its members' values bit for bit;
+        their ``value`` keeps numpy's pow on parameter arrays.
+        """
+        return lambda money: self.value(tasks, money)
 
 
 @dataclass(frozen=True)
@@ -145,6 +183,10 @@ class QuasiLinearPowerCost(UtilityModel):
 
     def value(self, tasks: float, money: float) -> float:
         return money - self.alpha * tasks**self.gamma
+
+    def at_tasks(self, tasks: float) -> Callable:
+        cost = self.alpha * _power(tasks, self.gamma)
+        return lambda money: money - cost
 
 
 @dataclass(frozen=True)
@@ -165,6 +207,10 @@ class CaraMoneyPowerCost(UtilityModel):
 
     def value(self, tasks: float, money: float) -> float:
         return (1.0 - _safe_exp(-self.rho * money)) / self.rho - self.alpha * tasks**self.gamma
+
+    def at_tasks(self, tasks: float) -> Callable:
+        cost = self.alpha * _power(tasks, self.gamma)
+        return lambda money: (1.0 - _safe_exp(-self.rho * money)) / self.rho - cost
 
 
 @dataclass(frozen=True)
@@ -198,9 +244,32 @@ class CrraMoney(UtilityModel):
             raise ValueError("eta must be positive and different from 1")
 
     def value(self, tasks: float, money: float) -> float:
+        if isinstance(money, np.ndarray):
+            positive = np.where(money > 0, money, 1.0) ** (1.0 - self.eta) / (1.0 - self.eta)
+            edge = np.where((money == 0) & (self.eta < 1), 0.0, -np.inf)
+            return np.where(money > 0, positive, edge)
         if money <= 0:
             return 0.0 if (self.eta < 1 and money == 0) else -math.inf
         return money ** (1.0 - self.eta) / (1.0 - self.eta)
+
+
+def stack_models(models: Sequence[UtilityModel]) -> UtilityModel:
+    """One model of the members' type whose parameters are arrays.
+
+    Its ``value`` evaluates member i at element i, so a whole population
+    shares one array computation. Each member was validated when it was
+    built, so the stacked copy skips ``__post_init__``. A single member
+    is returned as it is.
+    """
+    first = models[0]
+    if len(models) == 1:
+        return first
+    if any(type(m) is not type(first) for m in models):
+        raise TypeError("stacked models must share one type")
+    stacked = object.__new__(type(first))
+    for f in dataclasses.fields(first):
+        object.__setattr__(stacked, f.name, np.array([getattr(m, f.name) for m in models]))
+    return stacked
 
 
 def utility(model: UtilityModel, b: Bundle) -> float:

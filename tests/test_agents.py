@@ -1,6 +1,8 @@
 """Framed evaluation, reservation wages, and grid snapping."""
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bracketlab.agents import (
     Agent,
@@ -13,10 +15,16 @@ from bracketlab.agents import (
     Partial,
     evaluate_option,
     reservation_wage_exact,
+    reservation_wages,
     snap_to_list,
 )
 from bracketlab.design import Scenario, Treatment, treatment_spec
-from bracketlab.preferences import Bundle, LinearMetric, QuasiLinearPowerCost
+from bracketlab.preferences import (
+    Bundle,
+    CaraMoneyPowerCost,
+    LinearMetric,
+    QuasiLinearPowerCost,
+)
 
 TOL = 1e-8
 
@@ -146,6 +154,84 @@ class TestReservationWage:
         eager = Agent(LinearMetric(10.0, 1.0), Narrow())
         with pytest.raises(NoIndifference):
             reservation_wage_exact(eager, treatment_spec(Treatment.NARROW, Scenario.S1))
+
+
+def closed_form_wage(alpha, gamma, rho, frame, spec):
+    """Extra wage equating options A and B in one pure frame, solved by hand.
+
+    Quasi-linear: the cost difference. CARA: the log of the
+    exponential money utility, inverted.
+    """
+    at, am = spec.option_a.tasks, spec.option_a.money
+    bt, et, em = spec.option_b_tasks, spec.endowment.tasks, spec.endowment.money
+    if frame is Broad:
+        tasks_a, tasks_b, money = at + et, bt + et, am + em
+    elif frame is Narrow:
+        tasks_a, tasks_b, money = at, bt, am
+    else:
+        tasks_a, tasks_b, money = at + et, bt + et, am
+    cost_gap = alpha * (tasks_b**gamma - tasks_a**gamma)
+    if rho is None:
+        return cost_gap
+    return -math.log(math.exp(-rho * money) - rho * cost_gap) / rho - money
+
+
+def closed_form_agent_wage(alpha, gamma, rho, mode, shift, spec):
+    shift = shift if spec.treatment in (Treatment.BEFORE, Treatment.AFTER) else 0.0
+    if isinstance(mode, ConvexKappa):
+        r_broad = closed_form_wage(alpha, gamma, rho, Broad, spec)
+        r_narrow = closed_form_wage(alpha, gamma, rho, Narrow, spec) + shift
+        return (1.0 - mode.kappa) * r_broad + mode.kappa * r_narrow
+    r = closed_form_wage(alpha, gamma, rho, type(mode), spec)
+    return r + shift if isinstance(mode, Narrow) else r
+
+
+# parameter ranges keep every cell's wage inside the +-100 search bracket
+MEMBERS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.001, max_value=0.008),
+        st.floats(min_value=1.0, max_value=2.2),
+        st.one_of(
+            st.sampled_from([Broad(), Narrow(), Partial()]),
+            st.floats(min_value=-0.5, max_value=1.5).map(ConvexKappa),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+RHO = st.one_of(
+    st.none(),
+    st.floats(min_value=0.001, max_value=0.02),
+    st.floats(min_value=-0.02, max_value=-0.001),
+)
+
+
+class TestBlockReservationWages:
+    @settings(max_examples=40, deadline=None)
+    @given(members=MEMBERS, rho=RHO, shift=st.floats(min_value=-0.5, max_value=0.5))
+    def test_block_matches_closed_forms_and_single_agents(self, members, rho, shift):
+        def model(alpha, gamma):
+            if rho is None:
+                return QuasiLinearPowerCost(alpha, gamma)
+            return CaraMoneyPowerCost(rho, alpha, gamma)
+
+        agents = [Agent(model(a, g), mode, shift) for a, g, mode in members]
+        for treatment in Treatment:
+            for scenario in Scenario:
+                spec = treatment_spec(treatment, scenario)
+                block = reservation_wages(agents, spec)
+                for (alpha, gamma, mode), agent, r in zip(members, agents, block):
+                    expected = closed_form_agent_wage(alpha, gamma, rho, mode, shift, spec)
+                    assert r == pytest.approx(expected, abs=1e-9)
+                    # batching invariance: alone, the agent gets the same bits
+                    assert reservation_wage_exact(agent, spec) == r
+
+    def test_no_indifference_names_the_first_failing_agent(self):
+        eager = Agent(LinearMetric(10.0, 1.0), Narrow())
+        agents = [Agent(QL, Narrow()), eager, Agent(QL, Broad()), eager]
+        with pytest.raises(NoIndifference) as exc:
+            reservation_wages(agents, treatment_spec(Treatment.NARROW, Scenario.S1))
+        assert exc.value.index == 1
 
 
 class TestSnapToList:

@@ -3,9 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from bracketlab import cli
+from bracketlab.agents import ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
+from bracketlab.estimation import nls_kappa
 from bracketlab.experiment import read_csv, simulate_dataset
+from bracketlab.preferences import NonMonotoneModel
+from bracketlab.reports import render_kappa_csv
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INI = str(DATA / "golden_run.ini")
@@ -47,6 +52,29 @@ def test_simulate_missing_seed_is_usage_error(tmp_path, capsys):
     assert "[population] seed" in capsys.readouterr().err
 
 
+def test_simulate_without_indifference_is_a_one_line_failure(tmp_path, capsys):
+    # CARA utility is bounded by 1/rho: at rho = 0.5 no wage in the
+    # search bracket pays for 15 more tasks
+    config = tmp_path / "run.ini"
+    config.write_text("[population]\nbroad = 5\nseed = 0\nrho = 0.5\n", encoding="utf-8")
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "BROAD S1" in err and "BROAD-0000" in err
+
+
+@pytest.mark.parametrize("failure", [NoIndifference, NonMonotoneModel, ModeUnsupported])
+def test_model_failures_exit_one(tmp_path, capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure("no answer")
+
+    monkeypatch.setattr(cli, "simulate_dataset", fail)
+    rc = main(["simulate", "--config", GOLDEN_INI, "--out", str(tmp_path / "d.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no answer\n"
+
+
 # ---------------------------------------------------------------- estimate
 
 
@@ -66,6 +94,32 @@ def test_keep_inconsistent_grows_cells(tmp_path):
     text = (tmp_path / "means.csv").read_text(encoding="utf-8")
     row = next(line for line in text.splitlines() if line.startswith("BROAD,S1"))
     assert row.split(",")[2] == "40"  # every simulated subject kept
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_kappa_keep_inconsistent_uses_every_row(tmp_path, source):
+    argv = ["estimate", "kappa", "--data", GOLDEN_CSV, "--out", str(tmp_path)]
+    if source == "flag":
+        argv.append("--keep-inconsistent")
+    else:
+        config = tmp_path / "est.ini"
+        config.write_text("[population]\n\n[estimators]\nkeep_inconsistent = true\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
+    text = (tmp_path / "kappa.csv").read_text(encoding="utf-8")
+    assert text.encode() != golden("golden_kappa.csv")
+    assert (tmp_path / "kappa.md").read_bytes() != golden("golden_kappa.md")
+    assert "n_obs,240," in text  # 127 consistent + 113 inconsistent scenario rows
+    assert text == render_kappa_csv(nls_kappa(read_csv(GOLDEN_CSV), drop_inconsistent=False))
+
+
+def test_kappa_default_config_drops_inconsistent(tmp_path):
+    config = tmp_path / "est.ini"
+    config.write_text("[population]\n\n[estimators]\nkeep_inconsistent = false\n", encoding="utf-8")
+    argv = ["estimate", "kappa", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
+    assert main(argv) == 0
+    assert (tmp_path / "kappa.md").read_bytes() == golden("golden_kappa.md")
+    assert (tmp_path / "kappa.csv").read_bytes() == golden("golden_kappa.csv")
 
 
 def test_kappa_degenerate_surfaces_remediation(tmp_path, capsys):

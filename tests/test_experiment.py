@@ -233,7 +233,45 @@ class TestSimulateDataset:
         assert all(1.8 <= g <= 2.2 for g in gammas)
         assert max(gammas) - min(gammas) > 0.1
 
+    @pytest.mark.parametrize("rho", [None, 0.01])
+    @pytest.mark.parametrize("composition", [MixtureComposition(0.5), KappaComposition(0.7)])
+    def test_matches_per_subject_reference(self, composition, rho):
+        # one subject at a time, each treatment drawing subject j afresh
+        spec = PopulationSpec(
+            counts={
+                Treatment.BROAD: 7,
+                Treatment.NARROW: 3,
+                Treatment.LOW: 5,
+                Treatment.PARTIAL: 1,
+                Treatment.BEFORE: 4,
+                Treatment.AFTER: 2,
+            },
+            seed=29,
+            composition=composition,
+            rho=rho,
+            tremble=0.3,
+            framing_shift=0.4,
+        )
+        expected = []
+        for treatment in Treatment:
+            for j in range(spec.counts[treatment]):
+                rng = subject_stream(spec.seed, j)
+                covariates, agent = _draw_subject(spec, rng)
+                expected.append(
+                    simulate_subject(
+                        rng, agent, treatment, covariates,
+                        subject_id=f"{treatment.value}-{j:04d}", tremble=spec.tremble,
+                    )
+                )
+        data = simulate_dataset(spec)
+        assert data.records == tuple(expected)
+        # equal outcomes are one shared object
+        outcomes = [o for r in data.records for o in r.outcomes]
+        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            simulate_dataset(small_spec(), workers=0)
         with pytest.raises(ValueError):
             small_spec(tremble=1.5)
         with pytest.raises(ValueError):

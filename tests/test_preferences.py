@@ -1,6 +1,7 @@
 """Bundle/lottery algebra and the money metric against closed forms."""
 import math
 
+import numpy as np
 import pytest
 
 from bracketlab.preferences import (
@@ -15,6 +16,7 @@ from bracketlab.preferences import (
     certainty_equivalent,
     expected_utility,
     money_metric,
+    stack_models,
     utility,
 )
 
@@ -86,6 +88,27 @@ class TestUtility:
     def test_increasing_in_money(self, model):
         lo = [utility(model, Bundle(3, m)) for m in (0.0, 0.5, 1.0, 2.0)]
         assert lo == sorted(lo)
+
+
+    @pytest.mark.parametrize(
+        "model",
+        [QL, CARA, LinearMetric(-0.1, 1.0), CrraMoney(2.0), CrraMoney(0.5), CaraMoneyPowerCost(800.0, 0.01, 2.0)],
+    )
+    def test_value_broadcasts_over_money(self, model):
+        money = [-2.0, 0.0, 0.5, 3.0, 40.0]
+        expected = [model.value(15, m) for m in money]
+        np.testing.assert_allclose(model.value(15, np.array(money)), expected, rtol=1e-14)
+
+    def test_stacked_models_evaluate_elementwise(self):
+        members = [QuasiLinearPowerCost(0.004, 2.0), QuasiLinearPowerCost(0.002, 1.7)]
+        stacked = stack_models(members)
+        money = np.array([1.0, 2.0])
+        expected = [members[0].value(30, 1.0), members[1].value(30, 2.0)]
+        np.testing.assert_allclose(stacked.value(30, money), expected, rtol=1e-15)
+        # at_tasks uses the members' own pow: equal bits
+        assert stacked.at_tasks(30)(money).tolist() == expected
+        with pytest.raises(TypeError):
+            stack_models([QL, CARA])
 
 
 class TestMoneyMetric:
