@@ -62,6 +62,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+
+class UsageError(Exception):
+    """A flag that the chosen command does not use."""
+
+
 SUITES = ("additivity", "unidentifiability", "cara", "mixture", "warp", "all")
 
 _FAILURES = (
@@ -99,9 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data", required=True, help="dataset CSV path")
     est.add_argument("--out", required=True, help="report output directory")
     est.add_argument("--config", default=None, help="optional INI with [estimators] defaults")
-    est.add_argument("--censor-limit", type=float, default=None)
-    est.add_argument("--continuity", action="store_true", default=None)
-    est.add_argument("--keep-inconsistent", action="store_true", default=None)
+    est.add_argument(
+        "--censor-limit", type=float, default=None, help="tobit only: responses at or above it are censored"
+    )
+    est.add_argument(
+        "--continuity", action="store_true", default=None, help="mwu only: continuity-corrected z statistic"
+    )
+    est.add_argument(
+        "--keep-inconsistent",
+        action="store_true",
+        default=None,
+        help="every stat: keep non-monotone price lists, coded at their first accepted wage",
+    )
     est.set_defaults(func=cmd_estimate)
 
     pwr = sub.add_parser("power", help="two-sample sample-size calculation")
@@ -127,7 +141,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidParams as exc:
+    except (InvalidParams, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _FAILURES as exc:
@@ -153,7 +167,15 @@ def cmd_simulate(args) -> int:
 
 
 def _resolved_options(args):
-    """Flag > config > built-in default for the estimator options."""
+    """Flag > config > built-in default for the estimator options.
+
+    A flag given to a stat that does not use it is rejected; config
+    values are defaults and apply only where they have an effect.
+    """
+    if args.censor_limit is not None and args.stat != "tobit":
+        raise UsageError("--censor-limit applies only to estimate tobit")
+    if args.continuity is not None and args.stat != "mwu":
+        raise UsageError("--continuity applies only to estimate mwu")
     if args.config is not None:
         cfg = parse_config(args.config, require_seed=False)
         censor, continuity, keep = cfg.censor_limit, cfg.continuity, not cfg.drop_inconsistent

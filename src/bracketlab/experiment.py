@@ -405,22 +405,45 @@ class DataFormatError(Exception):
     """A data file does not match the expected CSV schema."""
 
 
+def _outcome_text(outcome: ScenarioOutcome) -> str:
+    """The scenario, c01..c16, res_wage, censored and consistent cells."""
+    cells = [outcome.scenario.value]
+    cells += ["1" if c else "0" for c in outcome.choices]
+    cells += [
+        f"{outcome.res_wage:.2f}",
+        "1" if outcome.censored else "0",
+        "1" if outcome.consistent else "0",
+    ]
+    return ",".join(cells)
+
+
+def _covariates_text(covariates: Covariates) -> str:
+    """The gender, age and tediousness cells."""
+    gender = "male" if covariates.male else "female"
+    return f"{gender},{covariates.age},{covariates.tediousness}"
+
+
 def write_csv(dataset: Dataset, path: str) -> None:
-    """One row per subject x scenario; money as two-decimal strings."""
+    """One row per subject x scenario; money as two-decimal strings.
+
+    Records share outcome and covariate objects, so each object's cells
+    are rendered once per call. The caches are keyed by identity, not
+    value: equal values can print differently (0.0 and -0.0), and the
+    dataset keeps every keyed object alive for the whole call.
+    """
+    outcome_texts: dict[int, str] = {}
+    covariate_texts: dict[int, str] = {}
     lines = [",".join(CSV_COLUMNS)]
     for record in dataset.records:
+        tail = covariate_texts.get(id(record.covariates))
+        if tail is None:
+            tail = covariate_texts[id(record.covariates)] = _covariates_text(record.covariates)
+        head = f"{record.subject_id},{record.treatment.value},"
         for outcome in record.outcomes:
-            cells = [record.subject_id, record.treatment.value, outcome.scenario.value]
-            cells += ["1" if c else "0" for c in outcome.choices]
-            cells += [
-                f"{outcome.res_wage:.2f}",
-                "1" if outcome.censored else "0",
-                "1" if outcome.consistent else "0",
-                "male" if record.covariates.male else "female",
-                str(record.covariates.age),
-                str(record.covariates.tediousness),
-            ]
-            lines.append(",".join(cells))
+            text = outcome_texts.get(id(outcome))
+            if text is None:
+                text = outcome_texts[id(outcome)] = _outcome_text(outcome)
+            lines.append(f"{head}{text},{tail}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -456,29 +479,55 @@ def _parse_flag(cell: str) -> bool:
 
 
 def read_csv(path: str) -> Dataset:
-    """Parse a dataset CSV back into records; inverse of write_csv."""
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise DataFormatError("empty file")
-    header = lines[0].split(",")
-    if header != list(CSV_COLUMNS):
-        raise DataFormatError(f"line 1: bad header, expected {','.join(CSV_COLUMNS)}")
-    rows = [_parse_row(i + 2, lines[i + 1].split(",")) for i in range(len(lines) - 1)]
+    """Parse a dataset CSV back into records; inverse of write_csv.
 
+    Blank lines are skipped; error messages name physical line numbers.
+    Adjacent rows with one subject_id form one record. A row is cut into
+    its subject_id, its treatment cell, its outcome cells (scenario
+    through consistent) and its covariate cells, and each distinct text
+    of a part is parsed once per call: a row with any part not seen
+    before goes through the validating _parse_row whole, and a row whose
+    parts were all seen has exactly the validated field count. Records
+    therefore share their (immutable) outcome and covariate objects.
+    """
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    header_no = next((no for no, ln in enumerate(lines, 1) if ln), None)
+    if header_no is None:
+        raise DataFormatError("empty file")
+    if lines[header_no - 1].split(",") != list(CSV_COLUMNS):
+        raise DataFormatError(f"line {header_no}: bad header, expected {','.join(CSV_COLUMNS)}")
+
+    treatments: dict[str, Treatment] = {}
+    outcomes: dict[str, ScenarioOutcome] = {}
+    people: dict[str, Covariates] = {}
     records = []
-    i = 0
-    while i < len(rows):
-        sid, treatment, outcome, covariates = rows[i]
-        outcomes = [outcome]
-        j = i + 1
-        while j < len(rows) and rows[j][0] == sid:
-            if rows[j][1] != treatment or rows[j][3] != covariates:
-                raise DataFormatError(f"line {j + 2}: subject {sid} changes treatment or covariates")
-            outcomes.append(rows[j][2])
-            j += 1
-        records.append(SubjectRecord(sid, treatment, tuple(outcomes), covariates))
-        i = j
+    sid, treatment, covariates, group = None, None, None, []
+    for line_no, line in enumerate(lines[header_no:], header_no + 1):
+        if not line:
+            continue
+        row_sid, _, rest = line.partition(",")
+        treatment_text, _, rest = rest.partition(",")
+        outcome_text = rest.rsplit(",", 3)[0]
+        covariates_text = rest[len(outcome_text) + 1 :]
+        row_treatment = treatments.get(treatment_text)
+        outcome = outcomes.get(outcome_text)
+        person = people.get(covariates_text)
+        if row_treatment is None or outcome is None or person is None:
+            row_sid, row_treatment, outcome, person = _parse_row(line_no, line.split(","))
+            row_treatment = treatments.setdefault(treatment_text, row_treatment)
+            outcome = outcomes.setdefault(outcome_text, outcome)
+            person = people.setdefault(covariates_text, person)
+        if row_sid == sid:
+            if row_treatment is not treatment or (person is not covariates and person != covariates):
+                raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
+            group.append(outcome)
+            continue
+        if group:
+            records.append(SubjectRecord(sid, treatment, tuple(group), covariates))
+        sid, treatment, covariates, group = row_sid, row_treatment, person, [outcome]
+    if group:
+        records.append(SubjectRecord(sid, treatment, tuple(group), covariates))
     try:
         return Dataset(tuple(records))
     except ValueError as exc:

@@ -161,6 +161,31 @@ def test_estimate_config_defaults_and_flag_override(tmp_path):
     assert next(l for l in text.splitlines() if l.startswith("BROAD,S1")).split(",")[2] == "40"
 
 
+@pytest.mark.parametrize("stat", ["means", "mwu", "kappa", "tobit"])
+@pytest.mark.parametrize(
+    "flag, owner", [(["--censor-limit", "3.5"], "tobit"), (["--continuity"], "mwu")]
+)
+def test_estimator_flags_apply_to_one_stat(tmp_path, capsys, stat, flag, owner):
+    rc = main(["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path)] + flag)
+    err = capsys.readouterr().err
+    if stat == owner:
+        assert rc == 0 and err == ""
+        assert (tmp_path / f"{stat}.csv").read_bytes() != golden(f"golden_{stat}.csv")
+    else:
+        assert rc == 2
+        assert err == f"usage error: {flag[0]} applies only to estimate {owner}\n"
+        assert not (tmp_path / f"{stat}.csv").exists()
+
+
+def test_estimator_config_values_are_defaults_not_errors(tmp_path):
+    config = tmp_path / "est.ini"
+    config.write_text("[population]\n\n[estimators]\ncensor_limit = 3.5\ncontinuity = true\n", encoding="utf-8")
+    for stat in ("means", "kappa"):
+        argv = ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
+        assert main(argv) == 0
+        assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")
+
+
 def test_unknown_stat_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "median", "--data", GOLDEN_CSV, "--out", str(tmp_path)])

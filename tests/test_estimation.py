@@ -268,6 +268,36 @@ class TestTobit:
         assert fit.beta[1] == pytest.approx(0.5, abs=3 * fit.se[1])
         assert fit.sigma == pytest.approx(0.9, abs=0.15)
 
+    def test_stall_tolerance_scales_with_n(self):
+        # ~73k rows across six arms of price-list responses with 5% row
+        # flips: BFGS stops on "precision loss" at |g|inf ~ 4e-4, a sum over
+        # rows that is about 5e-9 per row, with the parameters at the optimum
+        rng = np.random.default_rng(34)
+        grid = 0.25 * np.arange(1, 17)
+        n_arm = 25000
+        latent = np.repeat([2.89, 2.07, 2.30, 2.52, 2.07, 2.07], n_arm) + 0.9 * rng.standard_normal(6 * n_arm)
+        accept = (grid >= latent[:, None]) ^ (rng.random((6 * n_arm, 16)) < 0.05)
+        keep = ~(accept[:, :-1] & ~accept[:, 1:]).any(axis=1)
+        y = np.where(accept.any(axis=1), grid[accept.argmax(axis=1)], 4.25)[keep]
+        X = (np.repeat(np.arange(6), n_arm)[keep, None] == np.arange(6)).astype(float)
+        X[:, 0] = 1.0
+        fit = tobit_right(y, X)
+        assert fit.n_censored + fit.n_uncensored == len(y) > 70000
+
+        cens = y >= 4.25 - 1e-9
+
+        def ll(beta, sigma):
+            return -_tobit_loglik_grad(np.append(beta, math.log(sigma)), y, X, 4.25, cens)[0]
+
+        best = ll(fit.beta, fit.sigma)
+        assert best == pytest.approx(fit.loglik, abs=1e-9 * abs(fit.loglik))
+        for j in range(X.shape[1]):
+            for step in (1e-4, -1e-4):
+                beta = np.array(fit.beta)
+                beta[j] += step
+                assert ll(beta, fit.sigma) <= best
+        assert ll(fit.beta, fit.sigma + 1e-4) <= best and ll(fit.beta, fit.sigma - 1e-4) <= best
+
     def test_all_censored(self):
         with pytest.raises(AllCensored):
             tobit_right([4.25, 4.25], np.ones((2, 1)))

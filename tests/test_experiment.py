@@ -2,10 +2,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketlab.agents import Agent, Broad, Narrow, snap_to_list
 from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
 from bracketlab.experiment import (
+    CSV_COLUMNS,
     Covariates,
     DataFormatError,
     Dataset,
@@ -339,6 +341,30 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="line 3"):
             read_csv(str(path))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from(list(Treatment)), st.integers(0, 4), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        composition=st.one_of(
+            st.builds(MixtureComposition, st.floats(0.0, 1.0)),
+            st.builds(KappaComposition, st.floats(0.0, 1.0)),
+        ),
+        rho=st.one_of(st.none(), st.floats(0.001, 0.01)),
+        tremble=st.floats(0.0, 1.0),
+    )
+    def test_round_trip_property(self, tmp_path_factory, counts, seed, composition, rho, tremble):
+        spec = PopulationSpec(
+            counts=counts, seed=seed, composition=composition, rho=rho, tremble=tremble,
+            gamma_bounds=(1.8, 2.2),
+        )
+        data = simulate_dataset(spec)
+        directory = tmp_path_factory.mktemp("roundtrip")
+        write_csv(data, str(directory / "data.csv"))
+        again = read_csv(str(directory / "data.csv"))
+        assert again == data
+        write_csv(again, str(directory / "again.csv"))
+        assert (directory / "again.csv").read_bytes() == (directory / "data.csv").read_bytes()
+
     def test_iter_observations_filters(self):
         data = simulate_dataset(small_spec(seed=13, tremble=0.05))
         kept = list(iter_observations(data, drop_inconsistent=True))
@@ -346,3 +372,93 @@ class TestCsvRoundTrip:
         assert len(everything) == 2 * len(data)
         assert 0 < len(kept) < len(everything)
         assert all(o.consistent for _, o in kept)
+
+
+HEADER = ",".join(CSV_COLUMNS)
+S1_SWITCH = "S1," + ",".join("0" * 10 + "1" * 6) + ",2.75,0,1"
+S2_CENSORED = "S2," + ",".join("0" * 16) + ",4.25,1,1"
+S1_NON_MONOTONE = "S1,1,0," + ",".join("1" * 14) + ",0.25,0,0"
+VALID_ROWS = [
+    f"A,BROAD,{S1_SWITCH},male,30,5",
+    f"A,BROAD,{S2_CENSORED},male,30,5",
+    f"B,NARROW,{S1_NON_MONOTONE},female,41,7",
+    f"B,NARROW,{S2_CENSORED},female,41,7",
+]
+
+
+def _cells(text, index, value):
+    cells = text.split(",")
+    cells[index] = value
+    return ",".join(cells)
+
+
+class TestMalformedCsv:
+    """Each bad row follows valid rows that hold every one of its other parts."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"C,BROAD,S1,{S1_SWITCH[5:]},male,30,5", "expected 25 fields, got 24"),
+            (f"C,BROAD,S1,0,{S1_SWITCH[3:]},male,30,5", "expected 25 fields, got 26"),
+            (f"C,BROAD,{_cells(S1_SWITCH, 5, '2')},male,30,5", "expected 0 or 1, got '2'"),
+            (f"C,BROAD,{_cells(S1_SWITCH, 0, 'S9')},male,30,5", "'S9' is not a valid Scenario"),
+            (f"C,MIDDLE,{S1_SWITCH},male,30,5", "'MIDDLE' is not a valid Treatment"),
+            (f"C,BROAD,{S1_SWITCH},x,30,5", "gender must be male or female, got 'x'"),
+            (f"C,BROAD,{S1_SWITCH},male,-1,5", "age must be nonnegative"),
+            (f"C,BROAD,{S1_SWITCH},male,30,11", "tediousness is a 1..10 scale"),
+            (
+                f"C,BROAD,{_cells(S1_SWITCH, 17, '2.50')},male,30,5",
+                "res_wage 2.5 does not match switch point 2.75",
+            ),
+            (f"B,BROAD,{S1_SWITCH},female,41,7", "subject B changes treatment or covariates"),
+            (f"B,NARROW,{S1_SWITCH},male,30,5", "subject B changes treatment or covariates"),
+        ],
+        ids=[
+            "24-fields", "26-fields", "choice-flag", "scenario", "treatment", "gender", "age",
+            "tediousness", "switch-point", "changes-treatment", "changes-covariates",
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER] + VALID_ROWS + [row, VALID_ROWS[0].replace("A,", "D,", 1)]) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == f"line 6: {message}"
+
+    def test_non_adjacent_duplicate_subject(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER] + VALID_ROWS + [VALID_ROWS[0]]) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == "subject_ids must be unique"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"A,BROAD,{S2_CENSORED},x,30,5", "line 5: gender must be male or female, got 'x'"),
+            (f"A,BROAD,{S2_CENSORED},male,31,5", "line 5: subject A changes treatment or covariates"),
+        ],
+        ids=["parse-error", "changes-covariates"],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER, "", VALID_ROWS[0], "", row]) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == message
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["", HEADER, ""] + VALID_ROWS[:2] + ["", ""] + VALID_ROWS[2:]) + "\n")
+        data = read_csv(str(path))
+        assert [r.subject_id for r in data.records] == ["A", "B"]
+        assert [len(r.outcomes) for r in data.records] == [2, 2]
+
+    def test_equal_texts_share_one_object(self, tmp_path):
+        path = tmp_path / "data.csv"
+        rows = VALID_ROWS + [f"C,LOW,{S2_CENSORED},female,41,7"]
+        path.write_text("\n".join([HEADER] + rows) + "\n")
+        a, b, c = read_csv(str(path)).records
+        assert a.outcomes[1] is b.outcomes[1] is c.outcomes[0]
+        assert b.covariates is c.covariates
+        assert a.covariates is not b.covariates
