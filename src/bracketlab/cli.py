@@ -22,13 +22,14 @@ from .estimation import (
     InvalidParams,
     NotConverged,
     RankDeficient,
+    cell_wages,
     mwu_test,
     nls_kappa,
     power_two_sample,
     summarize_means,
     tobit_right,
 )
-from .experiment import DataFormatError, iter_observations, read_csv, simulate_dataset, write_csv
+from .experiment import DataFormatError, read_csv, simulate_dataset, write_csv
 from .preferences import Bundle, Lottery, NonMonotoneModel, money_metric
 from .reports import (
     MwuRow,
@@ -190,13 +191,6 @@ def _resolved_options(args):
     return censor, continuity, not keep
 
 
-def _cell_wages(dataset, drop_inconsistent):
-    cells: dict[tuple[Treatment, Scenario], list[float]] = {}
-    for record, outcome in iter_observations(dataset, drop_inconsistent):
-        cells.setdefault((record.treatment, outcome.scenario), []).append(outcome.res_wage)
-    return cells
-
-
 def _write_reports(out_dir: str, stem: str, markdown: str, csv_text: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,7 +208,7 @@ def cmd_estimate(args) -> int:
             raise EmptySample("no scenario observations after filtering")
         _write_reports(args.out, "means", render_means_markdown(cells), render_means_csv(cells))
     elif args.stat == "mwu":
-        wages = _cell_wages(dataset, drop)
+        wages = cell_wages(dataset, drop)
         rows = []
         for scenario in Scenario:
             present = [t for t in Treatment if (t, scenario) in wages]
@@ -241,22 +235,17 @@ def _tobit_fits(dataset, drop_inconsistent, censor):
 
     The first treatment present (in declaration order) is the baseline.
     """
-    wages = _cell_wages(dataset, drop_inconsistent)
+    wages = cell_wages(dataset, drop_inconsistent)
     fits = []
     for scenario in Scenario:
         present = [t for t in Treatment if (t, scenario) in wages]
         if not present:
             continue
-        y, dummies = [], []
-        for t in present:
-            for wage in wages[(t, scenario)]:
-                y.append(wage)
-                dummies.append(t)
-        X = np.column_stack(
-            [np.ones(len(y))] + [[1.0 if d is t else 0.0 for d in dummies] for t in present[1:]]
-        )
+        cells = [wages[(t, scenario)] for t in present]
+        arm = np.repeat(np.arange(len(cells)), [c.size for c in cells])
+        X = np.column_stack([np.ones(arm.size)] + [(arm == k).astype(float) for k in range(1, len(cells))])
         names = ["const"] + [t.value for t in present[1:]]
-        fits.append((scenario, names, tobit_right(np.asarray(y), X, limit=censor)))
+        fits.append((scenario, names, tobit_right(np.concatenate(cells), X, limit=censor)))
     if not fits:
         raise EmptySample("no scenario observations after filtering")
     return fits

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm, rankdata
+from scipy.stats import norm
 
 from .agents import CENSOR_CODE
 from .design import Scenario, Treatment
-from .experiment import Dataset, iter_observations
+from .experiment import Dataset
 
 __all__ = [
     "CellSummary",
@@ -36,6 +36,7 @@ __all__ = [
     "AllCensored",
     "RankDeficient",
     "InvalidParams",
+    "cell_wages",
     "summarize_means",
     "mwu_test",
     "mwu_exact",
@@ -160,44 +161,53 @@ class OlsFit:
     n_obs: int
 
 
+def cell_wages(dataset: Dataset, drop_inconsistent: bool = True) -> dict[tuple[Treatment, Scenario], np.ndarray]:
+    """Recorded wages per (treatment, scenario) cell, in record order.
+
+    Keys run in declaration order, treatment first; cells with no
+    observations after filtering are omitted.
+    """
+    obs = dataset.observations
+    keep = obs.consistent if drop_inconsistent else slice(None)
+    cell = obs.treatment[keep].astype(np.intp) * len(Scenario) + obs.scenario[keep]
+    # a stable sort keeps record order inside each cell
+    grouped = obs.res_wage[keep][np.argsort(cell, kind="stable")]
+    parts = np.split(grouped, np.cumsum(np.bincount(cell, minlength=len(Treatment) * len(Scenario)))[:-1])
+    return {key: part for key, part in zip(itertools.product(Treatment, Scenario), parts) if part.size}
+
+
 def summarize_means(dataset: Dataset, drop_inconsistent: bool = True) -> list[CellSummary]:
     """Mean, spread, censoring share, and N per treatment x scenario.
 
     Cells with no observations after filtering are omitted; censored
     responses enter the mean at the 4.25 code.
     """
-    cells: dict[tuple[Treatment, Scenario], list[float]] = {}
-    for record, outcome in iter_observations(dataset, drop_inconsistent):
-        cells.setdefault((record.treatment, outcome.scenario), []).append(outcome.res_wage)
-    out = []
-    for treatment in Treatment:
-        for scenario in Scenario:
-            wages = cells.get((treatment, scenario))
-            if not wages:
-                continue
-            arr = np.asarray(wages, dtype=float)
-            sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            out.append(
-                CellSummary(
-                    treatment=treatment,
-                    scenario=scenario,
-                    mean=float(arr.mean()),
-                    sd=sd,
-                    share_censored=float((arr >= CENSOR_CODE - 1e-9).mean()),
-                    n=int(arr.size),
-                )
-            )
-    return out
+    return [
+        CellSummary(
+            treatment=treatment,
+            scenario=scenario,
+            mean=float(arr.mean()),
+            sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            share_censored=float((arr >= CENSOR_CODE - 1e-9).mean()),
+            n=int(arr.size),
+        )
+        for (treatment, scenario), arr in cell_wages(dataset, drop_inconsistent).items()
+    ]
 
 
 def _rank_setup(x, y):
+    """Sample sizes, pooled midranks and the pooled tie counts."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise EmptySample("both samples must be nonempty")
     pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)
-    return x.size, y.size, pooled, ranks
+    if np.isnan(pooled).any():
+        raise ValueError("samples must not contain NaN")
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # midranks are exact half-integers, so any sum of them is exact
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return x.size, y.size, ranks, counts
 
 
 def mwu_test(x, y, continuity: bool = False) -> MwuResult:
@@ -207,11 +217,10 @@ def mwu_test(x, y, continuity: bool = False) -> MwuResult:
     correction shrinks W - E[W] by 0.5 toward zero; it is off by
     default. Zero variance (all values tied) gives z = 0, p = 1.
     """
-    n1, n2, pooled, ranks = _rank_setup(x, y)
+    n1, n2, ranks, counts = _rank_setup(x, y)
     n_total = n1 + n2
     w = float(ranks[:n1].sum())
     expected = n1 * (n_total + 1) / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float((counts.astype(float) ** 3 - counts).sum()) / (n_total * (n_total - 1))
     var = n1 * n2 / 12.0 * ((n_total + 1) - tie_term)
     tie_corrected = bool((counts > 1).any())
@@ -231,7 +240,7 @@ def mwu_exact(x, y) -> float:
     p = P(|W - E[W]| >= |w_obs - E[W]|) over all (n1+n2 choose n1)
     relabelings of the observed pooled multiset.
     """
-    n1, n2, _, ranks = _rank_setup(x, y)
+    n1, n2, ranks, _ = _rank_setup(x, y)
     n_total = n1 + n2
     if n_total > 14:
         raise TooLarge(f"exact enumeration capped at 14 pooled observations, got {n_total}")
@@ -261,31 +270,26 @@ def _kappa_arrays(
     labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
     if len(labels) != 3:
         raise ValueError("the three treatment labels must be distinct")
-    y, group, scen = [], [], []
-    for record, outcome in iter_observations(dataset, drop_inconsistent):
-        if record.treatment not in labels:
-            continue
-        y.append(outcome.res_wage)
-        group.append(labels[record.treatment])
-        scen.append(_SCENARIOS.index(outcome.scenario))
-    y = np.asarray(y, dtype=float)
-    group = np.asarray(group)
-    scen = np.asarray(scen)
+    obs = dataset.observations
+    group_of = np.array([labels.get(t, -1) for t in Treatment], dtype=np.int8)
+    group = group_of[obs.treatment]
+    keep = group >= 0
+    if drop_inconsistent:
+        keep &= obs.consistent
+    y, group, scen = obs.res_wage[keep], group[keep], obs.scenario[keep]
+    means = np.zeros((3, 2))
+    counts = np.zeros((3, 2))
     for label, g in labels.items():
         for s in range(2):
-            if not ((group == g) & (scen == s)).any():
+            sel = (group == g) & (scen == s)
+            counts[g, s] = sel.sum()
+            if not counts[g, s]:
                 raise Degenerate(
                     f"no {'consistent ' if drop_inconsistent else ''}observations for "
                     f"{label.value} in {_SCENARIOS[s].value}; "
                     "kappa needs all three treatments in both scenarios"
                 )
-    means = np.zeros((3, 2))
-    counts = np.zeros((3, 2))
-    for g in range(3):
-        for s in range(2):
-            sel = (group == g) & (scen == s)
             means[g, s] = y[sel].mean()
-            counts[g, s] = sel.sum()
     if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
         raise Degenerate(
             "broad and narrow cell means coincide in both scenarios; "
@@ -294,20 +298,21 @@ def _kappa_arrays(
     return y, group, scen, means, counts
 
 
-def _kappa_design(theta: np.ndarray, group: np.ndarray, scen: np.ndarray):
+def _kappa_fitted(theta: np.ndarray) -> np.ndarray:
+    """Fitted value per cell, indexed by 2 * group + scenario."""
     b, n, kappa = theta[0:2], theta[2:4], theta[4]
-    fitted = np.where(
-        group == 0, b[scen], np.where(group == 1, n[scen], (1.0 - kappa) * b[scen] + kappa * n[scen])
-    )
-    jac = np.zeros((group.size, 5))
-    rows = np.arange(group.size)
-    is_b, is_n, is_m = group == 0, group == 1, group == 2
-    jac[rows[is_b], scen[is_b]] = 1.0
-    jac[rows[is_n], 2 + scen[is_n]] = 1.0
-    jac[rows[is_m], scen[is_m]] = 1.0 - kappa
-    jac[rows[is_m], 2 + scen[is_m]] = kappa
-    jac[rows[is_m], 4] = n[scen[is_m]] - b[scen[is_m]]
-    return fitted, jac
+    return np.concatenate([b, n, (1.0 - kappa) * b + kappa * n])
+
+
+def _kappa_design(theta: np.ndarray, cell: np.ndarray):
+    """Fitted values and Jacobian per row, gathered from per-cell tables."""
+    b, n, kappa = theta[0:2], theta[2:4], theta[4]
+    jac = np.zeros((6, 5))
+    jac[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    jac[[4, 5], [0, 1]] = 1.0 - kappa
+    jac[[4, 5], [2, 3]] = kappa
+    jac[[4, 5], 4] = n - b
+    return _kappa_fitted(theta)[cell], jac[cell]
 
 
 def nls_kappa(
@@ -329,18 +334,18 @@ def nls_kappa(
     y, group, scen, means, counts = _kappa_arrays(
         dataset, broad_label, narrow_label, mid_label, drop_inconsistent
     )
+    cell = 2 * group.astype(np.intp) + scen
     theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
 
     def rss_at(t):
-        fitted, _ = _kappa_design(t, group, scen)
-        r = y - fitted
+        r = y - _kappa_fitted(t)[cell]
         return float(r @ r)
 
     rss = rss_at(theta)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        fitted, jac = _kappa_design(theta, group, scen)
+        fitted, jac = _kappa_design(theta, cell)
         resid = y - fitted
         grad = 2.0 * (jac.T @ resid)
         if float(np.linalg.norm(grad)) < _GRAD_TOL:
@@ -354,14 +359,14 @@ def nls_kappa(
         theta = theta + taken
         rss = rss_at(theta)
         if float(np.linalg.norm(taken)) < _STEP_TOL:
-            fitted, jac = _kappa_design(theta, group, scen)
+            fitted, jac = _kappa_design(theta, cell)
             grad = 2.0 * (jac.T @ (y - fitted))
             converged = float(np.linalg.norm(grad)) < _GRAD_TOL
             break
     else:
         raise NotConverged(f"Gauss-Newton did not converge in {_MAX_ITER} iterations")
 
-    fitted, jac = _kappa_design(theta, group, scen)
+    fitted, jac = _kappa_design(theta, cell)
     resid = y - fitted
     bread = np.linalg.inv(jac.T @ jac)
     meat = jac.T @ (jac * (resid**2)[:, None])

@@ -11,6 +11,7 @@ block of subjects with one array bisection per frame.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ __all__ = [
     "ScenarioOutcome",
     "SubjectRecord",
     "Dataset",
+    "Observations",
     "MixtureComposition",
     "KappaComposition",
     "PopulationSpec",
@@ -82,14 +84,14 @@ class ScenarioOutcome:
     def __post_init__(self) -> None:
         if len(self.choices) != N_ROWS:
             raise ValueError(f"expected {N_ROWS} choices, got {len(self.choices)}")
-        if self.consistent:
-            if any(self.choices[i] and not self.choices[i + 1] for i in range(N_ROWS - 1)):
-                raise ValueError("consistent record with non-monotone choices")
-            expected = _switch_wage(self.choices)
-            if abs(self.res_wage - expected) > 1e-9:
-                raise ValueError(f"res_wage {self.res_wage} does not match switch point {expected}")
-            if self.censored != (not any(self.choices)):
-                raise ValueError("censored flag contradicts the choice rows")
+        if self.consistent and any(self.choices[i] and not self.choices[i + 1] for i in range(N_ROWS - 1)):
+            raise ValueError("consistent record with non-monotone choices")
+        # every row, consistent or not, records its smallest accepted wage
+        expected = _switch_wage(self.choices)
+        if not abs(self.res_wage - expected) <= 1e-9:
+            raise ValueError(f"res_wage {self.res_wage} does not match switch point {expected}")
+        if self.censored != (not any(self.choices)):
+            raise ValueError("censored flag contradicts the choice rows")
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,24 @@ class SubjectRecord:
     def __post_init__(self) -> None:
         if not self.outcomes:
             raise ValueError("a record needs at least one scenario outcome")
+
+
+_TREATMENT_CODE = {t: i for i, t in enumerate(Treatment)}
+_SCENARIO_CODE = {s: i for i, s in enumerate(Scenario)}
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """Read-only columns of a dataset's scenario rows, in iter_observations order.
+
+    treatment and scenario are int8 indices into tuple(Treatment) and
+    tuple(Scenario); inconsistent rows are included and flagged.
+    """
+
+    treatment: np.ndarray
+    scenario: np.ndarray
+    res_wage: np.ndarray
+    consistent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,29 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @functools.cached_property
+    def observations(self) -> Observations:
+        """Every scenario row as columns, built on first use.
+
+        The cache lives in the instance __dict__, outside the compared
+        and printed fields; records are immutable, so it never goes stale.
+        The columns fill from iterators over one flat outcome list; a
+        Python list per column left the heap about 5 MB larger at 300k rows.
+        """
+        records = self.records
+        per_record = np.fromiter((len(r.outcomes) for r in records), np.intp, len(records))
+        treatment = np.fromiter((_TREATMENT_CODE[r.treatment] for r in records), np.int8, len(records))
+        outcomes = [outcome for record in records for outcome in record.outcomes]
+        columns = [
+            np.repeat(treatment, per_record),
+            np.fromiter((_SCENARIO_CODE[o.scenario] for o in outcomes), np.int8, len(outcomes)),
+            np.fromiter((o.res_wage for o in outcomes), np.float64, len(outcomes)),
+            np.fromiter((o.consistent for o in outcomes), bool, len(outcomes)),
+        ]
+        for column in columns:
+            column.flags.writeable = False
+        return Observations(*columns)
 
 
 @dataclass(frozen=True)

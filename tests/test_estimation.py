@@ -3,18 +3,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
+from scipy.stats import rankdata
 
-from conftest import dataset_from_cell_means, records_from_wages
+from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
+from bracketlab.cli import _tobit_fits
 from bracketlab.design import Scenario, Treatment
-from bracketlab.experiment import Dataset, ScenarioOutcome, SubjectRecord, Covariates
+from bracketlab.experiment import (
+    Covariates,
+    Dataset,
+    KappaComposition,
+    MixtureComposition,
+    PopulationSpec,
+    ScenarioOutcome,
+    SubjectRecord,
+    iter_observations,
+    read_csv,
+    simulate_dataset,
+    write_csv,
+)
 from bracketlab.estimation import (
     AllCensored,
     Degenerate,
     EmptySample,
     InvalidParams,
+    MwuResult,
     RankDeficient,
     TooLarge,
+    cell_wages,
     kappa_profile_oracle,
     mwu_exact,
     mwu_test,
@@ -23,6 +40,9 @@ from bracketlab.estimation import (
     power_two_sample,
     summarize_means,
     tobit_right,
+    _kappa_arrays,
+    _kappa_design,
+    _rank_setup,
     _tobit_loglik_grad,
 )
 
@@ -110,6 +130,24 @@ class TestMwu:
         with pytest.raises(TooLarge):
             mwu_exact(list(range(8)), list(range(7)))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mwu_test([1.0, float("nan")], [2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.75, 4.25]), min_size=1, max_size=30),
+        st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.75, 4.25]), min_size=1, max_size=30),
+        st.booleans(),
+    )
+    @example([1.0], [2.0], False)
+    @example([1.0], [1.0], True)
+    @example([4.25] * 5, [4.25] * 3, False)
+    @example([4.25] * 5, [4.25] * 3, True)
+    def test_matches_rankdata_reference(self, x, y, continuity):
+        assert _rank_setup(x, y)[2].tolist() == rankdata(x + y).tolist()  # mwu_exact's ranks too
+        assert mwu_test(x, y, continuity) == _rankdata_mwu(x, y, continuity)
+
     def test_exact_symmetric(self):
         x, y = [1, 2, 2, 5], [2, 3, 7]
         assert mwu_exact(x, y) == pytest.approx(mwu_exact(y, x))
@@ -120,6 +158,30 @@ class TestMwu:
     )
     def test_two_sided_p_is_label_symmetric(self, x, y):
         assert mwu_test(x, y).p == pytest.approx(mwu_test(y, x).p, abs=1e-12)
+
+
+def _rankdata_mwu(x, y, continuity):
+    """mwu_test as written on scipy's rankdata, kept as the reference."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pooled = np.concatenate([x, y])
+    ranks = rankdata(pooled)
+    n1, n2 = x.size, y.size
+    n_total = n1 + n2
+    w = float(ranks[:n1].sum())
+    expected = n1 * (n_total + 1) / 2.0
+    _, counts = np.unique(pooled, return_counts=True)
+    tie_term = float((counts.astype(float) ** 3 - counts).sum()) / (n_total * (n_total - 1))
+    var = n1 * n2 / 12.0 * ((n_total + 1) - tie_term)
+    tie_corrected = bool((counts > 1).any())
+    if var <= 0.0:
+        return MwuResult(w, 0.0, 1.0, tie_corrected, continuity)
+    delta = w - expected
+    if continuity and delta != 0.0:
+        delta -= math.copysign(0.5, delta)
+    z = delta / math.sqrt(var)
+    p = float(2.0 * ndtr(-abs(z)))
+    return MwuResult(w, z, min(p, 1.0), tie_corrected, continuity)
 
 
 REFERENCE_CELLS = {
@@ -347,3 +409,133 @@ class TestOls:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             ols([1.0, 2.0], np.column_stack([np.ones(2), np.ones(2)]))
+
+
+# ------------------------------------------------- the columnar view's oracles
+
+
+def _row_kappa_arrays(dataset, labels, drop_inconsistent):
+    """y, group and scen by the per-record loop the estimators once ran (the oracle)."""
+    codes = {label: g for g, label in enumerate(labels)}
+    y, group, scen = [], [], []
+    for record, outcome in iter_observations(dataset, drop_inconsistent):
+        if record.treatment not in codes:
+            continue
+        y.append(outcome.res_wage)
+        group.append(codes[record.treatment])
+        scen.append((Scenario.S1, Scenario.S2).index(outcome.scenario))
+    return np.asarray(y, dtype=float), np.asarray(group), np.asarray(scen)
+
+
+def _row_kappa_design(theta, group, scen):
+    """Fitted values and Jacobian built row by row (the oracle for the cell tables)."""
+    b, n, kappa = theta[0:2], theta[2:4], theta[4]
+    fitted = np.where(
+        group == 0, b[scen], np.where(group == 1, n[scen], (1.0 - kappa) * b[scen] + kappa * n[scen])
+    )
+    jac = np.zeros((group.size, 5))
+    rows = np.arange(group.size)
+    is_b, is_n, is_m = group == 0, group == 1, group == 2
+    jac[rows[is_b], scen[is_b]] = 1.0
+    jac[rows[is_n], 2 + scen[is_n]] = 1.0
+    jac[rows[is_m], scen[is_m]] = 1.0 - kappa
+    jac[rows[is_m], 2 + scen[is_m]] = kappa
+    jac[rows[is_m], 4] = n[scen[is_m]] - b[scen[is_m]]
+    return fitted, jac
+
+
+class TestColumnarEstimators:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from(list(Treatment)), st.integers(0, 6), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        composition=st.one_of(
+            st.builds(MixtureComposition, st.floats(0.0, 1.0)),
+            st.builds(KappaComposition, st.floats(0.0, 1.0)),
+        ),
+        rho=st.one_of(st.none(), st.floats(0.001, 0.01)),
+        tremble=st.floats(0.0, 1.0),
+        labels=st.permutations(list(Treatment)),
+        drop=st.booleans(),
+    )
+    def test_grouping_matches_record_walk(self, counts, seed, composition, rho, tremble, labels, drop):
+        data = simulate_dataset(PopulationSpec(
+            counts=counts, seed=seed, composition=composition, rho=rho, tremble=tremble,
+            gamma_bounds=(1.8, 2.2),
+        ))
+        walked: dict = {}
+        for record, outcome in iter_observations(data, drop):
+            walked.setdefault((record.treatment, outcome.scenario), []).append(outcome.res_wage)
+        grouped = cell_wages(data, drop)
+        order = [(t, s) for t in Treatment for s in Scenario]
+        assert list(grouped) == sorted(walked, key=order.index)
+        assert {k: v.tolist() for k, v in grouped.items()} == walked
+
+        y_o, group_o, scen_o = _row_kappa_arrays(data, labels[:3], drop)
+        try:
+            y, group, scen, _, _ = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
+        except Degenerate:
+            cells = set(zip(group_o.tolist(), scen_o.tolist()))
+            assert len(cells) < 6 or all(
+                abs(y_o[(group_o == 0) & (scen_o == s)].mean() - y_o[(group_o == 1) & (scen_o == s)].mean())
+                < 1e-9
+                for s in range(2)
+            )
+        else:
+            assert y.tolist() == y_o.tolist()
+            assert group.tolist() == group_o.tolist()
+            assert scen.tolist() == scen_o.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+        codes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=40),
+    )
+    def test_cell_tables_match_row_design(self, theta, codes):
+        theta = np.array(theta)
+        group = np.array([g for g, _ in codes])
+        scen = np.array([s for _, s in codes])
+        fitted, jac = _row_kappa_design(theta, group, scen)
+        gathered = _kappa_design(theta, 2 * group + scen)
+        assert gathered[0].tobytes() == fitted.tobytes()
+        assert gathered[1].tobytes() == jac.tobytes()
+
+    def test_interleaved_rows_match_grouped_twin(self, tmp_path):
+        rng = np.random.default_rng(3)
+        arms = {t: records_from_wages(t, rng.permutation(wages_with_mean(m1, 100)),
+                                      rng.permutation(wages_with_mean(m2, 100)))
+                for t, (m1, m2) in REFERENCE_CELLS.items()}
+        skipped = (True, False) + (True,) * 14
+        bad = ScenarioOutcome(Scenario.S1, skipped, 0.25, False, False)
+        arms[Treatment.LOW][4] = SubjectRecord(
+            "LOW-0004", Treatment.LOW, (bad, arms[Treatment.LOW][4].outcomes[1]), Covariates(True, 30, 5)
+        )
+        # one scenario per record, so consecutive CSV rows change treatment
+        arms = {t: [SubjectRecord(f"{r.subject_id}-{o.scenario.value}", t, (o,), r.covariates)
+                    for r in records for o in r.outcomes]
+                for t, records in arms.items()}
+        interleaved = [r for trio in zip(*arms.values()) for r in trio]
+        grouped = [r for records in arms.values() for r in records]
+        loaded = []
+        for name, records in (("interleaved", interleaved), ("grouped", grouped)):
+            write_csv(Dataset(tuple(records)), str(tmp_path / f"{name}.csv"))
+            loaded.append(read_csv(str(tmp_path / f"{name}.csv")))
+        mixed, twin = loaded
+        assert mixed.observations.treatment[:3].tolist() == [0, 2, 1]
+        for drop in (True, False):
+            cells = cell_wages(mixed, drop)
+            expected = {
+                (t, s): [o.res_wage for r in records for o in r.outcomes
+                         if o.scenario is s and (o.consistent or not drop)]
+                for t, records in arms.items() for s in Scenario
+            }
+            assert {k: v.tolist() for k, v in cells.items()} == expected
+            assert summarize_means(mixed, drop) == summarize_means(twin, drop)
+            assert _tobit_fits(mixed, drop, 4.25) == _tobit_fits(twin, drop, 4.25)
+            a, b = nls_kappa(mixed, drop_inconsistent=drop), nls_kappa(twin, drop_inconsistent=drop)
+            # row order changes the order of the Gauss-Newton sums, and near the
+            # optimum rounding steers the line search, so the fits agree to 1e-7
+            assert (a.n_obs, a.rss) == (b.n_obs, pytest.approx(b.rss, rel=1e-12))
+            assert a.kappa == pytest.approx(b.kappa, abs=1e-7)
+            assert a.se_kappa == pytest.approx(b.se_kappa, rel=1e-6)
+        assert kappa_profile_oracle(mixed) == kappa_profile_oracle(twin)

@@ -410,12 +410,25 @@ class TestMalformedCsv:
                 f"C,BROAD,{_cells(S1_SWITCH, 17, '2.50')},male,30,5",
                 "res_wage 2.5 does not match switch point 2.75",
             ),
+            (
+                f"C,BROAD,{_cells(S1_SWITCH, 17, 'nan')},male,30,5",
+                "res_wage nan does not match switch point 2.75",
+            ),
+            (
+                f"C,BROAD,{_cells(_cells(S1_NON_MONOTONE, 17, '9.99'), 18, '1')},male,30,5",
+                "res_wage 9.99 does not match switch point 0.25",
+            ),
+            (
+                f"C,BROAD,{_cells(S1_NON_MONOTONE, 18, '1')},male,30,5",
+                "censored flag contradicts the choice rows",
+            ),
             (f"B,BROAD,{S1_SWITCH},female,41,7", "subject B changes treatment or covariates"),
             (f"B,NARROW,{S1_SWITCH},male,30,5", "subject B changes treatment or covariates"),
         ],
         ids=[
             "24-fields", "26-fields", "choice-flag", "scenario", "treatment", "gender", "age",
-            "tediousness", "switch-point", "changes-treatment", "changes-covariates",
+            "tediousness", "switch-point", "nan-wage", "inconsistent-wage", "inconsistent-censored",
+            "changes-treatment", "changes-covariates",
         ],
     )
     def test_bad_row_names_its_line(self, tmp_path, row, message):
@@ -462,3 +475,48 @@ class TestMalformedCsv:
         assert a.outcomes[1] is b.outcomes[1] is c.outcomes[0]
         assert b.covariates is c.covariates
         assert a.covariates is not b.covariates
+
+
+class TestObservations:
+    """The columnar view is a cache: built once, read-only, invisible to ==, repr and replace."""
+
+    def test_columns_follow_iter_observations(self):
+        data = simulate_dataset(small_spec(seed=13, tremble=0.3))
+        obs = data.observations
+        rows = list(iter_observations(data, drop_inconsistent=False))
+        assert [tuple(Treatment)[c] for c in obs.treatment] == [r.treatment for r, _ in rows]
+        assert [tuple(Scenario)[c] for c in obs.scenario] == [o.scenario for _, o in rows]
+        assert obs.res_wage.tolist() == [o.res_wage for _, o in rows]
+        assert obs.consistent.tolist() == [o.consistent for _, o in rows]
+        assert not obs.consistent.all()
+        assert [c.dtype.name for c in (obs.treatment, obs.scenario, obs.res_wage, obs.consistent)] == [
+            "int8", "int8", "float64", "bool",
+        ]
+
+    def test_built_once_and_read_only(self):
+        data = simulate_dataset(small_spec())
+        obs = data.observations
+        assert data.observations is obs
+        for column in (obs.treatment, obs.scenario, obs.res_wage, obs.consistent):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_cache_is_not_compared_or_printed(self):
+        built = simulate_dataset(small_spec())
+        fresh = simulate_dataset(small_spec())
+        built.observations
+        assert "observations" in vars(built) and "observations" not in vars(fresh)
+        assert built == fresh
+        assert repr(built) == repr(fresh)
+
+    def test_replace_gets_a_fresh_view(self):
+        data = simulate_dataset(small_spec())
+        before = data.observations
+        fewer = dataclasses.replace(data, records=data.records[:3])
+        assert fewer.observations is not before
+        assert fewer.observations.res_wage.size == sum(len(r.outcomes) for r in data.records[:3])
+
+    def test_empty_dataset(self):
+        obs = Dataset(()).observations
+        assert obs.res_wage.size == obs.treatment.size == 0
