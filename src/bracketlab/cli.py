@@ -298,13 +298,19 @@ def _random_menu_battery(n_menus: int = 100, seed: int = 7):
     return menus
 
 
+def _witness_gap(entry) -> float:
+    """|M(a+b) - M(a) - M(b)| at an expect-fail zoo entry's witness pair (a, b)."""
+    model, (a, b) = entry.model, entry.witness
+    return abs(money_metric(model, a + b) - money_metric(model, a) - money_metric(model, b))
+
+
 def _additivity_rows() -> list[VerifyRow]:
     rows = []
     for entry in model_zoo():
         if entry.expect_additive is None:
             continue
-        residual = additivity_residual(entry.model, entry.grid)
         if entry.expect_additive:
+            residual = additivity_residual(entry.model, entry.grid)
             rows.append(
                 VerifyRow(
                     "additivity",
@@ -316,12 +322,7 @@ def _additivity_rows() -> list[VerifyRow]:
                 )
             )
         else:
-            a, b = entry.witness
-            witness = abs(
-                money_metric(entry.model, a + b)
-                - money_metric(entry.model, a)
-                - money_metric(entry.model, b)
-            )
+            witness = _witness_gap(entry)
             rows.append(
                 VerifyRow(
                     "additivity",
@@ -353,13 +354,7 @@ def _unidentifiability_rows() -> list[VerifyRow]:
                 )
             )
         else:
-            a, b = entry.witness
-            gap = abs(
-                money_metric(entry.model, a + b)
-                - money_metric(entry.model, a)
-                - money_metric(entry.model, b)
-            )
-            pair = epsilon_menu_pair(entry.model, a, b, gap / 4.0)
+            pair = epsilon_menu_pair(entry.model, *entry.witness, _witness_gap(entry) / 4.0)
             report = unidentifiability_probe(entry.model, [pair])
             rows.append(
                 VerifyRow(

@@ -26,7 +26,6 @@ class RunConfig:
     workers: int = 1
     censor_limit: float = CENSOR_CODE
     continuity: bool = False
-    are: bool = False
     drop_inconsistent: bool = True
 
 
@@ -53,7 +52,7 @@ _POPULATION_KEYS = set(_COUNT_KEYS) | {
     "workers",
 }
 
-_ESTIMATOR_KEYS = {"censor_limit", "continuity", "are", "keep_inconsistent"}
+_ESTIMATOR_KEYS = {"censor_limit", "continuity", "keep_inconsistent"}
 
 
 def _get(parser, section, key, cast, default):
@@ -151,7 +150,6 @@ def parse_config(
         workers=workers,
         censor_limit=_get(parser, "estimators", "censor_limit", float, CENSOR_CODE),
         continuity=_get(parser, "estimators", "continuity", bool, False),
-        are=_get(parser, "estimators", "are", bool, False),
         drop_inconsistent=not _get(parser, "estimators", "keep_inconsistent", bool, False),
     )
 
@@ -199,6 +197,5 @@ workers = 1
 [estimators]
 censor_limit = 4.25
 continuity = false
-are = false
 keep_inconsistent = false
 """

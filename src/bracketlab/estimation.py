@@ -1,7 +1,7 @@
 """Inference for censored price-list data.
 
 Covers the full pipeline run on elicited reservation wages: cell
-summaries, tie-corrected rank-sum tests with an exact-enumeration
+summaries, tie-corrected rank-sum tests with an exact-permutation
 oracle, the nonlinear least-squares estimator of the bracketing weight
 kappa with a profile-grid oracle, a right-censored Tobit likelihood,
 two-sample power calculations, and a plain least-squares convenience.
@@ -50,6 +50,7 @@ __all__ = [
 _GRAD_TOL = 1e-8
 _STEP_TOL = 1e-10
 _MAX_ITER = 500
+_EXACT_CAP = 66
 
 
 class EmptySample(Exception):
@@ -57,7 +58,11 @@ class EmptySample(Exception):
 
 
 class TooLarge(Exception):
-    """Exact enumeration is limited to 14 pooled observations."""
+    """The exact rank-sum test is limited to 66 pooled observations.
+
+    mwu_exact counts subsets in int64, and C(66, 33) < 2**63 < C(67, 33),
+    so 66 is the largest pooled size at which every count is exact.
+    """
 
 
 class Degenerate(Exception):
@@ -235,25 +240,34 @@ def mwu_test(x, y, continuity: bool = False) -> MwuResult:
 
 
 def mwu_exact(x, y) -> float:
-    """Exact two-sided p by enumerating group assignments of the pooled data.
+    """Exact two-sided p over every relabeling of the pooled data.
 
     p = P(|W - E[W]| >= |w_obs - E[W]|) over all (n1+n2 choose n1)
-    relabelings of the observed pooled multiset.
+    relabelings of the observed pooled multiset. Doubled midranks are
+    integers, so the null distribution is counted rather than
+    enumerated (Streitberg & Roehmel 1986, Comput. Stat. Q. 3:23-41):
+    c[j, s] is the number of j-subsets of the pooled sample whose
+    doubled rank sum is s, built with one shifted add per observation.
+    Subsets of the smaller sample size k suffice, since the two-sided
+    statistic is label-symmetric. Every count is at most
+    C(66, 33) < 2**63, hence the cap of 66 pooled observations (see
+    TooLarge).
     """
     n1, n2, ranks, _ = _rank_setup(x, y)
     n_total = n1 + n2
-    if n_total > 14:
-        raise TooLarge(f"exact enumeration capped at 14 pooled observations, got {n_total}")
-    expected = n1 * (n_total + 1) / 2.0
-    w_obs = float(ranks[:n1].sum())
-    threshold = abs(w_obs - expected) - 1e-9
-    hits = 0
-    total = 0
-    for idx in itertools.combinations(range(n_total), n1):
-        total += 1
-        if abs(ranks[list(idx)].sum() - expected) >= threshold:
-            hits += 1
-    return hits / total
+    if n_total > _EXACT_CAP:
+        raise TooLarge(f"exact test capped at {_EXACT_CAP} pooled observations, got {n_total}")
+    doubled = (2.0 * ranks).astype(np.int64)
+    k = min(n1, n2)
+    top = int(np.sort(doubled)[-k:].sum())
+    counts = np.zeros((k + 1, top + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for w in doubled.tolist():
+        counts[1:, w:] += counts[:-1, :-w].copy()
+    # |W - E[W]| is the same for either sample: compare doubled sums exactly
+    gap = abs(int(doubled[:n1].sum()) - n1 * (n_total + 1))
+    far = np.abs(np.arange(top + 1) - k * (n_total + 1)) >= gap
+    return int(counts[k, far].sum()) / math.comb(n_total, k)
 
 
 _SCENARIOS = (Scenario.S1, Scenario.S2)

@@ -501,16 +501,19 @@ def _parse_row(line_no: int, cells: list[str]) -> tuple[str, Treatment, Scenario
         res_wage = float(cells[3 + N_ROWS])
         censored = _parse_flag(cells[4 + N_ROWS])
         consistent = _parse_flag(cells[5 + N_ROWS])
-        gender = cells[6 + N_ROWS]
-        if gender not in ("male", "female"):
-            raise ValueError(f"gender must be male or female, got {gender!r}")
-        covariates = Covariates(gender == "male", int(cells[7 + N_ROWS]), int(cells[8 + N_ROWS]))
+        covariates = _parse_covariates(*cells[6 + N_ROWS :])
         outcome = ScenarioOutcome(scenario, choices, res_wage, censored, consistent)
     except DataFormatError:
         raise
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: {exc}") from exc
     return cells[0], treatment, outcome, covariates
+
+
+def _parse_covariates(gender: str, age: str, tediousness: str) -> Covariates:
+    if gender not in ("male", "female"):
+        raise ValueError(f"gender must be male or female, got {gender!r}")
+    return Covariates(gender == "male", int(age), int(tediousness))
 
 
 def _parse_flag(cell: str) -> bool:
@@ -528,10 +531,12 @@ def read_csv(path: str) -> Dataset:
     Adjacent rows with one subject_id form one record. A row is cut into
     its subject_id, its treatment cell, its outcome cells (scenario
     through consistent) and its covariate cells, and each distinct text
-    of a part is parsed once per call: a row with any part not seen
-    before goes through the validating _parse_row whole, and a row whose
-    parts were all seen has exactly the validated field count. Records
-    therefore share their (immutable) outcome and covariate objects.
+    of a part is parsed once per call: a row with an unseen outcome text
+    goes through the validating _parse_row whole; a row whose outcome
+    text was seen has exactly the validated field count, and parses
+    only its unseen treatment or covariate cells, as _parse_row does.
+    Records therefore share their (immutable) outcome and covariate
+    objects, and each distinct outcome is built and validated once.
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -556,11 +561,21 @@ def read_csv(path: str) -> Dataset:
         row_treatment = treatments.get(treatment_text)
         outcome = outcomes.get(outcome_text)
         person = people.get(covariates_text)
-        if row_treatment is None or outcome is None or person is None:
+        if outcome is None:
             row_sid, row_treatment, outcome, person = _parse_row(line_no, line.split(","))
             row_treatment = treatments.setdefault(treatment_text, row_treatment)
-            outcome = outcomes.setdefault(outcome_text, outcome)
+            outcomes[outcome_text] = outcome
             person = people.setdefault(covariates_text, person)
+        elif row_treatment is None or person is None:
+            # a seen outcome text has 20 cells, so the row has all 25 fields;
+            # the cells are checked in _parse_row's order
+            try:
+                if row_treatment is None:
+                    row_treatment = treatments[treatment_text] = Treatment(treatment_text)
+                if person is None:
+                    person = people[covariates_text] = _parse_covariates(*covariates_text.split(","))
+            except ValueError as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from exc
         if row_sid == sid:
             if row_treatment is not treatment or (person is not covariates and person != covariates):
                 raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")

@@ -186,6 +186,16 @@ def test_estimator_config_values_are_defaults_not_errors(tmp_path):
         assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")
 
 
+def test_removed_are_key_is_a_config_error(tmp_path, capsys):
+    # power takes --are as a flag; the config key was never read
+    config = tmp_path / "est.ini"
+    config.write_text("[population]\n\n[estimators]\nare = true\n", encoding="utf-8")
+    rc = main(["estimate", "means", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: unknown key 'are' in section [estimators]\n"
+    assert not (tmp_path / "means.csv").exists()
+
+
 def test_unknown_stat_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "median", "--data", GOLDEN_CSV, "--out", str(tmp_path)])

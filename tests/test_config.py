@@ -29,7 +29,7 @@ def test_minimal_config(tmp_path):
     assert config.population.composition == MixtureComposition(1.0)
     assert config.workers == 1
     assert config.censor_limit == 4.25
-    assert not config.continuity and not config.are
+    assert not config.continuity
     assert config.drop_inconsistent
 
 

@@ -1,4 +1,5 @@
 """Estimators against closed forms, oracles, and constructed datasets."""
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
+from bracketlab.agents import CENSOR_CODE
 from bracketlab.cli import _tobit_fits
-from bracketlab.design import Scenario, Treatment
+from bracketlab.design import Scenario, Treatment, price_list
 from bracketlab.experiment import (
     Covariates,
     Dataset,
@@ -127,8 +129,11 @@ class TestMwu:
             mwu_test([], [1.0])
 
     def test_exact_too_large(self):
-        with pytest.raises(TooLarge):
-            mwu_exact(list(range(8)), list(range(7)))
+        with pytest.raises(TooLarge, match="66 pooled observations, got 67"):
+            mwu_exact(list(range(34)), list(range(33)))
+        # the old 14-observation cap no longer applies
+        x, y = [0, 1, 1, 2, 3, 5, 8, 9], [2, 4, 4, 6, 7, 7, 10]
+        assert mwu_exact(x, y) == _enumerated_exact(x, y)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -158,6 +163,63 @@ class TestMwu:
     )
     def test_two_sided_p_is_label_symmetric(self, x, y):
         assert mwu_test(x, y).p == pytest.approx(mwu_test(y, x).p, abs=1e-12)
+
+
+def _enumerated_exact(x, y):
+    """Exact p by enumerating every relabeling; the reference for mwu_exact."""
+    n1, n2, ranks, _ = _rank_setup(x, y)
+    n_total = n1 + n2
+    expected = n1 * (n_total + 1) / 2.0
+    w_obs = float(ranks[:n1].sum())
+    threshold = abs(w_obs - expected) - 1e-9
+    hits = 0
+    total = 0
+    for idx in itertools.combinations(range(n_total), n1):
+        total += 1
+        if abs(ranks[list(idx)].sum() - expected) >= threshold:
+            hits += 1
+    return hits / total
+
+
+_WAGE_GRID = price_list().extra_wages + (CENSOR_CODE,)
+
+
+def _pooled_at_most_14(values):
+    return st.integers(1, 13).flatmap(
+        lambda n1: st.tuples(
+            st.lists(values, min_size=n1, max_size=n1),
+            st.lists(values, min_size=1, max_size=14 - n1),
+        )
+    )
+
+
+class TestMwuExactOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            _pooled_at_most_14(st.sampled_from(_WAGE_GRID)),  # heavy ties
+            _pooled_at_most_14(st.floats(-1e6, 1e6, allow_nan=False)),
+        )
+    )
+    @example(([4.25] * 7, [4.25] * 7))
+    @example(([0.25] * 13, [4.25]))
+    @example(([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]))
+    def test_matches_enumeration(self, samples):
+        x, y = samples
+        assert mwu_exact(x, y) == _enumerated_exact(x, y)
+        assert mwu_exact(x, y) == mwu_exact(y, x)
+
+    def test_at_the_cap_agrees_with_normal_approximation(self):
+        rng = np.random.default_rng(3)
+        for x, y in [
+            (rng.choice(_WAGE_GRID, 33), rng.choice(_WAGE_GRID, 33)),
+            (rng.normal(size=33), rng.normal(0.5, 1.0, size=33)),
+        ]:
+            p = mwu_exact(x, y)
+            assert 0.0 < p <= 1.0
+            assert p == pytest.approx(mwu_test(x, y).p, abs=0.02)
+        # fully separated: only the two extreme relabelings are as far out
+        assert mwu_exact(list(range(33)), list(range(33, 66))) == 2 / math.comb(66, 33)
 
 
 def _rankdata_mwu(x, y, continuity):

@@ -476,6 +476,21 @@ class TestMalformedCsv:
         assert b.covariates is c.covariates
         assert a.covariates is not b.covariates
 
+    def test_each_outcome_text_validated_once(self, tmp_path, monkeypatch):
+        data = simulate_dataset(small_spec(seed=5, tremble=0.3))
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+        rows = path.read_text().splitlines()[1:]
+        outcome_texts = {row.split(",", 2)[2].rsplit(",", 3)[0] for row in rows}
+        assert len({row.split(",", 22)[22] for row in rows}) > 1  # covariate texts
+        built = []
+        validate = ScenarioOutcome.__post_init__
+        monkeypatch.setattr(
+            ScenarioOutcome, "__post_init__", lambda self: built.append(self) or validate(self)
+        )
+        assert read_csv(str(path)) == data
+        assert len(built) == len(outcome_texts)
+
 
 class TestObservations:
     """The columnar view is a cache: built once, read-only, invisible to ==, repr and replace."""
