@@ -16,8 +16,8 @@ from bracketlab import (
     money_metric,
     trace_pair,
     unidentifiability_probe,
+    verify_rows,
 )
-from bracketlab.cli import verify_rows
 from bracketlab.reports import render_verify_text
 
 linear = QuasiLinearPowerCost(alpha=0.004, gamma=1.0)

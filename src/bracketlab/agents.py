@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import PriceList, Treatment, TreatmentSpec, price_list
+from .design import Treatment, TreatmentSpec, price_list
 from .preferences import ROOT_TOL, Bundle, UtilityModel, stack_models
 
 __all__ = [
@@ -106,19 +106,21 @@ class Agent:
     framing_shift: float = 0.0
 
 
-def _framed_value(model: UtilityModel, mode: BracketingMode, presented: Bundle, endowment: Bundle) -> float:
-    if isinstance(mode, Broad):
-        return model.value(presented.tasks + endowment.tasks, presented.money + endowment.money)
-    if isinstance(mode, Narrow):
-        return model.value(presented.tasks, presented.money)
-    if isinstance(mode, Partial):
-        return model.value(presented.tasks + endowment.tasks, presented.money)
-    raise ModeUnsupported(f"{type(mode).__name__} has no utility-level evaluation")
+def _counted_endowment(frame: type, endowment: Bundle) -> tuple[int, float]:
+    """The (tasks, money) of the endowment a pure frame adds to what is presented."""
+    if frame is Broad:
+        return endowment.tasks, endowment.money
+    if frame is Narrow:
+        return 0, 0.0
+    if frame is Partial:
+        return endowment.tasks, 0.0
+    raise ModeUnsupported(f"{frame.__name__} has no utility-level evaluation")
 
 
 def evaluate_option(agent: Agent, presented: Bundle, endowment: Bundle) -> float:
     """Utility of a presented option as seen through the agent's frame."""
-    return _framed_value(agent.model, agent.mode, presented, endowment)
+    tasks, money = _counted_endowment(type(agent.mode), endowment)
+    return agent.model.value(presented.tasks + tasks, presented.money + money)
 
 
 _FRAMES = (Broad, Narrow, Partial)
@@ -141,15 +143,10 @@ def _frame_wages(model: UtilityModel, frame: type, spec: TreatmentSpec, n: int) 
     stack_models). Each element halves its own bracket until it is
     narrower than ROOT_TOL, exactly as a lone bisection would.
     """
-    at, am = spec.option_a.tasks, spec.option_a.money
-    bt = spec.option_b_tasks
-    et, em = spec.endowment.tasks, spec.endowment.money
-    if frame is Broad:
-        tasks_a, tasks_b, money_base = at + et, bt + et, am + em
-    elif frame is Narrow:
-        tasks_a, tasks_b, money_base = at, bt, am
-    else:
-        tasks_a, tasks_b, money_base = at + et, bt + et, am
+    counted_tasks, counted_money = _counted_endowment(frame, spec.endowment)
+    tasks_a = spec.option_a.tasks + counted_tasks
+    tasks_b = spec.option_b_tasks + counted_tasks
+    money_base = spec.option_a.money + counted_money
     # option A on an array too, so one agent alone takes the same (numpy) path as in a block
     target = model.at_tasks(tasks_a)(np.full(n, money_base))
     utility_b = model.at_tasks(tasks_b)
@@ -217,27 +214,24 @@ def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     return float(reservation_wages((agent,), spec)[0])
 
 
-def snap_rows(r, plist: PriceList | None = None) -> np.ndarray:
+def snap_rows(r) -> np.ndarray:
     """Index of the grid row each continuous wage is recorded at.
 
     The agent accepts at indifference, so that is the smallest grid
     wage at or above r; an index equal to the grid length means the
     wage lies above the grid (censored).
     """
-    if plist is None:
-        plist = price_list()
-    return np.searchsorted(plist.extra_wages, np.asarray(r) - _SNAP_SLACK)
+    return np.searchsorted(price_list().extra_wages, np.asarray(r) - _SNAP_SLACK)
 
 
-def snap_to_list(r: float, plist: PriceList | None = None) -> tuple[float, bool]:
+def snap_to_list(r: float) -> tuple[float, bool]:
     """Record a continuous wage on the grid: (recorded wage, censored).
 
     The recorded wage is the grid wage at snap_rows(r); above the grid
     the record is CENSOR_CODE with the censored flag set.
     """
-    if plist is None:
-        plist = price_list()
-    k = int(snap_rows(r, plist))
-    if k < len(plist.extra_wages):
-        return plist.extra_wages[k], False
+    wages = price_list().extra_wages
+    k = int(snap_rows(r))
+    if k < len(wages):
+        return wages[k], False
     return CENSOR_CODE, True

@@ -30,10 +30,9 @@ from .estimation import (
     tobit_right,
 )
 from .experiment import DataFormatError, read_csv, simulate_dataset, write_csv
-from .preferences import Bundle, Lottery, NonMonotoneModel, money_metric
+from .preferences import NonMonotoneModel
 from .reports import (
     MwuRow,
-    VerifyRow,
     render_kappa_csv,
     render_kappa_markdown,
     render_means_csv,
@@ -46,18 +45,7 @@ from .reports import (
     render_verify_markdown,
     render_verify_text,
 )
-from .theory import (
-    DEMO_TOL,
-    MenuPair,
-    additivity_residual,
-    cara_shift_invariance,
-    epsilon_menu_pair,
-    maximizer_choices,
-    mixture_linearity,
-    model_zoo,
-    unidentifiability_probe,
-    warp_scan,
-)
+from .theory import SUITES, verify_rows
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -67,8 +55,6 @@ EXIT_USAGE = 2
 class UsageError(Exception):
     """A flag that the chosen command does not use."""
 
-
-SUITES = ("additivity", "unidentifiability", "cara", "mixture", "warp", "all")
 
 _FAILURES = (
     EmptySample,
@@ -261,194 +247,6 @@ def cmd_power(args) -> int:
 
 
 # ------------------------------------------------------------------ verify
-
-_PASS_TOL = 1e-9
-_COIN = Lottery(((Bundle(0, 0.0), 0.5), (Bundle(0, 1.0), 0.5)))
-_POSITIVE_COIN = Lottery(((Bundle(0, 1.0), 0.5), (Bundle(0, 2.0), 0.5)))
-_WEALTH_GRID = (0.0, 1.0, 2.5)
-_POSITIVE_WEALTH_GRID = (1.0, 10.0)
-_P_GRID = tuple(k / 10.0 for k in range(1, 10))
-
-
-def _status(observed_clean: bool, expect_clean: bool) -> str:
-    if observed_clean == expect_clean:
-        return "pass" if expect_clean else "expected violation"
-    return "FAIL"
-
-
-def _generic_battery() -> list[MenuPair]:
-    zero = Bundle(0, 0.0)
-    return [
-        MenuPair((zero, Bundle(5, 1.0), Bundle(10, 2.0)), (zero, Bundle(3, 0.5), Bundle(8, 2.5))),
-        MenuPair((zero, Bundle(7, 1.25)), (zero, Bundle(2, 0.75))),
-    ]
-
-
-def _random_menu_battery(n_menus: int = 100, seed: int = 7):
-    rng = np.random.default_rng(seed)
-    menus = []
-    for _ in range(n_menus):
-        size = int(rng.integers(2, 6))
-        menus.append(
-            tuple(
-                Bundle(int(rng.integers(0, 21)), float(rng.uniform(0.5, 8.0)))
-                for _ in range(size)
-            )
-        )
-    return menus
-
-
-def _witness_gap(entry) -> float:
-    """|M(a+b) - M(a) - M(b)| at an expect-fail zoo entry's witness pair (a, b)."""
-    model, (a, b) = entry.model, entry.witness
-    return abs(money_metric(model, a + b) - money_metric(model, a) - money_metric(model, b))
-
-
-def _additivity_rows() -> list[VerifyRow]:
-    rows = []
-    for entry in model_zoo():
-        if entry.expect_additive is None:
-            continue
-        if entry.expect_additive:
-            residual = additivity_residual(entry.model, entry.grid)
-            rows.append(
-                VerifyRow(
-                    "additivity",
-                    entry.name,
-                    "grid residual",
-                    f"{residual:.3e}",
-                    "< 1e-09",
-                    _status(residual < _PASS_TOL, True),
-                )
-            )
-        else:
-            witness = _witness_gap(entry)
-            rows.append(
-                VerifyRow(
-                    "additivity",
-                    entry.name,
-                    "witness residual",
-                    f"{witness:.4f}",
-                    "> 0.001",
-                    _status(witness <= DEMO_TOL, False),
-                )
-            )
-    return rows
-
-
-def _unidentifiability_rows() -> list[VerifyRow]:
-    rows = []
-    for entry in model_zoo():
-        if entry.expect_additive is None:
-            continue
-        if entry.expect_additive:
-            report = unidentifiability_probe(entry.model, _generic_battery())
-            rows.append(
-                VerifyRow(
-                    "unidentifiability",
-                    entry.name,
-                    "menu violations",
-                    str(len(report)),
-                    "0",
-                    _status(len(report) == 0, True),
-                )
-            )
-        else:
-            pair = epsilon_menu_pair(entry.model, *entry.witness, _witness_gap(entry) / 4.0)
-            report = unidentifiability_probe(entry.model, [pair])
-            rows.append(
-                VerifyRow(
-                    "unidentifiability",
-                    entry.name,
-                    "menu violations",
-                    str(len(report)),
-                    "> 0",
-                    _status(len(report) == 0, False),
-                )
-            )
-    return rows
-
-
-def _cara_rows() -> list[VerifyRow]:
-    rows = []
-    for entry in model_zoo():
-        if entry.expect_cara is None:
-            continue
-        if entry.positive_money_only:
-            gap = cara_shift_invariance(entry.model, _POSITIVE_COIN, _POSITIVE_WEALTH_GRID)
-        else:
-            gap = cara_shift_invariance(entry.model, _COIN, _WEALTH_GRID)
-        expected = "< 1e-09" if entry.expect_cara else "> 0.001"
-        observed_clean = gap < _PASS_TOL if entry.expect_cara else gap <= DEMO_TOL
-        rows.append(
-            VerifyRow(
-                "cara",
-                entry.name,
-                "max CE shift",
-                f"{gap:.3e}",
-                expected,
-                _status(observed_clean, entry.expect_cara),
-            )
-        )
-    return rows
-
-
-def _mixture_rows() -> list[VerifyRow]:
-    rows = []
-    for entry in model_zoo():
-        if entry.expect_mixture is None:
-            continue
-        gap = mixture_linearity(entry.model, _COIN, _P_GRID)
-        expected = "< 1e-09" if entry.expect_mixture else "> 0.001"
-        observed_clean = gap < _PASS_TOL if entry.expect_mixture else gap <= DEMO_TOL
-        rows.append(
-            VerifyRow(
-                "mixture",
-                entry.name,
-                "max linearity gap",
-                f"{gap:.4f}" if gap >= DEMO_TOL else f"{gap:.3e}",
-                expected,
-                _status(observed_clean, entry.expect_mixture),
-            )
-        )
-    return rows
-
-
-def _warp_rows() -> list[VerifyRow]:
-    menus = _random_menu_battery()
-    rows = []
-    for entry in model_zoo():
-        report = warp_scan(maximizer_choices(entry.model, menus))
-        rows.append(
-            VerifyRow(
-                "warp",
-                entry.name,
-                "violations in 100 menus",
-                str(len(report)),
-                "0",
-                _status(len(report) == 0, True),
-            )
-        )
-    return rows
-
-
-_SUITE_RUNNERS = {
-    "additivity": _additivity_rows,
-    "unidentifiability": _unidentifiability_rows,
-    "cara": _cara_rows,
-    "mixture": _mixture_rows,
-    "warp": _warp_rows,
-}
-
-
-def verify_rows(suite: str = "all") -> list[VerifyRow]:
-    """All VerifyRow results for one suite name (or every suite)."""
-    if suite == "all":
-        rows = []
-        for runner in _SUITE_RUNNERS.values():
-            rows.extend(runner())
-        return rows
-    return _SUITE_RUNNERS[suite]()
 
 
 def cmd_verify(args) -> int:

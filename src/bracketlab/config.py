@@ -7,7 +7,7 @@ configparser is the whole parser.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .agents import CENSOR_CODE
 from .design import Treatment
@@ -31,26 +31,18 @@ class RunConfig:
 
 _COUNT_KEYS = {t.value.lower(): t for t in Treatment}
 
-_POPULATION_KEYS = set(_COUNT_KEYS) | {
-    "seed",
-    "narrow_share",
-    "kappa",
-    "alpha_location",
-    "alpha_scale",
-    "alpha_tediousness_link",
-    "gamma_location",
-    "gamma_scale",
-    "gamma_male_shift",
-    "gamma_lo",
-    "gamma_hi",
-    "rho",
-    "tremble",
-    "male_share",
-    "age_min",
-    "age_max",
-    "framing_shift",
-    "workers",
-}
+# PopulationSpec fields read by key: counts, seed and composition are parsed
+# by hand; a pair field is spelled as two keys, every other field is one
+# float key of its own name
+_PAIR_KEYS = {"gamma_bounds": (("gamma_lo", "gamma_hi"), float), "age_range": (("age_min", "age_max"), int)}
+_SPEC_FIELDS = [f for f in fields(PopulationSpec) if f.name not in ("counts", "seed", "composition")]
+
+_POPULATION_KEYS = (
+    set(_COUNT_KEYS)
+    | {"seed", "narrow_share", "kappa", "workers"}
+    | {f.name for f in _SPEC_FIELDS if f.name not in _PAIR_KEYS}
+    | {key for keys, _ in _PAIR_KEYS.values() for key in keys}
+)
 
 _ESTIMATOR_KEYS = {"censor_limit", "continuity", "keep_inconsistent"}
 
@@ -112,31 +104,13 @@ def parse_config(
     else:
         composition = MixtureComposition(1.0 if narrow_share is None else narrow_share)
 
-    defaults = PopulationSpec(counts={}, seed=0)
-    kwargs = dict(
-        alpha_location=_get(parser, "population", "alpha_location", float, defaults.alpha_location),
-        alpha_scale=_get(parser, "population", "alpha_scale", float, defaults.alpha_scale),
-        alpha_tediousness_link=_get(
-            parser, "population", "alpha_tediousness_link", float, defaults.alpha_tediousness_link
-        ),
-        gamma_location=_get(parser, "population", "gamma_location", float, defaults.gamma_location),
-        gamma_scale=_get(parser, "population", "gamma_scale", float, defaults.gamma_scale),
-        gamma_male_shift=_get(
-            parser, "population", "gamma_male_shift", float, defaults.gamma_male_shift
-        ),
-        gamma_bounds=(
-            _get(parser, "population", "gamma_lo", float, defaults.gamma_bounds[0]),
-            _get(parser, "population", "gamma_hi", float, defaults.gamma_bounds[1]),
-        ),
-        rho=_get(parser, "population", "rho", float, None),
-        tremble=_get(parser, "population", "tremble", float, defaults.tremble),
-        male_share=_get(parser, "population", "male_share", float, defaults.male_share),
-        age_range=(
-            _get(parser, "population", "age_min", int, defaults.age_range[0]),
-            _get(parser, "population", "age_max", int, defaults.age_range[1]),
-        ),
-        framing_shift=_get(parser, "population", "framing_shift", float, defaults.framing_shift),
-    )
+    kwargs = {}
+    for f in _SPEC_FIELDS:
+        if f.name in _PAIR_KEYS:
+            keys, cast = _PAIR_KEYS[f.name]
+            kwargs[f.name] = tuple(_get(parser, "population", k, cast, d) for k, d in zip(keys, f.default))
+        else:
+            kwargs[f.name] = _get(parser, "population", f.name, float, f.default)
     try:
         population = PopulationSpec(counts=counts, seed=seed, composition=composition, **kwargs)
     except ValueError as exc:

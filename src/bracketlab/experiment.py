@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -376,16 +376,12 @@ def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covar
 
 
 def population_digest(spec: PopulationSpec) -> str:
+    """Short hash of every field: counts sorted by arm name, then the rest in declaration order.
+
+    A new field, or a reordered one, changes every digest.
+    """
     counts = sorted((t.value, n) for t, n in spec.counts.items())
-    payload = repr((counts,) + tuple(
-        getattr(spec, name)
-        for name in (
-            "seed", "composition", "alpha_location", "alpha_scale",
-            "alpha_tediousness_link", "gamma_location", "gamma_scale",
-            "gamma_male_shift", "gamma_bounds", "rho", "tremble",
-            "male_share", "age_range", "framing_shift",
-        )
-    ))
+    payload = repr((counts,) + tuple(getattr(spec, f.name) for f in fields(spec)[1:]))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

@@ -14,8 +14,7 @@ from typing import Sequence
 
 from .design import Scenario, Treatment
 from .estimation import CellSummary, KappaFit, MwuResult, TobitFit
-from .preferences import Bundle
-from .theory import ViolationReport
+from .theory import VerifyRow
 
 __all__ = [
     "MwuRow",
@@ -28,8 +27,6 @@ __all__ = [
     "render_kappa_csv",
     "render_tobit_markdown",
     "render_tobit_csv",
-    "render_violations_text",
-    "render_violations_csv",
     "render_verify_text",
     "render_verify_markdown",
     "render_verify_csv",
@@ -48,10 +45,6 @@ def _f4(x: float) -> str:
 
 def _pct(x: float) -> str:
     return f"{x:.0%}"
-
-
-def _bundle(b: Bundle) -> str:
-    return f"({b.tasks}, {b.money:.2f})"
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -249,54 +242,7 @@ def render_tobit_csv(fits: Sequence[tuple[Scenario, Sequence[str], TobitFit]]) -
     return _csv(("scenario", "term", "coef", "se"), body)
 
 
-# -------------------------------------------------------------- violations
-
-
-def render_violations_text(report: ViolationReport) -> str:
-    if not report:
-        return "no violations\n"
-    lines = [f"{len(report)} violation(s)"]
-    for v in report.entries:
-        lines.append(
-            f"- {v.name} [{v.context}]: {_bundle(v.left)} vs {_bundle(v.right)}, gap {_f4(v.gap)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def render_violations_csv(report: ViolationReport) -> str:
-    body = [
-        (
-            v.name,
-            v.context,
-            str(v.left.tasks),
-            f"{v.left.money:.2f}",
-            str(v.right.tasks),
-            f"{v.right.money:.2f}",
-            _f4(v.gap),
-        )
-        for v in report.entries
-    ]
-    headers = ("name", "context", "left_tasks", "left_money", "right_tasks", "right_money", "gap")
-    return _csv(headers, body)
-
-
 # ------------------------------------------------------------------ verify
-
-
-@dataclass(frozen=True)
-class VerifyRow:
-    """One model under one suite with its observed and expected outcome."""
-
-    suite: str
-    model: str
-    metric: str
-    value: str
-    expected: str
-    status: str  # "pass", "expected violation", or "FAIL"
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAIL"
 
 
 def render_verify_text(rows: Sequence[VerifyRow]) -> str:

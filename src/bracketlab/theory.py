@@ -5,13 +5,17 @@ presentations indistinguishable, so the probes come in matched pairs:
 measure the additivity residual on a bundle grid, and exhibit (or fail
 to exhibit) a menu pair on which a maximizer chooses differently under
 the two presentations. Shift invariance, probability-mixture
-linearity, and WARP scans cover the remaining propositions.
+linearity, and WARP scans cover the remaining propositions. The verify
+suites run these probes over the model zoo and judge each result
+against the outcome the zoo entry expects.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .preferences import (
     Bundle,
@@ -47,6 +51,9 @@ __all__ = [
     "maximizer_choices",
     "ZooEntry",
     "model_zoo",
+    "VerifyRow",
+    "SUITES",
+    "verify_rows",
 ]
 
 PROPOSITION_TOL = 1e-6
@@ -128,10 +135,6 @@ class ViolationReport:
 Scorer = Callable[[UtilityModel, Bundle], float]
 
 
-def _metric_score(model: UtilityModel, b: Bundle) -> float:
-    return money_metric(model, b)
-
-
 def additivity_residual(model: UtilityModel, grid: Sequence[Bundle]) -> float:
     """Worst |M(a+b) - M(a) - M(b)| over unordered grid pairs."""
     cache: dict[Bundle, float] = {}
@@ -159,7 +162,7 @@ def _argmax(model: UtilityModel, menu: Sequence[Bundle], score: Scorer) -> Bundl
     return top[0]
 
 
-def trace_pair(model: UtilityModel, pair: MenuPair, choose: Scorer | None = None) -> ChoiceTrace:
+def trace_pair(model: UtilityModel, pair: MenuPair) -> ChoiceTrace:
     """Choices under separate and aggregate presentation of one pair.
 
     The aggregate choice is decomposed back into menu components; when
@@ -167,10 +170,9 @@ def trace_pair(model: UtilityModel, pair: MenuPair, choose: Scorer | None = None
     are preferred, then the lexicographically first pair, so traces are
     deterministic without rejecting benign ambiguity.
     """
-    score = choose or _metric_score
-    f_sep = _argmax(model, pair.menu_x, score)
-    s_sep = _argmax(model, pair.menu_y, score)
-    o_agg = _argmax(model, pair.aggregate(), score)
+    f_sep = _argmax(model, pair.menu_x, money_metric)
+    s_sep = _argmax(model, pair.menu_y, money_metric)
+    o_agg = _argmax(model, pair.aggregate(), money_metric)
     candidates = [
         (x, y) for x in pair.menu_x for y in pair.menu_y if x + y == o_agg
     ]
@@ -183,18 +185,13 @@ def trace_pair(model: UtilityModel, pair: MenuPair, choose: Scorer | None = None
     return ChoiceTrace(f_sep, s_sep, f_agg, s_agg, o_agg)
 
 
-def _bundles_differ(a: Bundle, b: Bundle, tol: float) -> float:
-    """Return a positive gap when the bundles differ beyond tol, else 0."""
+def _bundles_differ(a: Bundle, b: Bundle) -> float:
+    """Return a positive gap when the bundles differ beyond PROPOSITION_TOL, else 0."""
     gap = max(abs(a.tasks - b.tasks), abs(a.money - b.money))
-    return gap if gap > tol else 0.0
+    return gap if gap > PROPOSITION_TOL else 0.0
 
 
-def unidentifiability_probe(
-    model: UtilityModel,
-    menu_pairs: Sequence[MenuPair],
-    choose: Scorer | None = None,
-    tolerance: float = PROPOSITION_TOL,
-) -> ViolationReport:
+def unidentifiability_probe(model: UtilityModel, menu_pairs: Sequence[MenuPair]) -> ViolationReport:
     """Check the separate-equals-aggregate equalities on each menu pair.
 
     For an additive money metric every equality holds and the report is
@@ -203,7 +200,7 @@ def unidentifiability_probe(
     """
     entries = []
     for i, pair in enumerate(menu_pairs):
-        trace = trace_pair(model, pair, choose)
+        trace = trace_pair(model, pair)
         o_sep = trace.f_sep + trace.s_sep
         checks = (
             ("first", trace.f_agg, trace.f_sep),
@@ -211,7 +208,7 @@ def unidentifiability_probe(
             ("total", o_sep, trace.o_agg),
         )
         for name, left, right in checks:
-            gap = _bundles_differ(left, right, tolerance)
+            gap = _bundles_differ(left, right)
             if gap:
                 entries.append(Violation(name, f"pair {i}", left, right, gap))
     return ViolationReport(tuple(entries))
@@ -267,9 +264,7 @@ def mixture_linearity(model: UtilityModel, lottery: Lottery, p_grid: Sequence[fl
     return worst
 
 
-def warp_scan(
-    choices: Sequence[tuple[Sequence[Bundle], Bundle]], tolerance: float = PROPOSITION_TOL
-) -> ViolationReport:
+def warp_scan(choices: Sequence[tuple[Sequence[Bundle], Bundle]]) -> ViolationReport:
     """Flag menu pairs revealing contradictory strict preferences.
 
     A violation is two menus that both contain the two distinct chosen
@@ -278,7 +273,7 @@ def warp_scan(
     """
 
     def contains(menu, bundle):
-        return any(not _bundles_differ(b, bundle, tolerance) for b in menu)
+        return any(not _bundles_differ(b, bundle) for b in menu)
 
     for menu, chosen in choices:
         if not contains(menu, chosen):
@@ -288,7 +283,7 @@ def warp_scan(
         menu_i, x = choices[i]
         for j in range(i + 1, len(choices)):
             menu_j, y = choices[j]
-            if _bundles_differ(x, y, tolerance) and contains(menu_j, x) and contains(menu_i, y):
+            if _bundles_differ(x, y) and contains(menu_j, x) and contains(menu_i, y):
                 entries.append(
                     Violation("warp", f"menus {i},{j}", x, y, math.inf)
                 )
@@ -296,13 +291,10 @@ def warp_scan(
 
 
 def maximizer_choices(
-    model: UtilityModel,
-    menus: Sequence[Sequence[Bundle]],
-    score: Scorer | None = None,
+    model: UtilityModel, menus: Sequence[Sequence[Bundle]]
 ) -> list[tuple[Sequence[Bundle], Bundle]]:
-    """Choice data generated by maximizing a score over each menu."""
-    scorer = score or (lambda m, b: utility(m, b))
-    return [(menu, _argmax(model, menu, scorer)) for menu in menus]
+    """Choice data generated by maximizing utility over each menu."""
+    return [(menu, _argmax(model, menu, utility)) for menu in menus]
 
 
 @dataclass(frozen=True)
@@ -387,3 +379,144 @@ def model_zoo() -> tuple[ZooEntry, ...]:
             positive_money_only=True,
         ),
     )
+
+
+# ------------------------------------------------------------ verify suites
+
+
+@dataclass(frozen=True)
+class VerifyRow:
+    """One model under one suite with its observed and expected outcome."""
+
+    suite: str
+    model: str
+    metric: str
+    value: str
+    expected: str
+    status: str  # "pass", "expected violation", or "FAIL"
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "FAIL"
+
+
+_PASS_TOL = 1e-9
+_COIN = Lottery(((Bundle(0, 0.0), 0.5), (Bundle(0, 1.0), 0.5)))
+_POSITIVE_COIN = Lottery(((Bundle(0, 1.0), 0.5), (Bundle(0, 2.0), 0.5)))
+_WEALTH_GRID = (0.0, 1.0, 2.5)
+_POSITIVE_WEALTH_GRID = (1.0, 10.0)
+_P_GRID = tuple(k / 10.0 for k in range(1, 10))
+
+
+def _status(observed_clean: bool, expect_clean: bool) -> str:
+    if observed_clean == expect_clean:
+        return "pass" if expect_clean else "expected violation"
+    return "FAIL"
+
+
+def _gap_check(gap: float, expect_clean: bool) -> tuple[str, str]:
+    """(expected, status) for a gap that must vanish, or clear DEMO_TOL on an expect-fail entry."""
+    if expect_clean:
+        return "< 1e-09", _status(gap < _PASS_TOL, True)
+    return "> 0.001", _status(gap <= DEMO_TOL, False)
+
+
+def _generic_battery() -> list[MenuPair]:
+    zero = Bundle(0, 0.0)
+    return [
+        MenuPair((zero, Bundle(5, 1.0), Bundle(10, 2.0)), (zero, Bundle(3, 0.5), Bundle(8, 2.5))),
+        MenuPair((zero, Bundle(7, 1.25)), (zero, Bundle(2, 0.75))),
+    ]
+
+
+def _random_menu_battery(n_menus: int = 100, seed: int = 7):
+    rng = np.random.default_rng(seed)
+    menus = []
+    for _ in range(n_menus):
+        size = int(rng.integers(2, 6))
+        menus.append(
+            tuple(
+                Bundle(int(rng.integers(0, 21)), float(rng.uniform(0.5, 8.0)))
+                for _ in range(size)
+            )
+        )
+    return menus
+
+
+def _witness_gap(entry: ZooEntry) -> float:
+    """|M(a+b) - M(a) - M(b)| at an expect-fail zoo entry's witness pair (a, b)."""
+    model, (a, b) = entry.model, entry.witness
+    return abs(money_metric(model, a + b) - money_metric(model, a) - money_metric(model, b))
+
+
+# Each runner yields (model, metric, value, expected, status) per zoo entry it covers.
+
+
+def _additivity_rows():
+    for entry in model_zoo():
+        if entry.expect_additive is None:
+            continue
+        if entry.expect_additive:
+            residual = additivity_residual(entry.model, entry.grid)
+            yield entry.name, "grid residual", f"{residual:.3e}", *_gap_check(residual, True)
+        else:
+            witness = _witness_gap(entry)
+            yield entry.name, "witness residual", f"{witness:.4f}", *_gap_check(witness, False)
+
+
+def _unidentifiability_rows():
+    for entry in model_zoo():
+        if entry.expect_additive is None:
+            continue
+        if entry.expect_additive:
+            pairs = _generic_battery()
+        else:
+            pairs = [epsilon_menu_pair(entry.model, *entry.witness, _witness_gap(entry) / 4.0)]
+        found = len(unidentifiability_probe(entry.model, pairs))
+        expected = "0" if entry.expect_additive else "> 0"
+        yield entry.name, "menu violations", str(found), expected, _status(found == 0, entry.expect_additive)
+
+
+def _cara_rows():
+    for entry in model_zoo():
+        if entry.expect_cara is None:
+            continue
+        if entry.positive_money_only:
+            gap = cara_shift_invariance(entry.model, _POSITIVE_COIN, _POSITIVE_WEALTH_GRID)
+        else:
+            gap = cara_shift_invariance(entry.model, _COIN, _WEALTH_GRID)
+        yield entry.name, "max CE shift", f"{gap:.3e}", *_gap_check(gap, entry.expect_cara)
+
+
+def _mixture_rows():
+    for entry in model_zoo():
+        if entry.expect_mixture is None:
+            continue
+        gap = mixture_linearity(entry.model, _COIN, _P_GRID)
+        value = f"{gap:.4f}" if gap >= DEMO_TOL else f"{gap:.3e}"
+        yield entry.name, "max linearity gap", value, *_gap_check(gap, entry.expect_mixture)
+
+
+def _warp_rows():
+    menus = _random_menu_battery()
+    for entry in model_zoo():
+        found = len(warp_scan(maximizer_choices(entry.model, menus)))
+        yield entry.name, "violations in 100 menus", str(found), "0", _status(found == 0, True)
+
+
+_SUITE_RUNNERS = {
+    "additivity": _additivity_rows,
+    "unidentifiability": _unidentifiability_rows,
+    "cara": _cara_rows,
+    "mixture": _mixture_rows,
+    "warp": _warp_rows,
+}
+
+SUITES = (*_SUITE_RUNNERS, "all")
+"""Suite names verify_rows accepts, in the order "all" runs them."""
+
+
+def verify_rows(suite: str = "all") -> list[VerifyRow]:
+    """All VerifyRow results for one suite name (or every suite)."""
+    names = _SUITE_RUNNERS if suite == "all" else (suite,)
+    return [VerifyRow(name, *row) for name in names for row in _SUITE_RUNNERS[name]()]

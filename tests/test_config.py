@@ -1,11 +1,13 @@
 """INI parsing: defaults, overrides, and the failure messages."""
+import configparser
 import math
+from pathlib import Path
 
 import pytest
 
-from bracketlab.config import ConfigError, example_config, parse_config
+from bracketlab.config import _POPULATION_KEYS, ConfigError, example_config, parse_config
 from bracketlab.design import Treatment
-from bracketlab.experiment import KappaComposition, MixtureComposition
+from bracketlab.experiment import KappaComposition, MixtureComposition, PopulationSpec, population_digest
 
 
 def write(tmp_path, text):
@@ -116,3 +118,85 @@ def test_shipped_example_matches_template():
 
     shipped = Path(__file__).parent.parent / "configs" / "example.ini"
     assert shipped.read_text(encoding="utf-8") == example_config()
+
+
+GOLDEN_RUN = Path(__file__).parent / "data" / "golden_run.ini"
+
+
+def test_population_digest_is_pinned():
+    assert population_digest(parse_config(str(GOLDEN_RUN)).population) == "b042e684b478"
+    spec = PopulationSpec(
+        counts={Treatment.BROAD: 3, Treatment.PARTIAL: 2},
+        seed=5,
+        composition=KappaComposition(0.7),
+        rho=0.01,
+        gamma_bounds=(1.8, 2.2),
+        age_range=(20, 30),
+        framing_shift=0.25,
+    )
+    assert population_digest(spec) == "2693a18adc96"
+
+
+NON_DEFAULT = {
+    "broad": "3",
+    "narrow": "4",
+    "low": "5",
+    "partial": "6",
+    "before": "7",
+    "after": "8",
+    "seed": "11",
+    "alpha_location": "-5.0",
+    "alpha_scale": "0.4",
+    "alpha_tediousness_link": "0.1",
+    "gamma_location": "2.5",
+    "gamma_scale": "0.2",
+    "gamma_male_shift": "0.05",
+    "gamma_lo": "1.5",
+    "gamma_hi": "3.5",
+    "rho": "0.01",
+    "tremble": "0.1",
+    "male_share": "0.4",
+    "age_min": "20",
+    "age_max": "60",
+    "framing_shift": "0.3",
+    "workers": "2",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, composition",
+    [("kappa", "0.3", KappaComposition(0.3)), ("narrow_share", "0.25", MixtureComposition(0.25))],
+)
+def test_every_population_key_reaches_the_spec(tmp_path, key, value, composition):
+    assert set(NON_DEFAULT) | {"kappa", "narrow_share"} == _POPULATION_KEYS
+    keys = {**NON_DEFAULT, key: value}
+    text = "[population]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    config = parse_config(write(tmp_path, text))
+    expected = PopulationSpec(
+        counts=dict(zip(Treatment, range(3, 9))),
+        seed=11,
+        composition=composition,
+        alpha_location=-5.0,
+        alpha_scale=0.4,
+        alpha_tediousness_link=0.1,
+        gamma_location=2.5,
+        gamma_scale=0.2,
+        gamma_male_shift=0.05,
+        gamma_bounds=(1.5, 3.5),
+        rho=0.01,
+        tremble=0.1,
+        male_share=0.4,
+        age_range=(20, 60),
+        framing_shift=0.3,
+    )
+    assert config.population == expected
+    assert all(type(age) is int for age in config.population.age_range)
+    assert config.workers == 2
+
+
+def test_example_config_documents_every_key():
+    parser = configparser.ConfigParser()
+    parser.read_string(example_config())
+    # rho and kappa are shown commented out: setting them changes the defaults
+    assert set(parser.options("population")) | {"rho", "kappa"} == _POPULATION_KEYS
+    assert "# rho = " in example_config() and "`kappa = 0.7`" in example_config()

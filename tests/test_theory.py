@@ -317,3 +317,10 @@ def test_maximizer_choices_satisfy_warp_across_zoo():
 def test_violation_report_is_boolable():
     report = ViolationReport(())
     assert not report and len(report) == 0
+
+
+def test_suites_name_the_order_verify_rows_emits():
+    from bracketlab.theory import SUITES, verify_rows
+
+    emitted = tuple(dict.fromkeys(r.suite for r in verify_rows("all")))
+    assert SUITES == (*emitted, "all")
