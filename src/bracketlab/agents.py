@@ -10,13 +10,13 @@ estimator targets; it has no utility-level counterpart here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .design import Treatment, TreatmentSpec, price_list
-from .preferences import ROOT_TOL, Bundle, UtilityModel, stack_models
+from .preferences import ROOT_TOL, Bundle, UtilityModel, _stack_columns, stack_models
 
 __all__ = [
     "Broad",
@@ -30,6 +30,7 @@ __all__ = [
     "CENSOR_CODE",
     "WAGE_BRACKET",
     "evaluate_option",
+    "population_wages",
     "reservation_wage_exact",
     "reservation_wages",
     "snap_rows",
@@ -52,12 +53,14 @@ class ModeUnsupported(Exception):
 class NoIndifference(Exception):
     """No wage in the search bracket makes the agent indifferent.
 
-    index is the position of the first such agent in a block, if known.
+    index is the position of the first such agent in a block, and spec
+    the treatment cell, if known.
     """
 
-    def __init__(self, message: str, index: int | None = None) -> None:
+    def __init__(self, message: str, index: int | None = None, spec: TreatmentSpec | None = None) -> None:
         super().__init__(message)
         self.index = index
+        self.spec = spec
 
 
 @dataclass(frozen=True)
@@ -136,80 +139,175 @@ def _frame_weights(mode: BracketingMode) -> dict[type, float]:
     raise ModeUnsupported(f"{type(mode).__name__} is not a pure frame")
 
 
-def _frame_wages(model: UtilityModel, frame: type, spec: TreatmentSpec, n: int) -> np.ndarray:
-    """Extra wages equating the framed values of options A and B.
+def _frame_problem(frame: type, spec: TreatmentSpec) -> tuple[int, int, float]:
+    """(tasks_a, tasks_b, money_base): what a pure frame prices in one cell.
 
-    Bisects n wages at once; model may be a stack of n models (see
-    stack_models). Each element halves its own bracket until it is
-    narrower than ROOT_TOL, exactly as a lone bisection would.
+    The frame compares (tasks_a, money_base) with (tasks_b, money_base + r).
+    Different cells can pose one problem: the Broad frame under NARROW S1
+    is BROAD S1.
     """
     counted_tasks, counted_money = _counted_endowment(frame, spec.endowment)
-    tasks_a = spec.option_a.tasks + counted_tasks
-    tasks_b = spec.option_b_tasks + counted_tasks
-    money_base = spec.option_a.money + counted_money
-    # option A on an array too, so one agent alone takes the same (numpy) path as in a block
-    target = model.at_tasks(tasks_a)(np.full(n, money_base))
+    return (
+        spec.option_a.tasks + counted_tasks,
+        spec.option_b_tasks + counted_tasks,
+        spec.option_a.money + counted_money,
+    )
+
+
+def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray, money_base: np.ndarray) -> np.ndarray:
+    """Extra wage r equating (tasks_a, money_base) and (tasks_b, money_base + r), per element.
+
+    Element i is priced by member i of model (a stack, see stack_models)
+    and halves its own bracket until it is narrower than ROOT_TOL, exactly
+    as a lone bisection would, so its bits do not depend on the batch. An
+    element whose option B is still worse at the top of the bracket has a
+    wage above it: +inf. One with B better already at the bottom, or with
+    a NaN gap, has no answer: NaN.
+    """
+    target = model.at_tasks(tasks_a)(money_base)
     utility_b = model.at_tasks(tasks_b)
 
     def gap(r: np.ndarray) -> np.ndarray:
         return utility_b(money_base + r) - target
 
-    lo = np.full(n, -WAGE_BRACKET)
-    hi = np.full(n, WAGE_BRACKET)
-    switches = (gap(lo) <= 0.0) & (gap(hi) >= 0.0)  # also false on NaN
-    if not switches.all():
-        raise NoIndifference(_no_switch(spec), index=int(np.argmin(switches)))
-    while True:
-        open_ = hi - lo > ROOT_TOL
-        if not open_.any():
-            return 0.5 * (lo + hi)
+    lo = np.full(len(money_base), -WAGE_BRACKET)
+    hi = np.full(len(money_base), WAGE_BRACKET)
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    switches = (gap_lo <= 0.0) & (gap_hi >= 0.0)  # also false on NaN
+    roots = np.where((gap_lo <= 0.0) & (gap_hi < 0.0), np.inf, np.nan)
+    open_ = switches
+    while open_.any():
         mid = 0.5 * (lo + hi)
         below = gap(mid) < 0.0
         lo = np.where(open_ & below, mid, lo)
         hi = np.where(open_ & ~below, mid, hi)
+        open_ = switches & (hi - lo > ROOT_TOL)
+    roots[switches] = 0.5 * (lo[switches] + hi[switches])
+    return roots
 
 
 def _no_switch(spec: TreatmentSpec) -> str:
     return f"no switch on [-{WAGE_BRACKET:g}, {WAGE_BRACKET:g}] for {spec.treatment.value} {spec.scenario.value}"
 
 
+def _members(model: UtilityModel, rows: np.ndarray, size: int) -> UtilityModel:
+    """The given rows of a population of size members: a stack, or one model for all."""
+    return _stack_columns(
+        type(model), **{f.name: np.broadcast_to(getattr(model, f.name), size)[rows] for f in fields(model)}
+    )
+
+
+def population_wages(
+    model: UtilityModel,
+    modes: Sequence[BracketingMode],
+    mode_index: np.ndarray,
+    framing_shift,
+    cells: Sequence[tuple[TreatmentSpec, int]],
+) -> list[np.ndarray]:
+    """Continuous extra wages of a population's first n members in each (cell, n).
+
+    model stacks the population's preferences (see stack_models); member
+    j brackets with modes[mode_index[j]] and has framing_shift (a scalar or
+    one per member). Each pure frame of each cell poses one problem (see
+    _frame_problem), and every distinct problem is solved for every member
+    that needs it by one array bisection. A member needs a frame only at a
+    nonzero weight, so ConvexKappa(0) and ConvexKappa(1) never price the
+    frame they ignore (0 * inf would be NaN). A member's wage then adds
+    its frames in the order 0.0 + w_broad * r_broad + w_narrow * (r_narrow
+    + shift) + w_partial * r_partial, the shift entering only under BEFORE
+    or AFTER. A frame wage above the bracket is +inf, and so is the
+    member's wage when that frame's weight is positive.
+
+    Raises NoIndifference for the first cell, in the given order, with a
+    member that has no switch and no wage above the bracket in some
+    frame, or a wage above it in a frame of negative weight (ConvexKappa
+    with kappa outside [0, 1]); its index is the first such member and
+    its spec the cell.
+    """
+    weights: dict[type, np.ndarray] = {}
+    for m, mode in enumerate(modes):
+        for frame, w in _frame_weights(mode).items():
+            weights.setdefault(frame, np.zeros(len(mode_index)))[mode_index == m] = w
+    frames = [frame for frame in _FRAMES if frame in weights]
+    shift = np.broadcast_to(np.asarray(framing_shift, dtype=float), mode_index.shape)
+
+    needed: dict[tuple[int, int, float], np.ndarray] = {}
+    for spec, n in cells:
+        for frame in frames:
+            mask = needed.setdefault(_frame_problem(frame, spec), np.zeros(len(mode_index), dtype=bool))
+            mask[:n] |= weights[frame][:n] != 0.0
+    if not needed:
+        return [np.zeros(n) for _, n in cells]
+    position, rows, problems = {}, [], []
+    start = 0
+    for problem, mask in needed.items():
+        users = np.flatnonzero(mask)
+        position[problem] = np.zeros(len(mask), dtype=np.intp)
+        position[problem][users] = np.arange(start, start + len(users))
+        start += len(users)
+        rows.append(users)
+        problems.append(np.full((len(users), 3), problem, dtype=float))
+    tasks_a, tasks_b, money_base = np.concatenate(problems).T
+    with np.errstate(invalid="ignore"):
+        roots = _bisect_wages(_members(model, np.concatenate(rows), len(mode_index)), tasks_a, tasks_b, money_base)
+
+    out = []
+    for spec, n in cells:
+        shifted = spec.treatment in (Treatment.BEFORE, Treatment.AFTER)
+        wages = np.zeros(n)
+        failed = np.zeros(n, dtype=bool)
+        for frame in frames:
+            users = np.flatnonzero(weights[frame][:n])
+            r = roots[position[_frame_problem(frame, spec)][users]]
+            # a wage above the bracket is censored only where it raises the
+            # combined wage: under a negative weight its sign flips
+            failed[users] |= np.isnan(r) | (np.isinf(r) & (weights[frame][users] < 0.0))
+            if frame is Narrow and shifted:
+                r = r + shift[users]
+            with np.errstate(invalid="ignore"):  # inf - inf, only where failed
+                wages[users] += weights[frame][users] * r
+        if failed.any():
+            raise NoIndifference(_no_switch(spec), index=int(np.argmax(failed)), spec=spec)
+        out.append(wages)
+    return out
+
+
 def reservation_wages(agents: Sequence[Agent], spec: TreatmentSpec) -> np.ndarray:
     """Continuous extra wages at which each agent switches to option B.
 
-    Agents are grouped by pure frame and model type, and each group is
-    solved by one array bisection. ConvexKappa agents get the affine
-    combination of their Broad and Narrow wages. The framing shift
-    enters through the narrow component and only under BEFORE or AFTER.
-    NoIndifference.index is the position of the first agent without a
-    switch.
+    Agents are grouped by model type, and each group is one population
+    solved by population_wages. ConvexKappa agents get the affine
+    combination of their Broad and Narrow wages. The framing shift enters
+    through the narrow component and only under BEFORE or AFTER. A wage
+    above the bracket is +inf; NoIndifference.index is the position of the
+    first agent with neither that nor a switch.
     """
-    weights = [_frame_weights(agent.mode) for agent in agents]
-    groups: dict[tuple[type, type], list[int]] = {}
-    for i, (agent, parts) in enumerate(zip(agents, weights)):
-        for frame in parts:
-            groups.setdefault((frame, type(agent.model)), []).append(i)
-    shifted = spec.treatment in (Treatment.BEFORE, Treatment.AFTER)
+    groups: dict[type, list[int]] = {}
+    for i, agent in enumerate(agents):
+        groups.setdefault(type(agent.model), []).append(i)
     wages = np.zeros(len(agents))
     failed = []
-    # Broad before Narrow, so a ConvexKappa wage adds up in the same order as its formula
-    for (frame, _), idx in sorted(groups.items(), key=lambda item: _FRAMES.index(item[0][0])):
+    for idx in groups.values():
+        group = [agents[i] for i in idx]
+        modes: dict[BracketingMode, int] = {}
+        mode_index = np.array([modes.setdefault(agent.mode, len(modes)) for agent in group])
+        shifts = np.array([agent.framing_shift for agent in group], dtype=float)
         try:
-            r = _frame_wages(stack_models([agents[i].model for i in idx]), frame, spec, len(idx))
+            (wages[idx],) = population_wages(
+                stack_models([agent.model for agent in group]), list(modes), mode_index, shifts, [(spec, len(idx))]
+            )
         except NoIndifference as exc:
             failed.append(idx[exc.index])
-            continue
-        if frame is Narrow and shifted:
-            r = r + np.array([agents[i].framing_shift for i in idx])
-        wages[idx] += np.array([weights[i][frame] for i in idx]) * r
     if failed:
-        raise NoIndifference(_no_switch(spec), index=min(failed))
+        raise NoIndifference(_no_switch(spec), index=min(failed), spec=spec)
     return wages
 
 
 def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     """Continuous extra wage at which the agent switches to option B.
 
-    The one-agent case of reservation_wages.
+    The one-agent case of reservation_wages; +inf when the wage lies
+    above the search bracket (snap_to_list records it as censored).
     """
     return float(reservation_wages((agent,), spec)[0])
 

@@ -7,6 +7,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -157,7 +158,9 @@ def _resolved_options(args):
     """Flag > config > built-in default for the estimator options.
 
     A flag given to a stat that does not use it is rejected; config
-    values are defaults and apply only where they have an effect.
+    values are defaults and apply only where they have an effect. The
+    censor limit flag must be finite, as parse_config checks the config
+    value: y >= nan holds for no row, which would fit an uncensored model.
     """
     if args.censor_limit is not None and args.stat != "tobit":
         raise UsageError("--censor-limit applies only to estimate tobit")
@@ -169,6 +172,8 @@ def _resolved_options(args):
     else:
         censor, continuity, keep = CENSOR_CODE, False, False
     if args.censor_limit is not None:
+        if not math.isfinite(args.censor_limit):
+            raise UsageError(f"--censor-limit must be finite, got {args.censor_limit}")
         censor = args.censor_limit
     if args.continuity is not None:
         continuity = args.continuity

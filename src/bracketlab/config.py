@@ -7,6 +7,7 @@ configparser is the whole parser.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .agents import CENSOR_CODE
@@ -119,10 +120,13 @@ def parse_config(
     workers = _get(parser, "population", "workers", int, 1)
     if workers < 1:
         raise ConfigError("[population] workers: must be at least 1")
+    censor_limit = _get(parser, "estimators", "censor_limit", float, CENSOR_CODE)
+    if not math.isfinite(censor_limit):
+        raise ConfigError(f"[estimators] censor_limit: must be finite, got {censor_limit}")
     return RunConfig(
         population=population,
         workers=workers,
-        censor_limit=_get(parser, "estimators", "censor_limit", float, CENSOR_CODE),
+        censor_limit=censor_limit,
         continuity=_get(parser, "estimators", "continuity", bool, False),
         drop_inconsistent=not _get(parser, "estimators", "keep_inconsistent", bool, False),
     )

@@ -472,7 +472,8 @@ def _tobit_grad_bs(beta, sigma, y, X, limit, cens):
 def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     """Right-censored Tobit by BFGS on (beta, log sigma).
 
-    Responses at or above the limit are censored. Starts from least
+    Responses at or above the limit, which must be finite, are censored
+    (y >= nan holds for no row). Starts from least
     squares on the uncensored rows; standard errors come from the
     inverse negative Hessian (central differences of the analytic
     gradient, in the (beta, sigma) parameterization).
@@ -484,6 +485,8 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     n, k = X.shape
     if y.shape != (n,):
         raise ValueError("y and X have mismatched lengths")
+    if not math.isfinite(limit):
+        raise ValueError(f"censoring limit must be finite, got {limit}")
     if np.linalg.matrix_rank(X) < k:
         raise RankDeficient("covariate matrix is rank deficient")
     cens = y >= limit - 1e-9

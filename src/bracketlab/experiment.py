@@ -5,9 +5,10 @@ a population specification, goes through both scenarios of one
 treatment, and leaves a 16-row accept/reject record per scenario. The
 random stream for subject j is derived from (master seed, j) alone, so
 subject j faces the same preference draw in every treatment (common
-random numbers). The simulator draws each subject index once, reuses
-those draws in every treatment, and solves each (treatment, scenario)
-block of subjects with one array bisection per frame.
+random numbers). The simulator seeds every subject's stream in one
+array pass, draws each subject index once into columns, reuses those
+draws in every treatment, and solves the reservation wages of all
+(treatment, scenario) cells with one array bisection.
 """
 from __future__ import annotations
 
@@ -27,11 +28,12 @@ from .agents import (
     ConvexKappa,
     Narrow,
     NoIndifference,
+    population_wages,
     reservation_wages,
     snap_rows,
 )
 from .design import Scenario, Treatment, price_list, treatment_spec
-from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel
+from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel, _stack_columns
 
 __all__ = [
     "Covariates",
@@ -279,32 +281,29 @@ def _scenario_outcome(scenario: Scenario, code: int, interned: dict) -> Scenario
     return outcome
 
 
-def _simulate_block(
-    agents: Sequence[Agent],
-    covariates: Sequence[Covariates],
-    subject_ids: Sequence[str],
+def _block_records(
     treatment: Treatment,
+    wages: Sequence[np.ndarray],
     uniforms: np.ndarray | None,
     tremble: float,
+    covariates: Sequence[Covariates],
+    subject_ids: Sequence[str],
     interned: dict,
 ) -> list[SubjectRecord]:
-    """Run a block of agents through both scenarios of one treatment.
+    """Records of a block of subjects in both scenarios of one treatment.
 
-    uniforms holds each subject's 2 x 16 tremble draws (None when
-    tremble is 0); interned caches ScenarioOutcomes by accept pattern.
+    wages holds each scenario's continuous wages and uniforms each
+    subject's 2 x 16 tremble draws (None when tremble is 0); interned
+    caches ScenarioOutcomes by accept pattern.
     """
     per_scenario = []
-    for s, scenario in enumerate(Scenario):
-        spec = treatment_spec(treatment, scenario)
-        try:
-            wages = reservation_wages(agents, spec)
-        except NoIndifference as exc:
-            raise NoIndifference(f"{exc}, subject {subject_ids[exc.index]}", exc.index) from None
-        accept = _ROW_INDEX >= snap_rows(wages)[:, None]
+    for s, (scenario, r) in enumerate(zip(Scenario, wages)):
+        accept = _ROW_INDEX >= snap_rows(r)[:, None]
         if uniforms is not None:
             accept ^= uniforms[:, s] < tremble
-        codes = (accept @ _ROW_BITS).tolist()
-        per_scenario.append([_scenario_outcome(scenario, code, interned) for code in codes])
+        codes, inverse = np.unique(accept @ _ROW_BITS, return_inverse=True)
+        outcomes = [_scenario_outcome(scenario, code, interned) for code in codes.tolist()]
+        per_scenario.append([outcomes[k] for k in inverse.tolist()])
     return [
         SubjectRecord(sid, treatment, outcomes, cov)
         for sid, cov, outcomes in zip(subject_ids, covariates, zip(*per_scenario))
@@ -327,52 +326,181 @@ def simulate_subject(
     differ only in the tremble rate being zero or absent.
     """
     uniforms = rng.random((1, 2, N_ROWS)) if tremble > 0.0 else None
-    return _simulate_block([agent], [covariates], [subject_id], treatment, uniforms, tremble, {})[0]
+    wages = []
+    for scenario in Scenario:
+        try:
+            wages.append(reservation_wages((agent,), treatment_spec(treatment, scenario)))
+        except NoIndifference as exc:
+            raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
+    return _block_records(treatment, wages, uniforms, tremble, [covariates], [subject_id], {})[0]
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
     """Independent per-subject stream keyed by (master seed, index).
 
     The key deliberately omits the treatment so subject j shares one
-    parameter draw across all treatments.
+    parameter draw across all treatments. simulate_dataset seeds the
+    same streams in bulk (see _stream_states).
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _truncated_normal(u: float, loc: float, scale: float, lo: float, hi: float) -> float:
-    if scale == 0.0:
-        return min(max(loc, lo), hi)
-    a = ndtr((lo - loc) / scale)
-    b = ndtr((hi - loc) / scale)
-    x = loc + scale * float(ndtri(a + u * (b - a)))
-    return min(max(x, lo), hi)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covariates, Agent]:
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an integer: little-endian 32-bit words, [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_states(seed: int, count: int) -> list[dict]:
+    """subject_stream(seed, j).bit_generator.state, for every j < count.
+
+    SeedSequence((seed, j)) hashes the 32-bit words of seed, then the one
+    word of j (j < 2**32), into a pool of four words, mixing in words
+    beyond the fourth afterwards; generate_state(4, uint64) hashes the
+    pool again. Every step is uint32 arithmetic on a hash constant that
+    does not depend on the data, so it runs on a column per word with
+    one row per subject. PCG64 then seeds its 128-bit LCG with inc =
+    (initseq << 1) | 1 and state = (inc + initstate) * MULT + inc.
+    """
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _words(seed)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # little-endian pairs of words make the four uint64s: initstate high, low, initseq high, low
+    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _subject_draws(spec: PopulationSpec, rng: np.random.Generator) -> tuple:
     # draw order is part of the determinism contract: male, age,
     # tediousness, alpha shock, gamma quantile, then the mode draw
-    male = rng.random() < spec.male_share
-    age = int(rng.integers(spec.age_range[0], spec.age_range[1] + 1))
-    tediousness = int(rng.integers(1, 11))
-    z_alpha = rng.standard_normal()
-    u_gamma = rng.random()
+    # (MixtureComposition only)
+    draws = (
+        rng.random(),
+        int(rng.integers(spec.age_range[0], spec.age_range[1] + 1)),
+        int(rng.integers(1, 11)),
+        rng.standard_normal(),
+        rng.random(),
+    )
     if isinstance(spec.composition, MixtureComposition):
-        mode = Narrow() if rng.random() < spec.composition.narrow_share else Broad()
-    else:
-        mode = ConvexKappa(spec.composition.kappa)
-    alpha = math.exp(
+        return draws + (rng.random(),)
+    return draws
+
+
+def _truncated_normal(u: np.ndarray, loc: np.ndarray, scale: float, lo: float, hi: float) -> np.ndarray:
+    if scale == 0.0:
+        return np.minimum(np.maximum(loc, lo), hi)
+    a = ndtr((lo - loc) / scale)
+    b = ndtr((hi - loc) / scale)
+    x = loc + scale * ndtri(a + u * (b - a))
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+@dataclass(frozen=True, eq=False)
+class _Population:
+    """Subjects' parameters as columns, one row per subject index."""
+
+    covariates: list[Covariates]
+    alpha: np.ndarray
+    gamma: np.ndarray
+    modes: tuple
+    mode_index: np.ndarray
+
+
+def _population(spec: PopulationSpec, draws: Sequence[tuple]) -> _Population:
+    """Covariates, preference parameters and bracketing modes from one or more rows of draws.
+
+    alpha is exp'd per element with the C library (math.exp), as one
+    subject alone would be. Equal covariates are one shared object.
+    """
+    u_male, age, tediousness, z_alpha, u_gamma, *u_mode = (np.array(column) for column in zip(*draws))
+    male = u_male < spec.male_share
+    log_alpha = (
         spec.alpha_location
         + spec.alpha_tediousness_link * (tediousness - _TEDIOUSNESS_CENTER)
         + spec.alpha_scale * z_alpha
     )
-    gamma_loc = spec.gamma_location + (spec.gamma_male_shift if male else 0.0)
+    alpha = np.array([math.exp(x) for x in log_alpha.tolist()], dtype=float)
+    gamma_loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
     gamma = _truncated_normal(u_gamma, gamma_loc, spec.gamma_scale, *spec.gamma_bounds)
-    model: UtilityModel
-    if spec.rho is None:
-        model = QuasiLinearPowerCost(alpha=alpha, gamma=gamma)
+    if isinstance(spec.composition, MixtureComposition):
+        modes = (Broad(), Narrow())
+        mode_index = (u_mode[0] < spec.composition.narrow_share).astype(np.intp)
     else:
-        model = CaraMoneyPowerCost(rho=spec.rho, alpha=alpha, gamma=gamma)
-    return Covariates(male, age, tediousness), Agent(model, mode, spec.framing_shift)
+        modes = (ConvexKappa(spec.composition.kappa),)
+        mode_index = np.zeros(len(draws), dtype=np.intp)
+    interned: dict[tuple, Covariates] = {}
+    covariates = []
+    for key in zip(male.tolist(), age.tolist(), tediousness.tolist()):
+        person = interned.get(key)
+        if person is None:
+            person = interned[key] = Covariates(*key)
+        covariates.append(person)
+    return _Population(covariates, alpha, gamma, modes, mode_index)
+
+
+def _member_model(spec: PopulationSpec, alpha: float, gamma: float) -> UtilityModel:
+    if spec.rho is None:
+        return QuasiLinearPowerCost(alpha=alpha, gamma=gamma)
+    return CaraMoneyPowerCost(rho=spec.rho, alpha=alpha, gamma=gamma)
+
+
+def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covariates, Agent]:
+    """One subject's covariates and agent: the one-row case of simulate_dataset's draws."""
+    population = _population(spec, [_subject_draws(spec, rng)])
+    model = _member_model(spec, float(population.alpha[0]), float(population.gamma[0]))
+    mode = population.modes[population.mode_index[0]]
+    return population.covariates[0], Agent(model, mode, spec.framing_shift)
 
 
 def population_digest(spec: PopulationSpec) -> str:
@@ -389,37 +517,58 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     """Simulate every subject in the population specification.
 
     Deterministic for a fixed seed; records are ordered by treatment
-    (declaration order), then subject index. Subject j is drawn once, in
-    the documented order followed by its tremble draws, and those draws
-    serve every treatment. workers is kept for compatibility: it must be
-    at least 1 and has no effect on the output or the speed.
+    (declaration order), then subject index. Subject j is drawn once from
+    subject_stream(seed, j), in the documented order followed by its
+    tremble draws, and those draws serve every treatment. The streams are
+    seeded in bulk and drawn through one reused generator; the subjects'
+    parameters stay in columns, and every cell's reservation wages come
+    from one call to population_wages. workers is kept for compatibility:
+    it must be at least 1 and has no effect on the output or the speed.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    agents, covariates, uniforms = [], [], []
-    for j in range(max(spec.counts.values(), default=0)):
-        rng = subject_stream(spec.seed, j)
-        person, agent = _draw_subject(spec, rng)
-        covariates.append(person)
-        agents.append(agent)
-        if spec.tremble > 0.0:
-            uniforms.append(rng.random((2, N_ROWS)))
-    trembles = np.array(uniforms) if spec.tremble > 0.0 else None
+    digest = population_digest(spec)
+    count = max(spec.counts.values(), default=0)
+    if not count:
+        return Dataset((), seed=spec.seed, spec_digest=digest)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    draws = []
+    trembles = np.empty((count, 2, N_ROWS)) if spec.tremble > 0.0 else None
+    for j, state in enumerate(_stream_states(spec.seed, count)):
+        bit_generator.state = state
+        draws.append(_subject_draws(spec, rng))
+        if trembles is not None:
+            rng.random(out=trembles[j])
+    population = _population(spec, draws)
+    # the parameter checks are lower bounds: they hold for every row if they hold for the smallest
+    probe = _member_model(spec, population.alpha.min(), population.gamma.min())
+    columns = {"alpha": population.alpha, "gamma": population.gamma}
+    if spec.rho is not None:
+        columns["rho"] = np.full(count, spec.rho)
+    arms = [(t, spec.counts[t]) for t in Treatment if spec.counts.get(t, 0)]
+    cells = [(treatment_spec(t, s), n) for t, n in arms for s in Scenario]
+    try:
+        wages = population_wages(
+            _stack_columns(type(probe), **columns), population.modes, population.mode_index, spec.framing_shift, cells
+        )
+    except NoIndifference as exc:
+        subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
+        raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
     interned: dict = {}
     records = []
-    for treatment in Treatment:
-        n = spec.counts.get(treatment, 0)
-        if n:
-            records += _simulate_block(
-                agents[:n],
-                covariates[:n],
-                [f"{treatment.value}-{j:04d}" for j in range(n)],
-                treatment,
-                None if trembles is None else trembles[:n],
-                spec.tremble,
-                interned,
-            )
-    return Dataset(tuple(records), seed=spec.seed, spec_digest=population_digest(spec))
+    for k, (treatment, n) in enumerate(arms):
+        prefix = treatment.value
+        records += _block_records(
+            treatment,
+            wages[2 * k : 2 * k + 2],
+            None if trembles is None else trembles[:n],
+            spec.tremble,
+            population.covariates[:n],
+            [f"{prefix}-{j:04d}" for j in range(n)],
+            interned,
+        )
+    return Dataset(tuple(records), seed=spec.seed, spec_digest=digest)
 
 
 def iter_observations(

@@ -135,14 +135,15 @@ def _safe_exp(x):
     return math.exp(x) if x < _EXP_CAP else math.inf
 
 
-def _power(base: float, exponent):
-    """base ** exponent, elementwise when the exponent is an array.
+def _power(base, exponent):
+    """base ** exponent, elementwise when either is an array.
 
     Python's ** calls the C library's pow, which numpy's vectorised pow
     misses by one ulp on a few percent of inputs.
     """
-    if isinstance(exponent, np.ndarray):
-        return np.array([base**e for e in exponent.tolist()])
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        bases, exponents = (a.tolist() for a in np.broadcast_arrays(base, exponent))
+        return np.array([b**e for b, e in zip(bases, exponents)], dtype=float)
     return base**exponent
 
 
@@ -160,10 +161,11 @@ class UtilityModel:
         """u(tasks, .) as a function of money alone.
 
         Root finding over money evaluates it many times at one task
-        count. The power-cost models override it to compute the task
-        term once, with the C library's pow even on parameter arrays,
-        so a stacked population gets its members' values bit for bit;
-        their ``value`` keeps numpy's pow on parameter arrays.
+        count (or one count per member of a stack, as an array). The
+        power-cost models override it to compute the task term once,
+        with the C library's pow even on arrays, so a stacked population
+        gets its members' values bit for bit; their ``value`` keeps
+        numpy's pow on parameter arrays.
         """
         return lambda money: self.value(tasks, money)
 
@@ -266,9 +268,21 @@ def stack_models(models: Sequence[UtilityModel]) -> UtilityModel:
         return first
     if any(type(m) is not type(first) for m in models):
         raise TypeError("stacked models must share one type")
-    stacked = object.__new__(type(first))
-    for f in dataclasses.fields(first):
-        object.__setattr__(stacked, f.name, np.array([getattr(m, f.name) for m in models]))
+    return _stack_columns(
+        type(first), **{f.name: np.array([getattr(m, f.name) for m in models]) for f in dataclasses.fields(first)}
+    )
+
+
+def _stack_columns(model_type: type, **columns: np.ndarray) -> UtilityModel:
+    """A stack of model_type members whose parameters are the given columns.
+
+    Member i has the i-th entry of every column, as in stack_models, but
+    no member object is ever built: the caller vouches that each row
+    passes model_type's validation, which is skipped.
+    """
+    stacked = object.__new__(model_type)
+    for name, column in columns.items():
+        object.__setattr__(stacked, name, column)
     return stacked
 
 

@@ -6,7 +6,6 @@ the verdict lines always reach the terminal. A FAIL line is followed
 by the assert that turns the run red, so it never survives a green
 run.
 """
-import itertools
 import math
 import time
 from pathlib import Path

@@ -156,6 +156,55 @@ class TestReservationWage:
             reservation_wage_exact(eager, treatment_spec(Treatment.NARROW, Scenario.S1))
 
 
+class TestAboveTheBracket:
+    # subject 2302 of population seed 38: its Broad wage in S2 is about 130
+    STEEP = QuasiLinearPowerCost(alpha=0.0076, gamma=2.67)
+
+    def test_wage_above_the_bracket_is_inf_and_censored(self):
+        r = reservation_wage_exact(Agent(self.STEEP, Broad()), treatment_spec(Treatment.BROAD, Scenario.S2))
+        assert r == math.inf
+        assert snap_to_list(r) == (CENSOR_CODE, True)
+
+    def test_bounded_cara_utility_is_censored(self):
+        # CARA utility is bounded by 1/rho: at rho = 0.5 no bracket wage pays for 15 more tasks
+        agent = Agent(CaraMoneyPowerCost(0.5, 0.004, 2.0), Broad())
+        assert reservation_wage_exact(agent, treatment_spec(Treatment.BROAD, Scenario.S1)) == math.inf
+
+    def test_zero_weight_frame_is_not_priced(self):
+        # under NARROW S2 the Broad frame is above the bracket, the Narrow frame is not
+        spec = treatment_spec(Treatment.NARROW, Scenario.S2)
+        r_narrow = reservation_wage_exact(Agent(self.STEEP, Narrow()), spec)
+        assert r_narrow == pytest.approx(cost(self.STEEP, 30) - cost(self.STEEP, 15), abs=TOL)
+        assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(1.0)), spec) == r_narrow
+        assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(0.0)), spec) == math.inf
+        assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(0.5)), spec) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wage_above_the_bracket_under_a_negative_weight_has_no_indifference(self):
+        # (1 - kappa) * inf would be -inf, a wage below the grid: the sign of
+        # a censored frame wage flips, so the combined wage is unknown
+        spec = treatment_spec(Treatment.NARROW, Scenario.S2)
+        with pytest.raises(NoIndifference):
+            reservation_wage_exact(Agent(self.STEEP, ConvexKappa(1.2)), spec)
+        # kappa < 0 puts the negative weight on the Narrow frame, which for
+        # STEEP has a switch, so only a steeper cost makes it fail
+        assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(-0.5)), spec) == math.inf
+        steeper = QuasiLinearPowerCost(alpha=0.05, gamma=2.67)
+        assert reservation_wage_exact(Agent(steeper, Narrow()), spec) == math.inf
+        for kappa in (1.2, -0.5):
+            with pytest.raises(NoIndifference):
+                reservation_wage_exact(Agent(steeper, ConvexKappa(kappa)), spec)
+        assert reservation_wage_exact(Agent(steeper, ConvexKappa(0.5)), spec) == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_utility_has_no_indifference_and_no_warning(self):
+        # exp(1000 m) overflows: both utilities are inf and their gap is NaN
+        agents = [Agent(QL, Broad()), Agent(CaraMoneyPowerCost(-1000.0, 0.004, 2.0), Broad())]
+        with pytest.raises(NoIndifference) as exc:
+            reservation_wages(agents, treatment_spec(Treatment.BROAD, Scenario.S1))
+        assert exc.value.index == 1
+
+
 def closed_form_wage(alpha, gamma, rho, frame, spec):
     """Extra wage equating options A and B in one pure frame, solved by hand.
 

@@ -52,16 +52,33 @@ def test_simulate_missing_seed_is_usage_error(tmp_path, capsys):
     assert "[population] seed" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_without_indifference_is_a_one_line_failure(tmp_path, capsys):
-    # CARA utility is bounded by 1/rho: at rho = 0.5 no wage in the
-    # search bracket pays for 15 more tasks
+    # at rho = -1000 the CARA utilities overflow to NaN, so no wage in the
+    # search bracket can be an indifference point
     config = tmp_path / "run.ini"
-    config.write_text("[population]\nbroad = 5\nseed = 0\nrho = 0.5\n", encoding="utf-8")
+    config.write_text("[population]\nbroad = 5\nseed = 0\nrho = -1000\n", encoding="utf-8")
     rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "BROAD S1" in err and "BROAD-0000" in err
+
+
+def test_simulate_censors_a_wage_above_the_bracket(tmp_path, capsys):
+    # CARA utility is bounded by 1/rho: at rho = 0.02 subject 17 of seed 238
+    # has no BROAD S2 wage in [-100, 100] that pays for 15 more tasks
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[population]\nbroad = 18\nseed = 238\nkappa = 0.7\nrho = 0.02\n"
+        "gamma_lo = 1.8\ngamma_hi = 2.2\ntremble = 0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    row = next(line for line in out.read_text().splitlines() if line.startswith("BROAD-0017,BROAD,S2,"))
+    assert row.split(",")[19:21] == ["4.25", "1"]  # res_wage, censored
 
 
 @pytest.mark.parametrize("failure", [NoIndifference, NonMonotoneModel, ModeUnsupported])
@@ -184,6 +201,24 @@ def test_estimator_config_values_are_defaults_not_errors(tmp_path):
         argv = ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
         assert main(argv) == 0
         assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
+def test_non_finite_censor_limit_flag_is_a_usage_error(tmp_path, capsys, limit):
+    rc = main(["estimate", "tobit", "--data", GOLDEN_CSV, "--out", str(tmp_path), f"--censor-limit={limit}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"usage error: --censor-limit must be finite, got {float(limit)}\n"
+    assert not (tmp_path / "tobit.csv").exists()
+
+
+@pytest.mark.parametrize("stat", ["tobit", "means"])
+def test_non_finite_censor_limit_config_is_a_config_error(tmp_path, capsys, stat):
+    config = tmp_path / "est.ini"
+    config.write_text("[population]\n\n[estimators]\ncensor_limit = nan\n", encoding="utf-8")
+    rc = main(["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: [estimators] censor_limit: must be finite, got nan\n"
+    assert not (tmp_path / f"{stat}.csv").exists()
 
 
 def test_removed_are_key_is_a_config_error(tmp_path, capsys):

@@ -102,6 +102,13 @@ def test_estimator_section(tmp_path):
     assert not config.drop_inconsistent
 
 
+@pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
+def test_non_finite_censor_limit_is_rejected(tmp_path, limit):
+    text = MINIMAL + f"\n[estimators]\ncensor_limit = {limit}\n"
+    with pytest.raises(ConfigError, match=r"\[estimators\] censor_limit: must be finite"):
+        parse_config(write(tmp_path, text))
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/run.ini")

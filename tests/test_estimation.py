@@ -348,6 +348,12 @@ class TestKappa:
 
 
 class TestTobit:
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_limit_is_rejected(self, limit):
+        # y >= nan holds for no row: a NaN limit would fit an uncensored model
+        with pytest.raises(ValueError, match="must be finite"):
+            tobit_right([1.0, 2.0, 4.25], np.ones((3, 1)), limit=limit)
+
     def test_uncensored_is_gaussian_mle(self):
         fit = tobit_right([1.0, 2.0, 3.0], np.ones((3, 1)), limit=4.25)
         assert fit.beta[0] == pytest.approx(2.0, abs=1e-6)

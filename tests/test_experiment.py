@@ -1,10 +1,12 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracketlab.agents import Agent, Broad, Narrow, snap_to_list
+from bracketlab.agents import Agent, Broad, Narrow, reservation_wage_exact, snap_to_list
 from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
 from bracketlab.experiment import (
     CSV_COLUMNS,
@@ -23,6 +25,7 @@ from bracketlab.experiment import (
     subject_stream,
     write_csv,
     _draw_subject,
+    _stream_states,
 )
 from bracketlab.preferences import Bundle, QuasiLinearPowerCost
 
@@ -282,6 +285,120 @@ class TestSimulateDataset:
             small_spec(gamma_bounds=(0.5, 4.0))
         with pytest.raises(ValueError):
             MixtureComposition(1.2)
+
+
+def per_subject_reference(spec):
+    """The dataset built one subject at a time, each treatment drawing subject j afresh."""
+    expected = []
+    for treatment in Treatment:
+        for j in range(spec.counts.get(treatment, 0)):
+            rng = subject_stream(spec.seed, j)
+            covariates, agent = _draw_subject(spec, rng)
+            expected.append(
+                simulate_subject(
+                    rng, agent, treatment, covariates,
+                    subject_id=f"{treatment.value}-{j:04d}", tremble=spec.tremble,
+                )
+            )
+    return tuple(expected)
+
+
+class TestBulkSimulation:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.one_of(  # one to four 32-bit words, and more than the pool holds
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**64 - 1),
+            st.integers(2**64, 2**96 - 1),
+            st.integers(2**96, 2**160),
+        ),
+        count=st.integers(1, 3000),
+        picks=st.lists(st.integers(0, 2999), max_size=6),
+    )
+    def test_stream_states_match_subject_stream(self, seed, count, picks):
+        states = _stream_states(seed, count)
+        assert len(states) == count
+        rng = np.random.Generator(np.random.PCG64(0))
+        for j in {0, count - 1} | {p % count for p in picks}:
+            reference = subject_stream(seed, j)
+            assert states[j] == reference.bit_generator.state
+            rng.bit_generator.state = states[j]
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+            assert rng.integers(0, 100) == reference.integers(0, 100)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 2**31 + 5, 2**40 + 17, 2**97 + 3])
+    def test_every_stream_of_a_block(self, seed):
+        states = _stream_states(seed, 2500)
+        assert states == [subject_stream(seed, j).bit_generator.state for j in range(2500)]
+
+    def test_negative_seed_is_rejected_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            subject_stream(-1, 0)
+        with pytest.raises(ValueError):
+            simulate_dataset(small_spec(seed=-1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        counts=st.fixed_dictionaries({t: st.integers(0, 5) for t in Treatment}),
+        seed=st.integers(0, 2**64),
+        composition=st.one_of(
+            st.builds(MixtureComposition, st.floats(0.0, 1.0)),
+            st.builds(KappaComposition, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.5, 1.5))),
+        ),
+        rho=st.one_of(st.none(), st.floats(0.001, 0.01), st.floats(-0.01, -0.001)),
+        tremble=st.floats(0.0, 1.0),
+        framing_shift=st.floats(-0.5, 0.5),
+    )
+    def test_matches_per_subject_reference_property(self, counts, seed, composition, rho, tremble, framing_shift):
+        spec = PopulationSpec(
+            counts=counts, seed=seed, composition=composition, rho=rho, tremble=tremble,
+            framing_shift=framing_shift, gamma_scale=0.0,
+        )
+        data = simulate_dataset(spec)
+        assert data.records == per_subject_reference(spec)
+        # equal outcomes and equal covariates are one shared object
+        outcomes = [o for r in data.records for o in r.outcomes]
+        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+        people = [r.covariates for r in data.records]
+        assert len({id(c) for c in people}) == len(set(people))
+
+
+# population seeds on which a wage above the bracket aborted the whole
+# dataset before such wages were censored, each with the (cell, subjects) it
+# hit; tremble is 0 so a censored wage leaves a censored record
+def _pipeline_spec(seed):  # bench pipeline-15k with the default gamma bounds
+    arms = {Treatment.BROAD: 5000, Treatment.NARROW: 5000, Treatment.LOW: 5000}
+    return PopulationSpec(counts=arms, seed=seed, composition=MixtureComposition(0.7), tremble=0.0)
+
+
+def _cara_spec(seed):  # bench recovery-mc's CARA spec at rho = 0.02
+    arms = {Treatment.BROAD: 500, Treatment.NARROW: 500, Treatment.LOW: 500}
+    return PopulationSpec(
+        counts=arms, seed=seed, composition=KappaComposition(0.7), tremble=0.0, gamma_bounds=(1.8, 2.2), rho=0.02,
+    )
+
+
+ABOVE_THE_BRACKET = [
+    (_pipeline_spec, 38, ["BROAD-2302", "NARROW-2302"]),
+    (_pipeline_spec, 55, ["BROAD-4341"]),
+    (_pipeline_spec, 60, ["BROAD-4703", "NARROW-4703"]),
+    (_pipeline_spec, 66, ["BROAD-4642"]),
+    (_pipeline_spec, 91, ["BROAD-2575"]),
+    (_cara_spec, 30, ["BROAD-0299", "NARROW-0299"]),
+    (_cara_spec, 64, ["BROAD-0498", "NARROW-0498"]),
+    (_cara_spec, 238, ["BROAD-0017", "NARROW-0017"]),
+]
+
+
+@pytest.mark.parametrize("make, seed, subjects", ABOVE_THE_BRACKET)
+def test_wage_above_the_bracket_is_censored(make, seed, subjects):
+    spec = make(seed)
+    records = {r.subject_id: r for r in simulate_dataset(spec).records}
+    for subject_id in subjects:
+        assert records[subject_id].outcomes[1].censored  # S2
+        treatment, index = subject_id.split("-")
+        _, agent = _draw_subject(spec, subject_stream(seed, int(index)))
+        assert reservation_wage_exact(agent, treatment_spec(Treatment(treatment), Scenario.S2)) == math.inf
 
 
 class TestRecordValidation:
