@@ -3,8 +3,9 @@
 Covers the full pipeline run on elicited reservation wages: cell
 summaries, tie-corrected rank-sum tests with an exact-permutation
 oracle, the nonlinear least-squares estimator of the bracketing weight
-kappa with a profile-grid oracle, a right-censored Tobit likelihood,
-two-sample power calculations, and a plain least-squares convenience.
+kappa with a profile-grid oracle, a right-censored Tobit by Newton's
+method with analytic standard errors, two-sample power calculations,
+and a plain least-squares convenience.
 Censored observations carry the 4.25 code everywhere, matching how the
 summary tables treat the upper bound.
 """
@@ -15,9 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import ndtr, ndtri
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .agents import CENSOR_CODE
 from .design import Scenario, Treatment
@@ -50,7 +49,10 @@ __all__ = [
 _GRAD_TOL = 1e-8
 _STEP_TOL = 1e-10
 _MAX_ITER = 500
+_NEWTON_TOL = 1e-9
 _EXACT_CAP = 66
+_KAPPA_GRID = (-1.0, 3.0)
+_KAPPA_STEP = 1e-4
 
 
 class EmptySample(Exception):
@@ -409,11 +411,9 @@ def kappa_profile_oracle(
     broad_label: Treatment = Treatment.BROAD,
     narrow_label: Treatment = Treatment.LOW,
     mid_label: Treatment = Treatment.NARROW,
-    kappa_grid: tuple[float, float] = (-1.0, 3.0),
-    step: float = 1e-4,
     cell_weights: str = "observations",
 ) -> float:
-    """Brute-force profile of the kappa objective on a fixed grid.
+    """Brute-force profile of the kappa objective on a 1e-4 grid over [-1, 3].
 
     For each grid kappa the cell effects are concentrated out in closed
     form, so the returned arg-min is an independent check on nls_kappa.
@@ -423,8 +423,7 @@ def kappa_profile_oracle(
     if cell_weights not in ("observations", "equal"):
         raise ValueError("cell_weights must be 'observations' or 'equal'")
     _, _, _, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
-    lo, hi = kappa_grid
-    kappas = np.arange(lo, hi + step / 2.0, step)
+    kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + _KAPPA_STEP / 2.0, _KAPPA_STEP)
     u = 1.0 - kappas
     v = kappas
     total = np.zeros_like(kappas)
@@ -439,44 +438,47 @@ def kappa_profile_oracle(
     return float(kappas[int(np.argmin(total))])
 
 
-def _tobit_loglik_grad(par, y, X, limit, cens):
-    """Negative log-likelihood and gradient in (beta, log sigma)."""
-    k = X.shape[1]
-    beta, s = par[:k], par[k]
-    sigma = math.exp(s)
-    xb = X @ beta
-    unc = ~cens
-    zu = (y[unc] - xb[unc]) / sigma
-    ll = float(norm.logpdf(zu).sum()) - unc.sum() * s
-    g_beta = X[unc].T @ zu / sigma
-    g_s = float((zu**2 - 1.0).sum())
+def _tobit_loglik(theta, y, X, limit, cens):
+    """Log-likelihood, gradient and Hessian in theta = (delta, tau) = (beta/sigma, 1/sigma).
+
+    An uncensored row adds log tau - log(2 pi)/2 - e^2/2 with e = tau*y - x.delta,
+    a censored row log Phi(x.delta - tau*limit); both are concave in theta.
+    """
+    tau, n_unc = theta[-1], int((~cens).sum())
+    d = np.column_stack([-X[~cens], y[~cens]])
+    e = d @ theta
+    ll = n_unc * (math.log(tau) - 0.5 * math.log(2.0 * math.pi)) - 0.5 * float(e @ e)
+    grad, hess = -(d.T @ e), -(d.T @ d)
+    grad[-1] += n_unc / tau
+    hess[-1, -1] -= n_unc / tau**2
     if cens.any():
-        a = (limit - xb[cens]) / sigma
-        ll += float(norm.logsf(a).sum())
-        lam = np.exp(norm.logpdf(a) - norm.logsf(a))
-        g_beta = g_beta + X[cens].T @ lam / sigma
-        g_s += float((lam * a).sum())
-    grad = np.append(g_beta, g_s)
-    return -ll, -grad
+        v = np.column_stack([X[cens], np.full(cens.sum(), -limit)])
+        a = v @ theta
+        log_cdf = log_ndtr(a)
+        lam = np.exp(-0.5 * a**2 - 0.5 * math.log(2.0 * math.pi) - log_cdf)
+        ll += float(log_cdf.sum())
+        grad += v.T @ lam
+        hess -= v.T @ (v * (lam * (a + lam))[:, None])
+    return ll, grad, hess
 
 
-def _tobit_grad_bs(beta, sigma, y, X, limit, cens):
-    """Analytic gradient in (beta, sigma) for finite-difference Hessians."""
-    par = np.append(beta, math.log(sigma))
-    _, neg = _tobit_loglik_grad(par, y, X, limit, cens)
-    g = -neg
-    g[-1] = g[-1] / sigma  # chain rule from log sigma to sigma
-    return g
+def _inverse_information(hess):
+    """(-H)^-1; a numerically singular -H means the optimum is not interior."""
+    if np.linalg.matrix_rank(-hess) < len(hess):
+        raise NotConverged("information matrix is singular")
+    return np.linalg.inv(-hess)
 
 
 def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
-    """Right-censored Tobit by BFGS on (beta, log sigma).
+    """Right-censored Tobit by Newton's method in (beta/sigma, 1/sigma).
 
     Responses at or above the limit, which must be finite, are censored
-    (y >= nan holds for no row). Starts from least
-    squares on the uncensored rows; standard errors come from the
-    inverse negative Hessian (central differences of the analytic
-    gradient, in the (beta, sigma) parameterization).
+    (y >= nan holds for no row). Starts from least squares on the
+    uncensored rows. The log-likelihood is concave in these parameters
+    (Olsen 1978, Econometrica 46:1211): steps are halved until it rises,
+    and the fit ends with a full step once the Newton decrement
+    g.(-H)^-1.g is below 1e-9 * max(1, |loglik|). Standard errors map
+    the inverse negative Hessian to (beta, sigma) by the delta method.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -496,41 +498,34 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     beta0, *_ = np.linalg.lstsq(X[~cens], y[~cens], rcond=None)
     resid0 = y[~cens] - X[~cens] @ beta0
     sigma0 = max(float(np.sqrt((resid0**2).mean())), 1e-2)
-    x0 = np.append(beta0, math.log(sigma0))
+    theta = np.append(beta0, 1.0) / sigma0
+    ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens)
+    for iterations in range(1, _MAX_ITER + 1):
+        step = _inverse_information(hess) @ grad
+        # near the optimum the predicted gain is below the rounding of ll,
+        # so the last step is taken whole rather than line-searched
+        if grad @ step < _NEWTON_TOL * max(1.0, abs(ll)):
+            theta = theta + step
+            ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens)
+            break
+        t = 1.0
+        while t > 1e-12:
+            theta_t = theta + t * step
+            if theta_t[-1] > 0 and (fit_t := _tobit_loglik(theta_t, y, X, limit, cens))[0] > ll:
+                break
+            t /= 2.0
+        else:
+            raise NotConverged("Tobit line search found no ascent")
+        theta, (ll, grad, hess) = theta_t, fit_t
+    else:
+        raise NotConverged(f"Tobit Newton did not converge in {_MAX_ITER} iterations")
 
-    res = optimize.minimize(
-        _tobit_loglik_grad,
-        x0,
-        args=(y, X, limit, cens),
-        jac=True,
-        method="BFGS",
-        options={"gtol": 1e-8, "maxiter": _MAX_ITER},
-    )
-    # the gradient is a sum over rows, so a stall is accepted at a
-    # tolerance that grows with n (about 1e-7 per row past 1,000 rows)
-    if not res.success and float(np.linalg.norm(res.jac, ord=np.inf)) > 1e-4 * max(1.0, n / 1000):
-        raise NotConverged(f"Tobit optimizer stalled: {res.message}")
-    beta = res.x[:k]
-    sigma = math.exp(res.x[k])
-
-    # Hessian in (beta, sigma) by central differences of the gradient
-    point = np.append(beta, sigma)
-    dim = k + 1
-    hess = np.zeros((dim, dim))
-    for j in range(dim):
-        h = 1e-5 * max(1.0, abs(point[j]))
-        hi_pt, lo_pt = point.copy(), point.copy()
-        hi_pt[j] += h
-        lo_pt[j] -= h
-        g_hi = _tobit_grad_bs(hi_pt[:k], hi_pt[k], y, X, limit, cens)
-        g_lo = _tobit_grad_bs(lo_pt[:k], lo_pt[k], y, X, limit, cens)
-        hess[:, j] = (g_hi - g_lo) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError as exc:
-        raise NotConverged("information matrix is singular at the optimum") from exc
-    diag = np.diag(cov)
+    tau = theta[k]
+    beta, sigma = theta[:k] / tau, 1.0 / tau
+    # d(beta, sigma) / d(delta, tau) = [[I, -beta], [0, -sigma]] / tau
+    jac = np.eye(k + 1)
+    jac[:, k] = -np.append(beta, sigma)
+    diag = np.diag(jac @ _inverse_information(hess) @ jac.T) / tau**2
     if (diag <= 0).any():
         raise NotConverged("negative variance estimate; not at an interior maximum")
     se = np.sqrt(diag)
@@ -539,10 +534,10 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
         se=tuple(float(s) for s in se[:k]),
         sigma=float(sigma),
         se_sigma=float(se[k]),
-        loglik=float(-res.fun),
+        loglik=float(ll),
         n_censored=int(cens.sum()),
         n_uncensored=int((~cens).sum()),
-        iterations=int(res.nit),
+        iterations=iterations,
     )
 
 

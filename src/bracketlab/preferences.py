@@ -3,9 +3,10 @@
 A Bundle is a (task count, dollar amount) pair. A utility model ranks
 bundles and finite lotteries over them; the money metric M(b) is the
 payment that makes the decision maker indifferent between receiving b
-and paying M(b), and staying at the zero bundle. All root finding goes
-through one bisection routine so every model variant shares a code path;
-closed forms appear only in the test suite as oracles.
+and paying M(b), and staying at the zero bundle. ``money_metric`` and
+``certainty_equivalent`` share the scalar bisection ``_bisect_increasing``;
+simulated reservation wages use the array bisection ``agents._bisect_wages``.
+Closed forms appear only in the test suite as oracles.
 
 ``value`` also evaluates elementwise over a money array, and over
 parameter arrays when a population of one model type is stacked with

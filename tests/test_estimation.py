@@ -1,12 +1,13 @@
 """Estimators against closed forms, oracles, and constructed datasets."""
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
-from scipy.stats import rankdata
+from scipy.stats import norm, rankdata
 
 from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
 from bracketlab.agents import CENSOR_CODE
@@ -31,6 +32,7 @@ from bracketlab.estimation import (
     EmptySample,
     InvalidParams,
     MwuResult,
+    NotConverged,
     RankDeficient,
     TooLarge,
     cell_wages,
@@ -45,8 +47,10 @@ from bracketlab.estimation import (
     _kappa_arrays,
     _kappa_design,
     _rank_setup,
-    _tobit_loglik_grad,
 )
+
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "golden_data.csv"
 
 
 class TestSummarizeMeans:
@@ -347,6 +351,86 @@ class TestKappa:
             kappa_profile_oracle(dataset_from_cell_means(REFERENCE_CELLS), cell_weights="huh")
 
 
+# The reference for tobit_right: its likelihood in (beta, log sigma), a
+# parameterization independent of the solver's (beta/sigma, 1/sigma).
+def _tobit_loglik_grad(par, y, X, limit, cens):
+    """Negative log-likelihood and gradient in (beta, log sigma)."""
+    k = X.shape[1]
+    beta, s = par[:k], par[k]
+    sigma = math.exp(s)
+    xb = X @ beta
+    unc = ~cens
+    zu = (y[unc] - xb[unc]) / sigma
+    ll = float(norm.logpdf(zu).sum()) - unc.sum() * s
+    g_beta = X[unc].T @ zu / sigma
+    g_s = float((zu**2 - 1.0).sum())
+    if cens.any():
+        a = (limit - xb[cens]) / sigma
+        ll += float(norm.logsf(a).sum())
+        lam = np.exp(norm.logpdf(a) - norm.logsf(a))
+        g_beta = g_beta + X[cens].T @ lam / sigma
+        g_s += float((lam * a).sum())
+    grad = np.append(g_beta, g_s)
+    return -ll, -grad
+
+
+def _central_difference_se(fit, y, X, limit):
+    """SEs of (beta, sigma) from central differences of the reference gradient."""
+    cens = y >= limit - 1e-9
+    k = X.shape[1]
+
+    def grad(point):
+        g = -_tobit_loglik_grad(np.append(point[:k], math.log(point[k])), y, X, limit, cens)[1]
+        g[-1] /= point[k]  # chain rule from log sigma to sigma
+        return g
+
+    point = np.append(fit.beta, fit.sigma)
+    hess = np.zeros((k + 1, k + 1))
+    for j in range(k + 1):
+        h = np.zeros(k + 1)
+        h[j] = 1e-5 * max(1.0, abs(point[j]))
+        hess[:, j] = (grad(point + h) - grad(point - h)) / (2.0 * h[j])
+    return tuple(np.sqrt(np.diag(np.linalg.inv(-0.5 * (hess + hess.T)))))
+
+
+def _assert_tobit_local_max(fit, y, X, limit):
+    """fit.loglik is the reference value and no +-1e-4 coordinate step beats it."""
+    cens = y >= limit - 1e-9
+
+    def ll(beta, sigma):
+        return -_tobit_loglik_grad(np.append(beta, math.log(sigma)), y, X, limit, cens)[0]
+
+    best = ll(fit.beta, fit.sigma)
+    assert fit.loglik == pytest.approx(best, rel=1e-9)
+    for j in range(X.shape[1]):
+        for step in (1e-4, -1e-4):
+            beta = np.array(fit.beta)
+            beta[j] += step
+            assert ll(beta, fit.sigma) <= best
+    assert ll(fit.beta, fit.sigma + 1e-4) <= best and ll(fit.beta, fit.sigma - 1e-4) <= best
+
+
+def _arm_design(wages_per_arm):
+    """Stacked wages and an intercept-plus-dummies design, as cli._tobit_fits builds it."""
+    arm = np.repeat(np.arange(len(wages_per_arm)), [len(w) for w in wages_per_arm])
+    X = (arm[:, None] == np.arange(len(wages_per_arm))).astype(float)
+    X[:, 0] = 1.0
+    return np.concatenate([np.asarray(w, dtype=float) for w in wages_per_arm]), X
+
+
+def _tobit_arms():
+    """2-4 arms of 5-40 wages on the price-list grid or the censor code.
+
+    Every arm keeps an uncensored wage, and the data is not a set of
+    constant uncensored arms: otherwise the likelihood has no maximum.
+    """
+    arm = st.lists(st.sampled_from(_WAGE_GRID), min_size=5, max_size=40)
+    arm = arm.filter(lambda w: min(w) < CENSOR_CODE)
+    return st.lists(arm, min_size=2, max_size=4).filter(
+        lambda arms: any(max(w) == CENSOR_CODE or len(set(w)) > 1 for w in arms)
+    )
+
+
 class TestTobit:
     @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
     def test_non_finite_limit_is_rejected(self, limit):
@@ -398,10 +482,52 @@ class TestTobit:
         assert fit.beta[1] == pytest.approx(0.5, abs=3 * fit.se[1])
         assert fit.sigma == pytest.approx(0.9, abs=0.15)
 
+    def test_se_match_central_differences_on_golden_data(self, monkeypatch):
+        calls = []
+
+        def recording(y, X, limit):
+            fit = tobit_right(y, X, limit=limit)
+            calls.append((y, X, limit, fit))
+            return fit
+
+        monkeypatch.setattr("bracketlab.cli.tobit_right", recording)
+        _tobit_fits(read_csv(str(GOLDEN_CSV)), True, CENSOR_CODE)
+        assert len(calls) == 2  # S1 and S2
+        for y, X, limit, fit in calls:
+            reference = _central_difference_se(fit, y, X, limit)
+            assert fit.se + (fit.se_sigma,) == pytest.approx(reference, rel=1e-6)
+
+    def test_se_match_central_differences_on_known_design(self):
+        rng = np.random.default_rng(11)
+        n = 300
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = np.minimum(X @ np.array([3.6, 0.5]) + 0.9 * rng.normal(size=n), 4.25)
+        fit = tobit_right(y, X)
+        reference = _central_difference_se(fit, y, X, CENSOR_CODE)
+        assert fit.se + (fit.se_sigma,) == pytest.approx(reference, rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tobit_arms())
+    def test_fit_is_local_max_of_reference(self, arms):
+        y, X = _arm_design(arms)
+        _assert_tobit_local_max(tobit_right(y, X), y, X, CENSOR_CODE)
+
+    @pytest.mark.parametrize(
+        "arms",
+        [[[1.0] * 5, [2.0] * 5], [[1.0] * 5, [CENSOR_CODE] * 5]],
+        ids=["constant-arms", "constant-arm-and-censored-arm"],
+    )
+    def test_unbounded_likelihood_does_not_converge(self, arms):
+        # sigma -> 0 raises the likelihood without bound on both designs
+        y, X = _arm_design(arms)
+        with pytest.raises(NotConverged):
+            tobit_right(y, X)
+
     def test_stall_tolerance_scales_with_n(self):
         # ~73k rows across six arms of price-list responses with 5% row
-        # flips: BFGS stops on "precision loss" at |g|inf ~ 4e-4, a sum over
-        # rows that is about 5e-9 per row, with the parameters at the optimum
+        # flips. BFGS used to stop here on "precision loss" at |g|inf ~ 4e-4,
+        # a sum over rows that is about 5e-9 per row; the fit must still be
+        # the maximum of the reference likelihood
         rng = np.random.default_rng(34)
         grid = 0.25 * np.arange(1, 17)
         n_arm = 25000

@@ -1,0 +1,58 @@
+"""The package's import graph, and no unused imports in the tree."""
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted(path for top in ("src", "tests", "demos") for path in (ROOT / top).rglob("*.py"))
+
+
+def test_package_import_leaves_out_scipy_optimize_and_stats():
+    # a fresh interpreter, since this process imports scipy.stats itself
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import bracketlab, bracketlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never referenced, unless listed in __all__."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    # an attribute chain such as np.linalg.inv starts at the Name np
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from math import pi as tau, e\n"
+        "__all__ = ['e']\n"
+        "sys.exit(tau)\n"
+    )
+    assert _unused_imports(source) == ["os (line 2)"]
