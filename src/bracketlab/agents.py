@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import Treatment, TreatmentSpec, price_list
-from .preferences import ROOT_TOL, Bundle, UtilityModel, _stack_columns, stack_models
+from .preferences import ROOT_TOL, Bundle, UtilityModel, _stack_columns
 
 __all__ = [
     "Broad",
@@ -32,7 +32,6 @@ __all__ = [
     "evaluate_option",
     "population_wages",
     "reservation_wage_exact",
-    "reservation_wages",
     "snap_rows",
     "snap_to_list",
 ]
@@ -53,8 +52,8 @@ class ModeUnsupported(Exception):
 class NoIndifference(Exception):
     """No wage in the search bracket makes the agent indifferent.
 
-    index is the position of the first such agent in a block, and spec
-    the treatment cell, if known.
+    index is the position of the first such member of a population, and
+    spec the treatment cell, if known.
     """
 
     def __init__(self, message: str, index: int | None = None, spec: TreatmentSpec | None = None) -> None:
@@ -157,12 +156,12 @@ def _frame_problem(frame: type, spec: TreatmentSpec) -> tuple[int, int, float]:
 def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray, money_base: np.ndarray) -> np.ndarray:
     """Extra wage r equating (tasks_a, money_base) and (tasks_b, money_base + r), per element.
 
-    Element i is priced by member i of model (a stack, see stack_models)
-    and halves its own bracket until it is narrower than ROOT_TOL, exactly
-    as a lone bisection would, so its bits do not depend on the batch. An
-    element whose option B is still worse at the top of the bracket has a
-    wage above it: +inf. One with B better already at the bottom, or with
-    a NaN gap, has no answer: NaN.
+    Element i is priced by member i of model (a stack, see
+    preferences._stack_columns) and halves its own bracket until it is
+    narrower than ROOT_TOL, exactly as a lone bisection would, so its bits
+    do not depend on the batch. An element whose option B is still worse
+    at the top of the bracket has a wage above it: +inf. One with B better
+    already at the bottom, or with a NaN gap, has no answer: NaN.
     """
     target = model.at_tasks(tasks_a)(money_base)
     utility_b = model.at_tasks(tasks_b)
@@ -201,14 +200,15 @@ def population_wages(
     model: UtilityModel,
     modes: Sequence[BracketingMode],
     mode_index: np.ndarray,
-    framing_shift,
+    framing_shift: float,
     cells: Sequence[tuple[TreatmentSpec, int]],
 ) -> list[np.ndarray]:
     """Continuous extra wages of a population's first n members in each (cell, n).
 
-    model stacks the population's preferences (see stack_models); member
-    j brackets with modes[mode_index[j]] and has framing_shift (a scalar or
-    one per member). Each pure frame of each cell poses one problem (see
+    model stacks the population's preferences (see
+    preferences._stack_columns), or is one model every member shares;
+    member j brackets with modes[mode_index[j]], and every member has
+    framing_shift. Each pure frame of each cell poses one problem (see
     _frame_problem), and every distinct problem is solved for every member
     that needs it by one array bisection. A member needs a frame only at a
     nonzero weight, so ConvexKappa(0) and ConvexKappa(1) never price the
@@ -229,7 +229,6 @@ def population_wages(
         for frame, w in _frame_weights(mode).items():
             weights.setdefault(frame, np.zeros(len(mode_index)))[mode_index == m] = w
     frames = [frame for frame in _FRAMES if frame in weights]
-    shift = np.broadcast_to(np.asarray(framing_shift, dtype=float), mode_index.shape)
 
     needed: dict[tuple[int, int, float], np.ndarray] = {}
     for spec, n in cells:
@@ -263,7 +262,7 @@ def population_wages(
             # combined wage: under a negative weight its sign flips
             failed[users] |= np.isnan(r) | (np.isinf(r) & (weights[frame][users] < 0.0))
             if frame is Narrow and shifted:
-                r = r + shift[users]
+                r = r + framing_shift
             with np.errstate(invalid="ignore"):  # inf - inf, only where failed
                 wages[users] += weights[frame][users] * r
         if failed.any():
@@ -272,44 +271,14 @@ def population_wages(
     return out
 
 
-def reservation_wages(agents: Sequence[Agent], spec: TreatmentSpec) -> np.ndarray:
-    """Continuous extra wages at which each agent switches to option B.
-
-    Agents are grouped by model type, and each group is one population
-    solved by population_wages. ConvexKappa agents get the affine
-    combination of their Broad and Narrow wages. The framing shift enters
-    through the narrow component and only under BEFORE or AFTER. A wage
-    above the bracket is +inf; NoIndifference.index is the position of the
-    first agent with neither that nor a switch.
-    """
-    groups: dict[type, list[int]] = {}
-    for i, agent in enumerate(agents):
-        groups.setdefault(type(agent.model), []).append(i)
-    wages = np.zeros(len(agents))
-    failed = []
-    for idx in groups.values():
-        group = [agents[i] for i in idx]
-        modes: dict[BracketingMode, int] = {}
-        mode_index = np.array([modes.setdefault(agent.mode, len(modes)) for agent in group])
-        shifts = np.array([agent.framing_shift for agent in group], dtype=float)
-        try:
-            (wages[idx],) = population_wages(
-                stack_models([agent.model for agent in group]), list(modes), mode_index, shifts, [(spec, len(idx))]
-            )
-        except NoIndifference as exc:
-            failed.append(idx[exc.index])
-    if failed:
-        raise NoIndifference(_no_switch(spec), index=min(failed), spec=spec)
-    return wages
-
-
 def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     """Continuous extra wage at which the agent switches to option B.
 
-    The one-agent case of reservation_wages; +inf when the wage lies
-    above the search bracket (snap_to_list records it as censored).
+    A population of one priced by population_wages; +inf when the wage
+    lies above the search bracket (snap_to_list records it as censored).
     """
-    return float(reservation_wages((agent,), spec)[0])
+    (wage,) = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, [(spec, 1)])
+    return float(wage[0])
 
 
 def snap_rows(r) -> np.ndarray:

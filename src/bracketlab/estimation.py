@@ -72,7 +72,7 @@ class Degenerate(Exception):
 
 
 class NotConverged(Exception):
-    """An iterative fit ran out of iterations."""
+    """An iterative fit did not reach a maximum."""
 
 
 class AllCensored(Exception):
@@ -411,17 +411,13 @@ def kappa_profile_oracle(
     broad_label: Treatment = Treatment.BROAD,
     narrow_label: Treatment = Treatment.LOW,
     mid_label: Treatment = Treatment.NARROW,
-    cell_weights: str = "observations",
 ) -> float:
     """Brute-force profile of the kappa objective on a 1e-4 grid over [-1, 3].
 
     For each grid kappa the cell effects are concentrated out in closed
-    form, so the returned arg-min is an independent check on nls_kappa.
-    cell_weights "observations" reproduces the joint least-squares
-    objective; "equal" weights each cell mean once instead.
+    form, so the returned arg-min of the joint least-squares objective is
+    an independent check on nls_kappa.
     """
-    if cell_weights not in ("observations", "equal"):
-        raise ValueError("cell_weights must be 'observations' or 'equal'")
     _, _, _, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
     kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + _KAPPA_STEP / 2.0, _KAPPA_STEP)
     u = 1.0 - kappas
@@ -429,12 +425,8 @@ def kappa_profile_oracle(
     total = np.zeros_like(kappas)
     for s in range(2):
         gap = u * means[0, s] + v * means[1, s] - means[2, s]
-        if cell_weights == "observations":
-            n_b, n_n, n_m = counts[0, s], counts[1, s], counts[2, s]
-            denom = 1.0 + n_m * (u**2 / n_b + v**2 / n_n)
-            total += n_m * gap**2 / denom
-        else:
-            total += gap**2 / (1.0 + u**2 + v**2)
+        n_b, n_n, n_m = counts[0, s], counts[1, s], counts[2, s]
+        total += n_m * gap**2 / (1.0 + n_m * (u**2 / n_b + v**2 / n_n))
     return float(kappas[int(np.argmin(total))])
 
 
@@ -474,11 +466,14 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
 
     Responses at or above the limit, which must be finite, are censored
     (y >= nan holds for no row). Starts from least squares on the
-    uncensored rows. The log-likelihood is concave in these parameters
-    (Olsen 1978, Econometrica 46:1211): steps are halved until it rises,
-    and the fit ends with a full step once the Newton decrement
-    g.(-H)^-1.g is below 1e-9 * max(1, |loglik|). Standard errors map
-    the inverse negative Hessian to (beta, sigma) by the delta method.
+    uncensored rows, after raising NotConverged for a column of X that
+    is zero on every uncensored row and of one sign on the censored rows,
+    along which the likelihood rises without bound. The log-likelihood
+    is concave in these parameters (Olsen 1978, Econometrica 46:1211):
+    steps are halved until it rises, and the fit ends with a full step
+    once the Newton decrement g.(-H)^-1.g is below 1e-9 * max(1, |loglik|).
+    Standard errors map the inverse negative Hessian to (beta, sigma) by
+    the delta method.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -494,6 +489,14 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     cens = y >= limit - 1e-9
     if cens.all():
         raise AllCensored("every response sits at the censoring limit")
+    # raising the coefficient of a column that is zero on every uncensored
+    # row and of one sign on the censored rows raises the likelihood forever
+    censored = X[cens]
+    one_sign = (censored >= 0).all(axis=0) | (censored <= 0).all(axis=0)
+    unbounded = ~X[~cens].any(axis=0) & censored.any(axis=0) & one_sign
+    if unbounded.any():
+        column = int(np.argmax(unbounded))
+        raise NotConverged(f"Tobit likelihood has no maximum: column {column} of X is nonzero only on censored rows")
 
     beta0, *_ = np.linalg.lstsq(X[~cens], y[~cens], rcond=None)
     resid0 = y[~cens] - X[~cens] @ beta0

@@ -29,7 +29,6 @@ from .agents import (
     Narrow,
     NoIndifference,
     population_wages,
-    reservation_wages,
     snap_rows,
 )
 from .design import Scenario, Treatment, price_list, treatment_spec
@@ -326,12 +325,11 @@ def simulate_subject(
     differ only in the tremble rate being zero or absent.
     """
     uniforms = rng.random((1, 2, N_ROWS)) if tremble > 0.0 else None
-    wages = []
-    for scenario in Scenario:
-        try:
-            wages.append(reservation_wages((agent,), treatment_spec(treatment, scenario)))
-        except NoIndifference as exc:
-            raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
+    cells = [(treatment_spec(treatment, scenario), 1) for scenario in Scenario]
+    try:
+        wages = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, cells)
+    except NoIndifference as exc:
+        raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
     return _block_records(treatment, wages, uniforms, tremble, [covariates], [subject_id], {})[0]
 
 

@@ -10,14 +10,13 @@ Closed forms appear only in the test suite as oracles.
 
 ``value`` also evaluates elementwise over a money array, and over
 parameter arrays when a population of one model type is stacked with
-``stack_models``; the simulator runs its root finding on such arrays.
+``_stack_columns``; the simulator runs its root finding on such arrays.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "expected_utility",
     "money_metric",
     "certainty_equivalent",
-    "stack_models",
 ]
 
 ROOT_TOL = 1e-12
@@ -152,7 +150,7 @@ class UtilityModel:
     """Base for the model variants; subclasses implement ``value``.
 
     ``value`` must broadcast over a money array (and over parameter
-    arrays, see ``stack_models``).
+    arrays, see ``_stack_columns``).
     """
 
     def value(self, tasks: float, money: float) -> float:
@@ -256,30 +254,13 @@ class CrraMoney(UtilityModel):
         return money ** (1.0 - self.eta) / (1.0 - self.eta)
 
 
-def stack_models(models: Sequence[UtilityModel]) -> UtilityModel:
-    """One model of the members' type whose parameters are arrays.
-
-    Its ``value`` evaluates member i at element i, so a whole population
-    shares one array computation. Each member was validated when it was
-    built, so the stacked copy skips ``__post_init__``. A single member
-    is returned as it is.
-    """
-    first = models[0]
-    if len(models) == 1:
-        return first
-    if any(type(m) is not type(first) for m in models):
-        raise TypeError("stacked models must share one type")
-    return _stack_columns(
-        type(first), **{f.name: np.array([getattr(m, f.name) for m in models]) for f in dataclasses.fields(first)}
-    )
-
-
 def _stack_columns(model_type: type, **columns: np.ndarray) -> UtilityModel:
     """A stack of model_type members whose parameters are the given columns.
 
-    Member i has the i-th entry of every column, as in stack_models, but
-    no member object is ever built: the caller vouches that each row
-    passes model_type's validation, which is skipped.
+    Its ``value`` evaluates member i at the i-th entry of every column,
+    so a whole population shares one array computation. No member object
+    is ever built: the caller vouches that each row passes model_type's
+    validation, which is skipped.
     """
     stacked = object.__new__(model_type)
     for name, column in columns.items():

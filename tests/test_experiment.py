@@ -432,9 +432,9 @@ class TestCsvRoundTrip:
 
     def test_header_and_money_format(self, tmp_path):
         data = simulate_dataset(small_spec(counts={Treatment.BROAD: 1}, tremble=0.0))
-        path = str(tmp_path / "data.csv")
-        write_csv(data, path)
-        lines = open(path).read().splitlines()
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+        lines = path.read_text().splitlines()
         assert lines[0].startswith("subject_id,treatment,scenario,c01,")
         assert lines[0].endswith("res_wage,censored,consistent,gender,age,tediousness")
         assert len(lines) == 3  # header + 2 scenarios
@@ -452,7 +452,7 @@ class TestCsvRoundTrip:
         data = simulate_dataset(small_spec(counts={Treatment.BROAD: 1}, tremble=0.0))
         path = tmp_path / "data.csv"
         write_csv(data, str(path))
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         lines[2] = lines[2].replace(",S2,", ",S9,")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 3"):

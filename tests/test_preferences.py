@@ -13,10 +13,10 @@ from bracketlab.preferences import (
     NonMonotoneModel,
     QuasiLinearPowerCost,
     ZERO_BUNDLE,
+    _stack_columns,
     certainty_equivalent,
     expected_utility,
     money_metric,
-    stack_models,
     utility,
 )
 
@@ -101,14 +101,12 @@ class TestUtility:
 
     def test_stacked_models_evaluate_elementwise(self):
         members = [QuasiLinearPowerCost(0.004, 2.0), QuasiLinearPowerCost(0.002, 1.7)]
-        stacked = stack_models(members)
+        stacked = _stack_columns(QuasiLinearPowerCost, alpha=np.array([0.004, 0.002]), gamma=np.array([2.0, 1.7]))
         money = np.array([1.0, 2.0])
         expected = [members[0].value(30, 1.0), members[1].value(30, 2.0)]
         np.testing.assert_allclose(stacked.value(30, money), expected, rtol=1e-15)
         # at_tasks uses the members' own pow: equal bits
         assert stacked.at_tasks(30)(money).tolist() == expected
-        with pytest.raises(TypeError):
-            stack_models([QL, CARA])
 
 
 class TestMoneyMetric:
