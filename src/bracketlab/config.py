@@ -69,7 +69,11 @@ def parse_config(
     then falls back to 0 instead of failing.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; the CLI prints one
+        raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     known = {"population": _POPULATION_KEYS, "estimators": _ESTIMATOR_KEYS}

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -125,44 +126,118 @@ class Observations:
     consistent: np.ndarray
 
 
-@dataclass(frozen=True)
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 class Dataset:
-    """Subject records plus provenance; provenance is not compared."""
+    """Subjects plus provenance, stored as columns; provenance is not compared.
 
-    records: tuple[SubjectRecord, ...]
-    seed: int | None = field(default=None, compare=False)
-    spec_digest: str | None = field(default=None, compare=False)
+    The columns are the subject ids, each subject's treatment code (an
+    index into tuple(Treatment)) and Covariates object, each subject's
+    row offsets (subject i owns scenario rows offsets[i]:offsets[i + 1]),
+    and one index per scenario row into a table of the dataset's
+    distinct ScenarioOutcome objects. read_csv and simulate_dataset fill
+    the columns directly; Dataset(records) derives them from the records
+    and keeps each distinct outcome object once. records and
+    observations are built from the columns on first use and cached;
+    every record then shares the table's outcome and covariate objects.
+    """
 
-    def __post_init__(self) -> None:
-        ids = [r.subject_id for r in self.records]
-        if len(set(ids)) != len(ids):
+    def __init__(
+        self, records: Sequence[SubjectRecord], seed: int | None = None, spec_digest: str | None = None
+    ) -> None:
+        records = tuple(records)
+        slots: dict[int, int] = {}
+        table: list[ScenarioOutcome] = []
+        rows = []
+        for record in records:
+            for outcome in record.outcomes:
+                # keyed by identity: the records keep every keyed object alive
+                slot = slots.setdefault(id(outcome), len(table))
+                if slot == len(table):
+                    table.append(outcome)
+                rows.append(slot)
+        self._fill(
+            [r.subject_id for r in records],
+            [_TREATMENT_CODE[r.treatment] for r in records],
+            [r.covariates for r in records],
+            np.cumsum([0] + [len(r.outcomes) for r in records]),
+            table,
+            rows,
+            seed,
+            spec_digest,
+        )
+        self.__dict__["records"] = records
+
+    @classmethod
+    def _from_columns(cls, *columns, seed: int | None = None, spec_digest: str | None = None) -> Dataset:
+        """A dataset from (subject_ids, treatment codes, covariates, offsets, outcome table, rows)."""
+        dataset = cls.__new__(cls)
+        dataset._fill(*columns, seed, spec_digest)
+        return dataset
+
+    def _fill(self, subject_ids, treatment, covariates, offsets, outcomes, rows, seed, spec_digest) -> None:
+        if len(set(subject_ids)) != len(subject_ids):
             raise ValueError("subject_ids must be unique")
+        self.__dict__.update(
+            seed=seed,
+            spec_digest=spec_digest,
+            _subject_ids=tuple(subject_ids),
+            _treatment=_read_only(np.asarray(treatment, np.int8)),
+            _covariates=tuple(covariates),
+            _offsets=_read_only(np.asarray(offsets, np.intp)),
+            _outcomes=tuple(outcomes),
+            _rows=_read_only(np.asarray(rows, np.int32)),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # the cached records and observations must never disagree with the columns
+        raise AttributeError(f"cannot assign to {name!r}: a Dataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._subject_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"Dataset(records={self.records!r}, seed={self.seed!r}, spec_digest={self.spec_digest!r})"
+
+    @functools.cached_property
+    def records(self) -> tuple[SubjectRecord, ...]:
+        """One SubjectRecord per subject, built from the columns on first use."""
+        outcomes = list(map(self._outcomes.__getitem__, self._rows.tolist()))
+        offsets = self._offsets.tolist()
+        arms = tuple(Treatment)
+        return tuple(
+            SubjectRecord(sid, arms[t], tuple(outcomes[lo:hi]), person)
+            for sid, t, person, lo, hi in zip(
+                self._subject_ids, self._treatment.tolist(), self._covariates, offsets, offsets[1:]
+            )
+        )
 
     @functools.cached_property
     def observations(self) -> Observations:
-        """Every scenario row as columns, built on first use.
+        """Every scenario row as columns, gathered from the outcome table on first use.
 
-        The cache lives in the instance __dict__, outside the compared
-        and printed fields; records are immutable, so it never goes stale.
-        The columns fill from iterators over one flat outcome list; a
-        Python list per column left the heap about 5 MB larger at 300k rows.
+        The cache lives in the instance __dict__, outside equality and
+        repr; the columns are read-only, so it never goes stale.
         """
-        records = self.records
-        per_record = np.fromiter((len(r.outcomes) for r in records), np.intp, len(records))
-        treatment = np.fromiter((_TREATMENT_CODE[r.treatment] for r in records), np.int8, len(records))
-        outcomes = [outcome for record in records for outcome in record.outcomes]
-        columns = [
-            np.repeat(treatment, per_record),
-            np.fromiter((_SCENARIO_CODE[o.scenario] for o in outcomes), np.int8, len(outcomes)),
-            np.fromiter((o.res_wage for o in outcomes), np.float64, len(outcomes)),
-            np.fromiter((o.consistent for o in outcomes), bool, len(outcomes)),
+        table = self._outcomes
+        per_outcome = [
+            np.fromiter((_SCENARIO_CODE[o.scenario] for o in table), np.int8, len(table)),
+            np.fromiter((o.res_wage for o in table), np.float64, len(table)),
+            np.fromiter((o.consistent for o in table), bool, len(table)),
         ]
-        for column in columns:
-            column.flags.writeable = False
-        return Observations(*columns)
+        treatment = np.repeat(self._treatment, np.diff(self._offsets))
+        return Observations(*(_read_only(c) for c in [treatment] + [c[self._rows] for c in per_outcome]))
 
 
 @dataclass(frozen=True)
@@ -264,36 +339,30 @@ _ROW_INDEX = np.arange(N_ROWS)
 _ROW_BITS = 1 << _ROW_INDEX
 
 
-def _scenario_outcome(scenario: Scenario, code: int, interned: dict) -> ScenarioOutcome:
-    """The outcome whose row i is accepted iff bit i of code is set, built once per table."""
-    outcome = interned.get((scenario, code))
-    if outcome is None:
+def _outcome_slot(scenario: Scenario, code: int, slots: dict, table: list) -> int:
+    """Index in table of the outcome whose row i is accepted iff bit i of code is set, built once per table."""
+    slot = slots.get((scenario, code))
+    if slot is None:
         flags = tuple(bool(code >> i & 1) for i in range(N_ROWS))
         consistent, recorded = classify_consistency(flags)
-        outcome = interned[(scenario, code)] = ScenarioOutcome(
-            scenario=scenario,
-            choices=flags,
-            res_wage=recorded,
-            censored=not any(flags),
-            consistent=consistent,
-        )
-    return outcome
+        slot = slots[(scenario, code)] = len(table)
+        table.append(ScenarioOutcome(scenario, flags, recorded, censored=not any(flags), consistent=consistent))
+    return slot
 
 
-def _block_records(
-    treatment: Treatment,
+def _block_rows(
     wages: Sequence[np.ndarray],
     uniforms: np.ndarray | None,
     tremble: float,
-    covariates: Sequence[Covariates],
-    subject_ids: Sequence[str],
-    interned: dict,
-) -> list[SubjectRecord]:
-    """Records of a block of subjects in both scenarios of one treatment.
+    slots: dict,
+    table: list,
+) -> np.ndarray:
+    """Outcome-table indices of a block of subjects, one row per subject, one column per scenario.
 
     wages holds each scenario's continuous wages and uniforms each
-    subject's 2 x 16 tremble draws (None when tremble is 0); interned
-    caches ScenarioOutcomes by accept pattern.
+    subject's 2 x 16 tremble draws (None when tremble is 0); slots maps
+    (scenario, accept code) to its index in table, which grows by each
+    new outcome.
     """
     per_scenario = []
     for s, (scenario, r) in enumerate(zip(Scenario, wages)):
@@ -301,12 +370,9 @@ def _block_records(
         if uniforms is not None:
             accept ^= uniforms[:, s] < tremble
         codes, inverse = np.unique(accept @ _ROW_BITS, return_inverse=True)
-        outcomes = [_scenario_outcome(scenario, code, interned) for code in codes.tolist()]
-        per_scenario.append([outcomes[k] for k in inverse.tolist()])
-    return [
-        SubjectRecord(sid, treatment, outcomes, cov)
-        for sid, cov, outcomes in zip(subject_ids, covariates, zip(*per_scenario))
-    ]
+        found = [_outcome_slot(scenario, code, slots, table) for code in codes.tolist()]
+        per_scenario.append(np.array(found, np.int32)[inverse])
+    return np.stack(per_scenario, axis=1)
 
 
 def simulate_subject(
@@ -330,7 +396,9 @@ def simulate_subject(
         wages = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, cells)
     except NoIndifference as exc:
         raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
-    return _block_records(treatment, wages, uniforms, tremble, [covariates], [subject_id], {})[0]
+    table: list[ScenarioOutcome] = []
+    rows = _block_rows(wages, uniforms, tremble, {}, table)[0].tolist()
+    return SubjectRecord(subject_id, treatment, tuple(table[k] for k in rows), covariates)
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
@@ -553,20 +621,20 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
-    interned: dict = {}
-    records = []
+    slots: dict = {}
+    table: list[ScenarioOutcome] = []
+    subject_ids, people, rows = [], [], []
     for k, (treatment, n) in enumerate(arms):
-        prefix = treatment.value
-        records += _block_records(
-            treatment,
-            wages[2 * k : 2 * k + 2],
-            None if trembles is None else trembles[:n],
-            spec.tremble,
-            population.covariates[:n],
-            [f"{prefix}-{j:04d}" for j in range(n)],
-            interned,
+        subject_ids += [f"{treatment.value}-{j:04d}" for j in range(n)]
+        people += population.covariates[:n]
+        rows.append(
+            _block_rows(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble, slots, table)
         )
-    return Dataset(tuple(records), seed=spec.seed, spec_digest=digest)
+    treatment = np.repeat([_TREATMENT_CODE[t] for t, _ in arms], [n for _, n in arms])
+    offsets = np.arange(0, 2 * len(subject_ids) + 1, 2)  # both scenarios of every subject
+    return Dataset._from_columns(
+        subject_ids, treatment, people, offsets, table, np.concatenate(rows).ravel(), seed=spec.seed, spec_digest=digest
+    )
 
 
 def iter_observations(
@@ -585,6 +653,9 @@ CSV_COLUMNS = (
     + tuple(f"c{i:02d}" for i in range(1, N_ROWS + 1))
     + ("res_wage", "censored", "consistent", "gender", "age", "tediousness")
 )
+
+
+_WRITE_CHUNK = 1 << 14  # lines, about 2 MB of text
 
 
 class DataFormatError(Exception):
@@ -612,26 +683,33 @@ def _covariates_text(covariates: Covariates) -> str:
 def write_csv(dataset: Dataset, path: str) -> None:
     """One row per subject x scenario; money as two-decimal strings.
 
-    Records share outcome and covariate objects, so each object's cells
-    are rendered once per call. The caches are keyed by identity, not
-    value: equal values can print differently (0.0 and -0.0), and the
-    dataset keeps every keyed object alive for the whole call.
+    Rendered from the dataset's columns: each entry of its outcome table
+    and each distinct covariates object is rendered once per call.
+    Covariates are keyed by identity, not value, as outcomes are by
+    their table entry: equal values can print differently (30 and 30.0),
+    and the dataset keeps every keyed object alive for the whole call.
+    Rows are written in chunks of _WRITE_CHUNK lines, so the text of the
+    whole file is never held at once.
     """
-    outcome_texts: dict[int, str] = {}
+    arms = [t.value for t in Treatment]
+    # one reference per row, so iterating makes no int per row
+    row_texts = iter(np.array([_outcome_text(o) for o in dataset._outcomes], dtype=object)[dataset._rows])
+    subjects = zip(
+        dataset._subject_ids, dataset._treatment.tolist(), dataset._covariates, np.diff(dataset._offsets).tolist()
+    )
     covariate_texts: dict[int, str] = {}
-    lines = [",".join(CSV_COLUMNS)]
-    for record in dataset.records:
-        tail = covariate_texts.get(id(record.covariates))
-        if tail is None:
-            tail = covariate_texts[id(record.covariates)] = _covariates_text(record.covariates)
-        head = f"{record.subject_id},{record.treatment.value},"
-        for outcome in record.outcomes:
-            text = outcome_texts.get(id(outcome))
-            if text is None:
-                text = outcome_texts[id(outcome)] = _outcome_text(outcome)
-            lines.append(f"{head}{text},{tail}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        lines = [",".join(CSV_COLUMNS) + "\n"]
+        for sid, t, person, count in subjects:
+            tail = covariate_texts.get(id(person))
+            if tail is None:
+                tail = covariate_texts[id(person)] = _covariates_text(person) + "\n"
+            head = f"{sid},{arms[t]},"
+            lines += [f"{head}{text},{tail}" for text in itertools.islice(row_texts, count)]
+            if len(lines) >= _WRITE_CHUNK:
+                fh.write("".join(lines))
+                lines = []
+        fh.write("".join(lines))
 
 
 def _parse_row(line_no: int, cells: list[str]) -> tuple[str, Treatment, ScenarioOutcome, Covariates]:
@@ -668,32 +746,37 @@ def _parse_flag(cell: str) -> bool:
 
 
 def read_csv(path: str) -> Dataset:
-    """Parse a dataset CSV back into records; inverse of write_csv.
+    """Parse a dataset CSV into a Dataset's columns; inverse of write_csv.
 
-    Blank lines are skipped; error messages name physical line numbers.
-    Adjacent rows with one subject_id form one record. A row is cut into
-    its subject_id, its treatment cell, its outcome cells (scenario
-    through consistent) and its covariate cells, and each distinct text
-    of a part is parsed once per call: a row with an unseen outcome text
-    goes through the validating _parse_row whole; a row whose outcome
-    text was seen has exactly the validated field count, and parses
-    only its unseen treatment or covariate cells, as _parse_row does.
-    Records therefore share their (immutable) outcome and covariate
-    objects, and each distinct outcome is built and validated once.
+    The file must be UTF-8 text. Blank lines are skipped; error messages
+    name physical line numbers. Adjacent rows with one subject_id form
+    one subject. A row is cut into its subject_id, its treatment cell,
+    its outcome cells (scenario through consistent) and its covariate
+    cells, and each distinct text of a part is parsed once per call: a
+    row with an unseen outcome text goes through the validating
+    _parse_row whole; a row whose outcome text was seen has exactly the
+    validated field count, and parses only its unseen treatment or
+    covariate cells, as _parse_row does. Each distinct outcome text is
+    one entry of the outcome table, built and validated once, and equal
+    covariate texts are one Covariates object. No record is built here.
     """
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from exc
     header_no = next((no for no, ln in enumerate(lines, 1) if ln), None)
     if header_no is None:
         raise DataFormatError("empty file")
     if lines[header_no - 1].split(",") != list(CSV_COLUMNS):
         raise DataFormatError(f"line {header_no}: bad header, expected {','.join(CSV_COLUMNS)}")
 
-    treatments: dict[str, Treatment] = {}
-    outcomes: dict[str, ScenarioOutcome] = {}
+    arm_codes: dict[str, int] = {}
+    slots: dict[str, int] = {}
+    table: list[ScenarioOutcome] = []
     people: dict[str, Covariates] = {}
-    records = []
-    sid, treatment, covariates, group = None, None, None, []
+    subject_ids, arms, covariates, offsets, rows = [], [], [], [], []
+    sid, arm, person = None, None, None
     for line_no, line in enumerate(lines[header_no:], header_no + 1):
         if not line:
             continue
@@ -701,35 +784,36 @@ def read_csv(path: str) -> Dataset:
         treatment_text, _, rest = rest.partition(",")
         outcome_text = rest.rsplit(",", 3)[0]
         covariates_text = rest[len(outcome_text) + 1 :]
-        row_treatment = treatments.get(treatment_text)
-        outcome = outcomes.get(outcome_text)
-        person = people.get(covariates_text)
-        if outcome is None:
-            row_sid, row_treatment, outcome, person = _parse_row(line_no, line.split(","))
-            row_treatment = treatments.setdefault(treatment_text, row_treatment)
-            outcomes[outcome_text] = outcome
-            person = people.setdefault(covariates_text, person)
-        elif row_treatment is None or person is None:
+        row_arm = arm_codes.get(treatment_text)
+        slot = slots.get(outcome_text)
+        row_person = people.get(covariates_text)
+        if slot is None:
+            row_sid, treatment, outcome, row_person = _parse_row(line_no, line.split(","))
+            row_arm = arm_codes.setdefault(treatment_text, _TREATMENT_CODE[treatment])
+            slot = slots[outcome_text] = len(table)
+            table.append(outcome)
+            row_person = people.setdefault(covariates_text, row_person)
+        elif row_arm is None or row_person is None:
             # a seen outcome text has 20 cells, so the row has all 25 fields;
             # the cells are checked in _parse_row's order
             try:
-                if row_treatment is None:
-                    row_treatment = treatments[treatment_text] = Treatment(treatment_text)
-                if person is None:
-                    person = people[covariates_text] = _parse_covariates(*covariates_text.split(","))
+                if row_arm is None:
+                    row_arm = arm_codes[treatment_text] = _TREATMENT_CODE[Treatment(treatment_text)]
+                if row_person is None:
+                    row_person = people[covariates_text] = _parse_covariates(*covariates_text.split(","))
             except ValueError as exc:
                 raise DataFormatError(f"line {line_no}: {exc}") from exc
-        if row_sid == sid:
-            if row_treatment is not treatment or (person is not covariates and person != covariates):
-                raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
-            group.append(outcome)
-            continue
-        if group:
-            records.append(SubjectRecord(sid, treatment, tuple(group), covariates))
-        sid, treatment, covariates, group = row_sid, row_treatment, person, [outcome]
-    if group:
-        records.append(SubjectRecord(sid, treatment, tuple(group), covariates))
+        if row_sid != sid:
+            sid, arm, person = row_sid, row_arm, row_person
+            subject_ids.append(sid)
+            arms.append(arm)
+            covariates.append(person)
+            offsets.append(len(rows))
+        elif row_arm != arm or (row_person is not person and row_person != person):
+            raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
+        rows.append(slot)
+    offsets.append(len(rows))
     try:
-        return Dataset(tuple(records))
+        return Dataset._from_columns(subject_ids, arms, covariates, offsets, table, rows)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc

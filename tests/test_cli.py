@@ -10,7 +10,7 @@ from bracketlab.cli import main
 from bracketlab.config import parse_config
 from bracketlab.estimation import nls_kappa
 from bracketlab.design import Treatment
-from bracketlab.experiment import Dataset, read_csv, simulate_dataset, write_csv
+from bracketlab.experiment import Dataset, SubjectRecord, read_csv, simulate_dataset, write_csv
 from bracketlab.preferences import NonMonotoneModel
 from bracketlab.reports import render_kappa_csv
 
@@ -54,6 +54,26 @@ def test_simulate_missing_seed_is_usage_error(tmp_path, capsys):
     assert "[population] seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"x\n", "File contains no section headers"),
+        (b"[population]\nseed = 1\nseed = 2\n", "option 'seed' in section 'population' already exists"),
+        (b"[population]\nseed = 1\n# caf\xe9\n", "can't decode byte 0xe9"),
+    ],
+    ids=["no-section-header", "duplicate-option", "not-utf-8"],
+)
+def test_malformed_config_is_a_one_line_config_error(tmp_path, capsys, content, message):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(content)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_simulate_without_indifference_is_a_one_line_failure(tmp_path, capsys):
     # at rho = -1000 the CARA utilities overflow to NaN, so no wage in the
     # search bracket can be an indifference point
@@ -80,6 +100,17 @@ def test_simulate_censors_a_wage_above_the_bracket(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     row = next(line for line in out.read_text().splitlines() if line.startswith("BROAD-0017,BROAD,S2,"))
     assert row.split(",")[19:21] == ["4.25", "1"]  # res_wage, censored
+
+
+def test_simulate_and_estimate_build_no_records(tmp_path, monkeypatch):
+    built = []
+    validate = SubjectRecord.__post_init__
+    monkeypatch.setattr(SubjectRecord, "__post_init__", lambda self: built.append(self) or validate(self))
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--config", GOLDEN_INI, "--out", str(data)]) == 0
+    for stat in ("means", "mwu", "kappa", "tobit"):
+        assert main(["estimate", stat, "--data", str(data), "--out", str(tmp_path)]) == 0
+    assert len(built) == 0
 
 
 @pytest.mark.parametrize("failure", [NoIndifference, NonMonotoneModel, ModeUnsupported])
@@ -159,6 +190,17 @@ def test_estimate_schema_error_has_line_number(tmp_path, capsys):
     rc = main(["estimate", "means", "--data", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def test_estimate_non_utf8_data_is_a_one_line_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    text = Path(GOLDEN_CSV).read_bytes()
+    cut = text.index(b"\n", 1000) + 1
+    bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    rc = main(["estimate", "means", "--data", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: not UTF-8 text: byte {cut} (invalid start byte)\n"
+    assert not (tmp_path / "means.csv").exists()
 
 
 def test_estimate_missing_file_is_failure(tmp_path, capsys):

@@ -1,5 +1,4 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
-import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +16,7 @@ from bracketlab.experiment import (
     MixtureComposition,
     PopulationSpec,
     ScenarioOutcome,
+    SubjectRecord,
     classify_consistency,
     iter_observations,
     read_csv,
@@ -645,10 +645,122 @@ class TestObservations:
     def test_replace_gets_a_fresh_view(self):
         data = simulate_dataset(small_spec())
         before = data.observations
-        fewer = dataclasses.replace(data, records=data.records[:3])
+        fewer = Dataset(data.records[:3])
         assert fewer.observations is not before
         assert fewer.observations.res_wage.size == sum(len(r.outcomes) for r in data.records[:3])
 
     def test_empty_dataset(self):
         obs = Dataset(()).observations
         assert obs.res_wage.size == obs.treatment.size == 0
+
+
+def _outcome(scenario, code):
+    """A fresh outcome whose row i is accepted iff bit i of code is set."""
+    choices = tuple(bool(code >> i & 1) for i in range(16))
+    consistent, wage = classify_consistency(choices)
+    return ScenarioOutcome(scenario, choices, wage, not any(choices), consistent)
+
+
+# censored, accepts every row, a monotone switch, non-monotone; or any pattern
+ACCEPT_CODES = st.one_of(st.sampled_from([0, 0xFFFF, 0xFF00, 0x0001]), st.integers(0, 0xFFFF))
+
+
+@st.composite
+def record_tuples(draw):
+    """Records with one or two outcomes each, drawn from small pools of
+    outcomes and covariates; each use shares the pool's object or gets an
+    equal fresh one."""
+    outcomes = draw(st.lists(st.tuples(st.sampled_from(list(Scenario)), ACCEPT_CODES), min_size=1, max_size=5))
+    people = draw(st.lists(st.tuples(st.booleans(), st.integers(18, 70), st.integers(1, 10)), min_size=1, max_size=3))
+    shared_outcomes = [_outcome(*o) for o in outcomes]
+    shared_people = [Covariates(*p) for p in people]
+    records = []
+    for j in range(draw(st.integers(0, 6))):
+        uses = draw(st.lists(st.tuples(st.integers(0, len(outcomes) - 1), st.booleans()), min_size=1, max_size=2))
+        k, share = draw(st.tuples(st.integers(0, len(people) - 1), st.booleans()))
+        records.append(SubjectRecord(
+            f"S-{j}",
+            draw(st.sampled_from(list(Treatment))),
+            tuple(shared_outcomes[i] if shared else _outcome(*outcomes[i]) for i, shared in uses),
+            shared_people[k] if share else Covariates(*people[k]),
+        ))
+    return tuple(records)
+
+
+def _walked_columns(records):
+    """The observation columns by a walk over the records."""
+    rows = [(r.treatment, o) for r in records for o in r.outcomes]
+    return [
+        np.array([list(Treatment).index(t) for t, _ in rows], np.int8),
+        np.array([list(Scenario).index(o.scenario) for _, o in rows], np.int8),
+        np.array([o.res_wage for _, o in rows], np.float64),
+        np.array([o.consistent for _, o in rows], bool),
+    ]
+
+
+class TestColumnStorage:
+    """A column-backed dataset agrees with the one built from its records."""
+
+    @staticmethod
+    def assert_agree(columns, built, directory):
+        assert len(columns) == len(built) == len(built.records)
+        assert columns.records == built.records
+        assert columns.records is columns.records
+        for got, want, expected in zip(
+            vars(columns.observations).values(), vars(built.observations).values(), _walked_columns(built.records)
+        ):
+            assert got.dtype == want.dtype == expected.dtype
+            assert np.array_equal(got, expected) and np.array_equal(want, expected)
+        # equal outcomes and equal covariates are one object
+        outcomes = [o for r in columns.records for o in r.outcomes]
+        people = [r.covariates for r in columns.records]
+        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+        assert len({id(p) for p in people}) == len(set(people))
+        write_csv(columns, str(directory / "columns.csv"))
+        write_csv(built, str(directory / "built.csv"))
+        assert (directory / "columns.csv").read_bytes() == (directory / "built.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=record_tuples())
+    def test_read_csv(self, tmp_path_factory, records):
+        built = Dataset(records)
+        assert all(a is b for a, b in zip(built.records, records))
+        directory = tmp_path_factory.mktemp("columns")
+        write_csv(built, str(directory / "data.csv"))
+        self.assert_agree(read_csv(str(directory / "data.csv")), built, directory)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from(list(Treatment)), st.integers(0, 4), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        composition=st.one_of(
+            st.builds(MixtureComposition, st.floats(0.0, 1.0)),
+            st.builds(KappaComposition, st.floats(0.0, 1.0)),
+        ),
+        tremble=st.floats(0.0, 1.0),
+    )
+    def test_simulate_dataset(self, tmp_path_factory, counts, seed, composition, tremble):
+        spec = PopulationSpec(
+            counts=counts, seed=seed, composition=composition, tremble=tremble, gamma_bounds=(1.8, 2.2)
+        )
+        data = simulate_dataset(spec)
+        built = Dataset(data.records)
+        self.assert_agree(data, built, tmp_path_factory.mktemp("columns"))
+
+    def test_columns_cannot_be_reassigned(self):
+        data = simulate_dataset(small_spec())
+        for name in ("records", "seed", "_rows"):
+            with pytest.raises(AttributeError):
+                setattr(data, name, ())
+
+    def test_iter_observations_builds_each_record_once(self, tmp_path, monkeypatch):
+        data = simulate_dataset(small_spec(tremble=0.3))
+        write_csv(data, str(tmp_path / "data.csv"))
+        again = read_csv(str(tmp_path / "data.csv"))
+        built = []
+        validate = SubjectRecord.__post_init__
+        monkeypatch.setattr(SubjectRecord, "__post_init__", lambda self: built.append(self) or validate(self))
+        for dataset in (data, again):
+            for drop_inconsistent in (True, False):
+                list(iter_observations(dataset, drop_inconsistent))
+        assert len(built) == len(data) + len(again)
