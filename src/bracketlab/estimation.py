@@ -27,7 +27,6 @@ __all__ = [
     "MwuResult",
     "KappaFit",
     "TobitFit",
-    "OlsFit",
     "EmptySample",
     "TooLarge",
     "Degenerate",
@@ -43,7 +42,6 @@ __all__ = [
     "kappa_profile_oracle",
     "tobit_right",
     "power_two_sample",
-    "ols",
 ]
 
 _GRAD_TOL = 1e-8
@@ -158,14 +156,6 @@ class TobitFit:
             raise ValueError("sigma must be positive")
         if not math.isfinite(self.loglik):
             raise ValueError("log-likelihood must be finite")
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    beta: tuple[float, ...]
-    se: tuple[float, ...]
-    sigma2: float
-    n_obs: int
 
 
 def cell_wages(dataset: Dataset, drop_inconsistent: bool = True) -> dict[tuple[Treatment, Scenario], np.ndarray]:
@@ -566,24 +556,3 @@ def power_two_sample(
     n_small = max(1, math.ceil(raw))
     n_large = max(1, math.ceil(ratio * raw))
     return n_large, n_small
-
-
-def ols(y, X) -> OlsFit:
-    """Plain least squares with classical standard errors."""
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, k = X.shape
-    if np.linalg.matrix_rank(X) < k:
-        raise RankDeficient("covariate matrix is rank deficient")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    sigma2 = float(resid @ resid) / max(n - k, 1)
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    return OlsFit(
-        beta=tuple(float(b) for b in beta),
-        se=tuple(float(s) for s in np.sqrt(np.diag(cov))),
-        sigma2=sigma2,
-        n_obs=n,
-    )

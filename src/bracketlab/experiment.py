@@ -110,6 +110,110 @@ class SubjectRecord:
 
 _TREATMENT_CODE = {t: i for i, t in enumerate(Treatment)}
 _SCENARIO_CODE = {s: i for i, s in enumerate(Scenario)}
+_SCENARIOS = tuple(Scenario)
+
+_ROW_INDEX = np.arange(N_ROWS)
+_ROW_BITS = 1 << _ROW_INDEX
+_ROW_SCENARIO = np.arange(len(Scenario))  # the scenario code of each column of a block's accept codes
+_RECORDED_WAGES = price_list().extra_wages + (CENSOR_CODE,)
+"""The recorded wage when row i is the first accepted one; row N_ROWS means none is."""
+
+
+def _switch_wage(choices: Sequence[bool]) -> float:
+    """The smallest accepted wage, or the censor code when every row rejects."""
+    return _RECORDED_WAGES[choices.index(True) if True in choices else N_ROWS]
+
+
+def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
+    """Monotonicity flag and recorded wage for one 16-row price list.
+
+    The recorded wage is the smallest accepted wage (the switch point
+    when the rows are monotone) or the censor code when every row
+    rejects.
+    """
+    if len(choices) != N_ROWS:
+        raise ValueError(f"expected {N_ROWS} choices, got {len(choices)}")
+    consistent = not any(choices[i] and not choices[i + 1] for i in range(N_ROWS - 1))
+    return consistent, _switch_wage(choices)
+
+
+def _code_fields() -> tuple[np.ndarray, np.ndarray]:
+    """First accepted row and consistency flag of every accept code (bit i set iff row i is accepted).
+
+    The first accepted row is the code's lowest set bit, or row 16
+    (recorded as the censor code) when no row is. The rows are consistent
+    iff the accepted ones form a suffix, rows i..15 for some i; for
+    i = 16 that is code 0.
+    """
+    first_row = np.full(1 << N_ROWS, N_ROWS, np.uint8)
+    for row in range(N_ROWS):
+        first_row[1 << row :: 1 << row + 1] = row  # the codes whose lowest set bit is row
+    consistent = np.zeros(1 << N_ROWS, bool)
+    consistent[(1 << N_ROWS) - (1 << np.arange(N_ROWS + 1))] = True
+    return first_row, consistent
+
+
+# every code's fields, so a row's fields are one lookup by its code
+_CODE_FIRST_ROW, _CODE_CONSISTENT = _code_fields()
+
+
+def _entry(outcome: ScenarioOutcome) -> tuple[int, int, float, bool]:
+    """The outcome-table entry of a ScenarioOutcome: its wage and flag as carried, not derived."""
+    code = sum(1 << i for i, accepted in enumerate(outcome.choices) if accepted)
+    return _SCENARIO_CODE[outcome.scenario], code, outcome.res_wage, outcome.consistent
+
+
+def _outcome_text(scenario: int, code: int, res_wage: float, consistent: bool) -> str:
+    """The scenario, c01..c16, res_wage, censored and consistent cells of one outcome-table entry."""
+    choices = ",".join(format(code, "016b")[::-1])  # c01 is bit 0
+    censored = "0" if code else "1"
+    return f"{_SCENARIOS[scenario].value},{choices},{res_wage:.2f},{censored},{'1' if consistent else '0'}"
+
+
+@dataclass(frozen=True, eq=False)
+class _OutcomeTable:
+    """A dataset's distinct outcomes as columns, one entry per index.
+
+    scenario is an int8 index into tuple(Scenario), code a uint16 whose
+    bit i is set iff row i is accepted, then the recorded wage and the
+    consistency flag. censored is code == 0 for every entry. For entries
+    derived from (scenario, code) the wage and the flag are the code's
+    (_code_fields); entries parsed from a row that is not canonical or
+    taken from ScenarioOutcome objects keep the wage and flag they carry.
+    """
+
+    scenario: np.ndarray
+    code: np.ndarray
+    res_wage: np.ndarray
+    consistent: np.ndarray
+
+    @classmethod
+    def derived(cls, scenario: np.ndarray, code: np.ndarray) -> _OutcomeTable:
+        """The entries of (scenario, code) pairs, with the wage and flag their codes give."""
+        wage = np.array(_RECORDED_WAGES)[_CODE_FIRST_ROW[code]]
+        return cls(scenario.astype(np.int8), code.astype(np.uint16), wage, _CODE_CONSISTENT[code])
+
+    @classmethod
+    def of(cls, entries: Sequence[tuple[int, int, float, bool]]) -> _OutcomeTable:
+        """A table from (scenario, code, res_wage, consistent) entries."""
+        columns = list(zip(*entries)) or [()] * 4
+        return cls(*(np.array(c, dtype) for c, dtype in zip(columns, (np.int8, np.uint16, np.float64, bool))))
+
+    def entries(self) -> Iterator[tuple[int, int, float, bool]]:
+        """(scenario, code, res_wage, consistent) per entry, as Python scalars."""
+        return zip(self.scenario.tolist(), self.code.tolist(), self.res_wage.tolist(), self.consistent.tolist())
+
+    def outcomes(self) -> list[ScenarioOutcome]:
+        """One ScenarioOutcome per entry."""
+        flags = (self.code[:, None] & _ROW_BITS) != 0
+        return [
+            ScenarioOutcome(_SCENARIOS[s], tuple(f.tolist()), wage, code == 0, consistent)
+            for f, (s, code, wage, consistent) in zip(flags, self.entries())
+        ]
+
+    def texts(self) -> list[str]:
+        """Each entry's outcome cells as write_csv renders them."""
+        return [_outcome_text(*entry) for entry in self.entries()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +241,16 @@ class Dataset:
     The columns are the subject ids, each subject's treatment code (an
     index into tuple(Treatment)) and Covariates object, each subject's
     row offsets (subject i owns scenario rows offsets[i]:offsets[i + 1]),
-    and one index per scenario row into a table of the dataset's
-    distinct ScenarioOutcome objects. read_csv and simulate_dataset fill
-    the columns directly; Dataset(records) derives them from the records
-    and keeps each distinct outcome object once. records and
-    observations are built from the columns on first use and cached;
-    every record then shares the table's outcome and covariate objects.
+    and one int32 index per scenario row into the dataset's outcome
+    table. That table holds one entry per distinct outcome as small
+    arrays: scenario code, 16-bit accept code, recorded wage and
+    consistency flag. read_csv and simulate_dataset fill the columns
+    directly and build no ScenarioOutcome or SubjectRecord;
+    Dataset(records) derives the columns from the records and keeps each
+    distinct outcome object once. records and observations are built
+    from the columns on first use and cached: records builds one
+    ScenarioOutcome per table entry, and every record shares the table's
+    outcome and covariate objects.
     """
 
     def __init__(
@@ -164,7 +272,7 @@ class Dataset:
             [_TREATMENT_CODE[r.treatment] for r in records],
             [r.covariates for r in records],
             np.cumsum([0] + [len(r.outcomes) for r in records]),
-            table,
+            _OutcomeTable.of([_entry(o) for o in table]),
             rows,
             seed,
             spec_digest,
@@ -178,9 +286,11 @@ class Dataset:
         dataset._fill(*columns, seed, spec_digest)
         return dataset
 
-    def _fill(self, subject_ids, treatment, covariates, offsets, outcomes, rows, seed, spec_digest) -> None:
+    def _fill(self, subject_ids, treatment, covariates, offsets, table, rows, seed, spec_digest) -> None:
         if len(set(subject_ids)) != len(subject_ids):
             raise ValueError("subject_ids must be unique")
+        for column in vars(table).values():
+            _read_only(column)
         self.__dict__.update(
             seed=seed,
             spec_digest=spec_digest,
@@ -188,7 +298,7 @@ class Dataset:
             _treatment=_read_only(np.asarray(treatment, np.int8)),
             _covariates=tuple(covariates),
             _offsets=_read_only(np.asarray(offsets, np.intp)),
-            _outcomes=tuple(outcomes),
+            _table=table,
             _rows=_read_only(np.asarray(rows, np.int32)),
         )
 
@@ -213,7 +323,7 @@ class Dataset:
     @functools.cached_property
     def records(self) -> tuple[SubjectRecord, ...]:
         """One SubjectRecord per subject, built from the columns on first use."""
-        outcomes = list(map(self._outcomes.__getitem__, self._rows.tolist()))
+        outcomes = list(map(self._table.outcomes().__getitem__, self._rows.tolist()))
         offsets = self._offsets.tolist()
         arms = tuple(Treatment)
         return tuple(
@@ -230,14 +340,10 @@ class Dataset:
         The cache lives in the instance __dict__, outside equality and
         repr; the columns are read-only, so it never goes stale.
         """
-        table = self._outcomes
-        per_outcome = [
-            np.fromiter((_SCENARIO_CODE[o.scenario] for o in table), np.int8, len(table)),
-            np.fromiter((o.res_wage for o in table), np.float64, len(table)),
-            np.fromiter((o.consistent for o in table), bool, len(table)),
-        ]
+        table = self._table
         treatment = np.repeat(self._treatment, np.diff(self._offsets))
-        return Observations(*(_read_only(c) for c in [treatment] + [c[self._rows] for c in per_outcome]))
+        gathered = [table.scenario[self._rows], table.res_wage[self._rows], table.consistent[self._rows]]
+        return Observations(*(_read_only(c) for c in [treatment] + gathered))
 
 
 @dataclass(frozen=True)
@@ -314,64 +420,19 @@ class PopulationSpec:
             raise ValueError("rho must be nonzero and finite when set")
 
 
-def _switch_wage(choices: tuple[bool, ...]) -> float:
-    wages = price_list().extra_wages
-    for wage, accepted in zip(wages, choices):
-        if accepted:
-            return wage
-    return CENSOR_CODE
-
-
-def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
-    """Monotonicity flag and recorded wage for one 16-row price list.
-
-    The recorded wage is the smallest accepted wage (the switch point
-    when the rows are monotone) or the censor code when every row
-    rejects.
-    """
-    if len(choices) != N_ROWS:
-        raise ValueError(f"expected {N_ROWS} choices, got {len(choices)}")
-    consistent = not any(choices[i] and not choices[i + 1] for i in range(N_ROWS - 1))
-    return consistent, _switch_wage(choices)
-
-
-_ROW_INDEX = np.arange(N_ROWS)
-_ROW_BITS = 1 << _ROW_INDEX
-
-
-def _outcome_slot(scenario: Scenario, code: int, slots: dict, table: list) -> int:
-    """Index in table of the outcome whose row i is accepted iff bit i of code is set, built once per table."""
-    slot = slots.get((scenario, code))
-    if slot is None:
-        flags = tuple(bool(code >> i & 1) for i in range(N_ROWS))
-        consistent, recorded = classify_consistency(flags)
-        slot = slots[(scenario, code)] = len(table)
-        table.append(ScenarioOutcome(scenario, flags, recorded, censored=not any(flags), consistent=consistent))
-    return slot
-
-
-def _block_rows(
-    wages: Sequence[np.ndarray],
-    uniforms: np.ndarray | None,
-    tremble: float,
-    slots: dict,
-    table: list,
-) -> np.ndarray:
-    """Outcome-table indices of a block of subjects, one row per subject, one column per scenario.
+def _accept_codes(wages: Sequence[np.ndarray], uniforms: np.ndarray | None, tremble: float) -> np.ndarray:
+    """Accept codes of a block of subjects, one row per subject, one column per scenario.
 
     wages holds each scenario's continuous wages and uniforms each
-    subject's 2 x 16 tremble draws (None when tremble is 0); slots maps
-    (scenario, accept code) to its index in table, which grows by each
-    new outcome.
+    subject's 2 x 16 tremble draws (None when tremble is 0). Bit i of a
+    code is set iff row i is accepted.
     """
     per_scenario = []
-    for s, (scenario, r) in enumerate(zip(Scenario, wages)):
+    for s, r in enumerate(wages):
         accept = _ROW_INDEX >= snap_rows(r)[:, None]
         if uniforms is not None:
             accept ^= uniforms[:, s] < tremble
-        codes, inverse = np.unique(accept @ _ROW_BITS, return_inverse=True)
-        found = [_outcome_slot(scenario, code, slots, table) for code in codes.tolist()]
-        per_scenario.append(np.array(found, np.int32)[inverse])
+        per_scenario.append(accept @ _ROW_BITS)
     return np.stack(per_scenario, axis=1)
 
 
@@ -396,9 +457,8 @@ def simulate_subject(
         wages = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, cells)
     except NoIndifference as exc:
         raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
-    table: list[ScenarioOutcome] = []
-    rows = _block_rows(wages, uniforms, tremble, {}, table)[0].tolist()
-    return SubjectRecord(subject_id, treatment, tuple(table[k] for k in rows), covariates)
+    table = _OutcomeTable.derived(_ROW_SCENARIO, _accept_codes(wages, uniforms, tremble)[0])
+    return SubjectRecord(subject_id, treatment, tuple(table.outcomes()), covariates)
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
@@ -621,19 +681,18 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
-    slots: dict = {}
-    table: list[ScenarioOutcome] = []
-    subject_ids, people, rows = [], [], []
+    subject_ids, people, codes = [], [], []
     for k, (treatment, n) in enumerate(arms):
         subject_ids += [f"{treatment.value}-{j:04d}" for j in range(n)]
         people += population.covariates[:n]
-        rows.append(
-            _block_rows(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble, slots, table)
-        )
+        codes.append(_accept_codes(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble))
+    # each row's scenario code above its 16-bit accept code; np.unique makes the outcome table
+    keys, rows = np.unique(np.concatenate(codes) | _ROW_SCENARIO << N_ROWS, return_inverse=True)
+    table = _OutcomeTable.derived(keys >> N_ROWS, keys & (1 << N_ROWS) - 1)
     treatment = np.repeat([_TREATMENT_CODE[t] for t, _ in arms], [n for _, n in arms])
     offsets = np.arange(0, 2 * len(subject_ids) + 1, 2)  # both scenarios of every subject
     return Dataset._from_columns(
-        subject_ids, treatment, people, offsets, table, np.concatenate(rows).ravel(), seed=spec.seed, spec_digest=digest
+        subject_ids, treatment, people, offsets, table, rows.ravel(), seed=spec.seed, spec_digest=digest
     )
 
 
@@ -662,18 +721,6 @@ class DataFormatError(Exception):
     """A data file does not match the expected CSV schema."""
 
 
-def _outcome_text(outcome: ScenarioOutcome) -> str:
-    """The scenario, c01..c16, res_wage, censored and consistent cells."""
-    cells = [outcome.scenario.value]
-    cells += ["1" if c else "0" for c in outcome.choices]
-    cells += [
-        f"{outcome.res_wage:.2f}",
-        "1" if outcome.censored else "0",
-        "1" if outcome.consistent else "0",
-    ]
-    return ",".join(cells)
-
-
 def _covariates_text(covariates: Covariates) -> str:
     """The gender, age and tediousness cells."""
     gender = "male" if covariates.male else "female"
@@ -693,7 +740,7 @@ def write_csv(dataset: Dataset, path: str) -> None:
     """
     arms = [t.value for t in Treatment]
     # one reference per row, so iterating makes no int per row
-    row_texts = iter(np.array([_outcome_text(o) for o in dataset._outcomes], dtype=object)[dataset._rows])
+    row_texts = iter(np.array(dataset._table.texts(), dtype=object)[dataset._rows])
     subjects = zip(
         dataset._subject_ids, dataset._treatment.tolist(), dataset._covariates, np.diff(dataset._offsets).tolist()
     )
@@ -745,24 +792,50 @@ def _parse_flag(cell: str) -> bool:
     raise ValueError(f"expected 0 or 1, got {cell!r}")
 
 
+_SCENARIO_TEXT = {s.value: i for i, s in enumerate(Scenario)}
+
+
+def _canonical_entry(outcome_text: str) -> tuple[int, int, float, bool] | None:
+    """The derived table entry whose canonical text outcome_text is, or None.
+
+    The 16 choice cells are read as a code, c16 first; the text is
+    canonical iff it equals the text write_csv renders for that
+    (scenario, code).
+    """
+    scenario = _SCENARIO_TEXT.get(outcome_text[:2])
+    try:
+        code = int(outcome_text[33:2:-2], 2)
+    except ValueError:
+        return None
+    if scenario is None or code < 0:  # int() accepts a sign
+        return None
+    entry = (scenario, code, _RECORDED_WAGES[_CODE_FIRST_ROW[code]], bool(_CODE_CONSISTENT[code]))
+    return entry if _outcome_text(*entry) == outcome_text else None
+
+
 def read_csv(path: str) -> Dataset:
     """Parse a dataset CSV into a Dataset's columns; inverse of write_csv.
 
-    The file must be UTF-8 text. Blank lines are skipped; error messages
-    name physical line numbers. Adjacent rows with one subject_id form
-    one subject. A row is cut into its subject_id, its treatment cell,
-    its outcome cells (scenario through consistent) and its covariate
-    cells, and each distinct text of a part is parsed once per call: a
-    row with an unseen outcome text goes through the validating
-    _parse_row whole; a row whose outcome text was seen has exactly the
-    validated field count, and parses only its unseen treatment or
-    covariate cells, as _parse_row does. Each distinct outcome text is
-    one entry of the outcome table, built and validated once, and equal
-    covariate texts are one Covariates object. No record is built here.
+    The file must be UTF-8 text; a leading byte-order mark is dropped.
+    Blank lines are skipped; error messages name physical line numbers.
+    Adjacent rows with one subject_id form one subject. A row is cut into
+    its subject_id, its treatment cell, its outcome cells (scenario
+    through consistent) and its covariate cells, and each distinct text
+    of a part is parsed once per call. Each distinct outcome text is one
+    entry of the outcome table. A new outcome text that is the canonical
+    text of its (scenario, accept code), as write_csv renders it, is
+    that code's derived entry; any other new text goes through the
+    validating _parse_row whole, and its entry keeps the parsed wage and
+    consistency flag. A row with a canonical or seen outcome text has 20
+    outcome cells, so it has exactly the validated field count, and
+    parses only its unseen treatment or covariate cells, in _parse_row's
+    order. Equal covariate texts are one Covariates object. No
+    ScenarioOutcome or SubjectRecord is built for a canonical file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            # not the utf-8-sig codec, which counts error offsets from after the mark
+            lines = fh.read().removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from exc
     header_no = next((no for no, ln in enumerate(lines, 1) if ln), None)
@@ -773,7 +846,7 @@ def read_csv(path: str) -> Dataset:
 
     arm_codes: dict[str, int] = {}
     slots: dict[str, int] = {}
-    table: list[ScenarioOutcome] = []
+    table: list[tuple[int, int, float, bool]] = []
     people: dict[str, Covariates] = {}
     subject_ids, arms, covariates, offsets, rows = [], [], [], [], []
     sid, arm, person = None, None, None
@@ -788,13 +861,16 @@ def read_csv(path: str) -> Dataset:
         slot = slots.get(outcome_text)
         row_person = people.get(covariates_text)
         if slot is None:
-            row_sid, treatment, outcome, row_person = _parse_row(line_no, line.split(","))
-            row_arm = arm_codes.setdefault(treatment_text, _TREATMENT_CODE[treatment])
+            entry = _canonical_entry(outcome_text)
+            if entry is None:
+                row_sid, treatment, outcome, row_person = _parse_row(line_no, line.split(","))
+                row_arm = arm_codes.setdefault(treatment_text, _TREATMENT_CODE[treatment])
+                row_person = people.setdefault(covariates_text, row_person)
+                entry = _entry(outcome)
             slot = slots[outcome_text] = len(table)
-            table.append(outcome)
-            row_person = people.setdefault(covariates_text, row_person)
-        elif row_arm is None or row_person is None:
-            # a seen outcome text has 20 cells, so the row has all 25 fields;
+            table.append(entry)
+        if row_arm is None or row_person is None:
+            # the outcome text has 20 cells, so the row has all 25 fields;
             # the cells are checked in _parse_row's order
             try:
                 if row_arm is None:
@@ -814,6 +890,6 @@ def read_csv(path: str) -> Dataset:
         rows.append(slot)
     offsets.append(len(rows))
     try:
-        return Dataset._from_columns(subject_ids, arms, covariates, offsets, table, rows)
+        return Dataset._from_columns(subject_ids, arms, covariates, offsets, _OutcomeTable.of(table), rows)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc

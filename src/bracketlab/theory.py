@@ -269,25 +269,40 @@ def warp_scan(choices: Sequence[tuple[Sequence[Bundle], Bundle]]) -> ViolationRe
 
     A violation is two menus that both contain the two distinct chosen
     bundles: each choice reveals its bundle strictly better than the
-    other one.
+    other one. Bundles are equal when their max-abs gap over (tasks,
+    money) is within PROPOSITION_TOL. The scan builds two matrices over
+    the n choices: contains[i, j], chosen bundle i equals some bundle of
+    menu j, and differ[i, j], chosen bundles i and j are not equal. A
+    false contains[i, i] raises ChosenNotInMenu for the first such i;
+    otherwise the violations are the pairs i < j of
+    differ & contains & contains.T, listed in row-major order.
     """
+    n = len(choices)
+    chosen = np.array([(c.tasks, c.money) for _, c in choices], float).reshape(n, 2)
+    sizes = np.array([len(menu) for menu, _ in choices], np.intp)
+    offered = np.array([(b.tasks, b.money) for menu, _ in choices for b in menu], float).reshape(-1, 2)
 
-    def contains(menu, bundle):
-        return any(not _bundles_differ(b, bundle) for b in menu)
+    def gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # fmax ignores a NaN money gap as max(tasks gap, money gap) does; a
+        # two-array maximum is also several times faster than .max(axis=-1)
+        return np.fmax(np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1]))
 
-    for menu, chosen in choices:
-        if not contains(menu, chosen):
-            raise ChosenNotInMenu(f"{chosen} missing from its menu")
-    entries = []
-    for i in range(len(choices)):
-        menu_i, x = choices[i]
-        for j in range(i + 1, len(choices)):
-            menu_j, y = choices[j]
-            if _bundles_differ(x, y) and contains(menu_j, x) and contains(menu_i, y):
-                entries.append(
-                    Violation("warp", f"menus {i},{j}", x, y, math.inf)
-                )
-    return ViolationReport(tuple(entries))
+    near = ~(gaps(chosen, offered) > PROPOSITION_TOL)  # "not differ", as _bundles_differ reads a NaN gap
+    contains = np.zeros((n, n), bool)
+    filled = sizes > 0
+    if filled.any():
+        # a menu's bundles are a run of offered's columns; empty menus contain nothing
+        starts = np.cumsum(sizes) - sizes
+        contains[:, filled] = np.logical_or.reduceat(near, starts[filled], axis=1)
+    missing = np.flatnonzero(~contains.diagonal())
+    if missing.size:
+        raise ChosenNotInMenu(f"{choices[missing[0]][1]} missing from its menu")
+    differ = gaps(chosen, chosen) > PROPOSITION_TOL
+    pairs = np.nonzero(np.triu(differ & contains & contains.T, 1))
+    return ViolationReport(tuple(
+        Violation("warp", f"menus {i},{j}", choices[i][1], choices[j][1], math.inf)
+        for i, j in zip(*(p.tolist() for p in pairs))
+    ))
 
 
 def maximizer_choices(

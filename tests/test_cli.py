@@ -10,7 +10,7 @@ from bracketlab.cli import main
 from bracketlab.config import parse_config
 from bracketlab.estimation import nls_kappa
 from bracketlab.design import Treatment
-from bracketlab.experiment import Dataset, SubjectRecord, read_csv, simulate_dataset, write_csv
+from bracketlab.experiment import Dataset, ScenarioOutcome, SubjectRecord, read_csv, simulate_dataset, write_csv
 from bracketlab.preferences import NonMonotoneModel
 from bracketlab.reports import render_kappa_csv
 
@@ -104,8 +104,12 @@ def test_simulate_censors_a_wage_above_the_bracket(tmp_path, capsys):
 
 def test_simulate_and_estimate_build_no_records(tmp_path, monkeypatch):
     built = []
-    validate = SubjectRecord.__post_init__
-    monkeypatch.setattr(SubjectRecord, "__post_init__", lambda self: built.append(self) or validate(self))
+
+    def counting(validate):
+        return lambda self: built.append(self) or validate(self)
+
+    for cls in (SubjectRecord, ScenarioOutcome):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
     data = tmp_path / "d.csv"
     assert main(["simulate", "--config", GOLDEN_INI, "--out", str(data)]) == 0
     for stat in ("means", "mwu", "kappa", "tobit"):

@@ -40,7 +40,6 @@ from bracketlab.estimation import (
     mwu_exact,
     mwu_test,
     nls_kappa,
-    ols,
     power_two_sample,
     summarize_means,
     tobit_right,
@@ -585,18 +584,6 @@ class TestPower:
         args.update(kwargs)
         with pytest.raises(InvalidParams):
             power_two_sample(**args)
-
-
-class TestOls:
-    def test_exact_line(self):
-        X = np.column_stack([np.ones(3), np.array([0.0, 1.0, 2.0])])
-        fit = ols([1.0, 3.0, 5.0], X)
-        assert fit.beta == pytest.approx((1.0, 2.0), abs=1e-12)
-        assert fit.sigma2 == pytest.approx(0.0, abs=1e-20)
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            ols([1.0, 2.0], np.column_stack([np.ones(2), np.ones(2)]))
 
 
 # ------------------------------------------------- the columnar view's oracles

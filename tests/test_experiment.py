@@ -1,5 +1,6 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,17 @@ from bracketlab.experiment import (
     simulate_subject,
     subject_stream,
     write_csv,
+    _OutcomeTable,
+    _canonical_entry,
     _draw_subject,
+    _parse_row,
     _stream_states,
 )
 from bracketlab.preferences import Bundle, QuasiLinearPowerCost
 
 QL = QuasiLinearPowerCost(alpha=0.004, gamma=2.0)
+
+DATA = Path(__file__).parent / "data"
 
 FRAMED = [Treatment.BROAD, Treatment.NARROW, Treatment.PARTIAL, Treatment.BEFORE, Treatment.AFTER]
 
@@ -495,6 +501,7 @@ HEADER = ",".join(CSV_COLUMNS)
 S1_SWITCH = "S1," + ",".join("0" * 10 + "1" * 6) + ",2.75,0,1"
 S2_CENSORED = "S2," + ",".join("0" * 16) + ",4.25,1,1"
 S1_NON_MONOTONE = "S1,1,0," + ",".join("1" * 14) + ",0.25,0,0"
+S1_LATE_SWITCH = "S1," + ",".join("0" * 12 + "1" * 4) + ",3.25,0,1"
 VALID_ROWS = [
     f"A,BROAD,{S1_SWITCH},male,30,5",
     f"A,BROAD,{S2_CENSORED},male,30,5",
@@ -509,51 +516,72 @@ def _cells(text, index, value):
     return ",".join(cells)
 
 
+BAD_ROWS = [
+    (f"C,BROAD,S1,{S1_SWITCH[5:]},male,30,5", "expected 25 fields, got 24"),
+    (f"C,BROAD,S1,0,{S1_SWITCH[3:]},male,30,5", "expected 25 fields, got 26"),
+    (f"C,BROAD,{_cells(S1_SWITCH, 5, '2')},male,30,5", "expected 0 or 1, got '2'"),
+    (f"C,BROAD,{_cells(S1_SWITCH, 0, 'S9')},male,30,5", "'S9' is not a valid Scenario"),
+    # int() reads the choice cells "1,0,...,0,-" as -1, whose rendering matches them
+    (f"C,BROAD,S1,1,{'0,' * 14}-,0.25,0,1,male,30,5", "expected 0 or 1, got '-'"),
+    (f"C,MIDDLE,{S1_SWITCH},male,30,5", "'MIDDLE' is not a valid Treatment"),
+    (f"C,BROAD,{S1_SWITCH},x,30,5", "gender must be male or female, got 'x'"),
+    (f"C,BROAD,{S1_SWITCH},male,-1,5", "age must be nonnegative"),
+    (f"C,BROAD,{S1_SWITCH},male,30,11", "tediousness is a 1..10 scale"),
+    (
+        f"C,BROAD,{_cells(S1_SWITCH, 17, '2.50')},male,30,5",
+        "res_wage 2.5 does not match switch point 2.75",
+    ),
+    (
+        f"C,BROAD,{_cells(S1_SWITCH, 17, 'nan')},male,30,5",
+        "res_wage nan does not match switch point 2.75",
+    ),
+    (
+        f"C,BROAD,{_cells(_cells(S1_NON_MONOTONE, 17, '9.99'), 18, '1')},male,30,5",
+        "res_wage 9.99 does not match switch point 0.25",
+    ),
+    (
+        f"C,BROAD,{_cells(S1_NON_MONOTONE, 18, '1')},male,30,5",
+        "censored flag contradicts the choice rows",
+    ),
+    (f"B,BROAD,{S1_SWITCH},female,41,7", "subject B changes treatment or covariates"),
+    (f"B,NARROW,{S1_SWITCH},male,30,5", "subject B changes treatment or covariates"),
+]
+BAD_ROW_IDS = [
+    "24-fields", "26-fields", "choice-flag", "scenario", "signed-choices", "treatment", "gender", "age",
+    "tediousness", "switch-point", "nan-wage", "inconsistent-wage", "inconsistent-censored",
+    "changes-treatment", "changes-covariates",
+]
+
+
 class TestMalformedCsv:
     """Each bad row follows valid rows that hold every one of its other parts."""
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            (f"C,BROAD,S1,{S1_SWITCH[5:]},male,30,5", "expected 25 fields, got 24"),
-            (f"C,BROAD,S1,0,{S1_SWITCH[3:]},male,30,5", "expected 25 fields, got 26"),
-            (f"C,BROAD,{_cells(S1_SWITCH, 5, '2')},male,30,5", "expected 0 or 1, got '2'"),
-            (f"C,BROAD,{_cells(S1_SWITCH, 0, 'S9')},male,30,5", "'S9' is not a valid Scenario"),
-            (f"C,MIDDLE,{S1_SWITCH},male,30,5", "'MIDDLE' is not a valid Treatment"),
-            (f"C,BROAD,{S1_SWITCH},x,30,5", "gender must be male or female, got 'x'"),
-            (f"C,BROAD,{S1_SWITCH},male,-1,5", "age must be nonnegative"),
-            (f"C,BROAD,{S1_SWITCH},male,30,11", "tediousness is a 1..10 scale"),
-            (
-                f"C,BROAD,{_cells(S1_SWITCH, 17, '2.50')},male,30,5",
-                "res_wage 2.5 does not match switch point 2.75",
-            ),
-            (
-                f"C,BROAD,{_cells(S1_SWITCH, 17, 'nan')},male,30,5",
-                "res_wage nan does not match switch point 2.75",
-            ),
-            (
-                f"C,BROAD,{_cells(_cells(S1_NON_MONOTONE, 17, '9.99'), 18, '1')},male,30,5",
-                "res_wage 9.99 does not match switch point 0.25",
-            ),
-            (
-                f"C,BROAD,{_cells(S1_NON_MONOTONE, 18, '1')},male,30,5",
-                "censored flag contradicts the choice rows",
-            ),
-            (f"B,BROAD,{S1_SWITCH},female,41,7", "subject B changes treatment or covariates"),
-            (f"B,NARROW,{S1_SWITCH},male,30,5", "subject B changes treatment or covariates"),
-        ],
-        ids=[
-            "24-fields", "26-fields", "choice-flag", "scenario", "treatment", "gender", "age",
-            "tediousness", "switch-point", "nan-wage", "inconsistent-wage", "inconsistent-censored",
-            "changes-treatment", "changes-covariates",
-        ],
-    )
+    @pytest.mark.parametrize("row, message", BAD_ROWS, ids=BAD_ROW_IDS)
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([HEADER] + VALID_ROWS + [row, VALID_ROWS[0].replace("A,", "D,", 1)]) + "\n")
         with pytest.raises(DataFormatError) as exc:
             read_csv(str(path))
         assert str(exc.value) == f"line 6: {message}"
+
+    @pytest.mark.parametrize("row, message", BAD_ROWS, ids=BAD_ROW_IDS)
+    def test_bad_row_with_a_new_outcome_text(self, tmp_path, row, message):
+        # no valid row holds S1_SWITCH, so a bad row whose outcome text is
+        # canonical meets that text first on its own line
+        valid = [VALID_ROWS[0].replace(S1_SWITCH, S1_LATE_SWITCH)] + VALID_ROWS[1:]
+        assert not any(S1_SWITCH in r for r in valid)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER] + valid + [row, valid[0].replace("A,", "D,", 1)]) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == f"line 6: {message}"
+
+    def test_which_bad_rows_have_a_canonical_outcome_text(self):
+        canonical = [
+            name for name, (row, _) in zip(BAD_ROW_IDS, BAD_ROWS)
+            if _canonical_entry(row.split(",", 2)[2].rsplit(",", 3)[0]) is not None
+        ]
+        assert canonical == ["treatment", "gender", "age", "tediousness", "changes-treatment", "changes-covariates"]
 
     def test_non_adjacent_duplicate_subject(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -593,7 +621,7 @@ class TestMalformedCsv:
         assert b.covariates is c.covariates
         assert a.covariates is not b.covariates
 
-    def test_each_outcome_text_validated_once(self, tmp_path, monkeypatch):
+    def test_outcomes_are_built_only_for_records(self, tmp_path, monkeypatch):
         data = simulate_dataset(small_spec(seed=5, tremble=0.3))
         path = tmp_path / "data.csv"
         write_csv(data, str(path))
@@ -605,8 +633,103 @@ class TestMalformedCsv:
         monkeypatch.setattr(
             ScenarioOutcome, "__post_init__", lambda self: built.append(self) or validate(self)
         )
-        assert read_csv(str(path)) == data
+        again = read_csv(str(path))
+        assert built == []  # a canonical file builds no outcome object
+        again.records
+        assert len(built) == len(outcome_texts)  # one per table entry
+        again.records
         assert len(built) == len(outcome_texts)
+
+
+# valid rows whose outcome text is not the canonical text of its (scenario, accept code)
+NON_CANONICAL = {
+    "monotone-flagged-inconsistent": "S1," + ",".join("0" * 10 + "1" * 6) + ",2.75,0,0",
+    "wage-spelled-1.0": "S2," + ",".join("0" * 3 + "1" * 13) + ",1.0,0,1",
+    "wage-off-grid": "S1," + ",".join("0" * 10 + "1" * 6) + ",2.7500000005,0,1",
+}
+
+
+class TestOutcomeTable:
+    """Outcome fields derived from (scenario, accept code) against the per-choice definitions."""
+
+    def test_every_code_derives_as_classify_consistency(self):
+        codes = np.arange(1 << 16)
+        flags = [tuple(bool(code >> i & 1) for i in range(16)) for code in range(1 << 16)]
+        consistent, wages = zip(*map(classify_consistency, flags))
+        for s, scenario in enumerate(Scenario):
+            table = _OutcomeTable.derived(np.full(codes.size, s), codes)
+            assert table.consistent.tolist() == list(consistent)
+            assert table.res_wage.tolist() == list(wages)
+            outcomes = table.outcomes()
+            assert [o.choices for o in outcomes] == flags
+            assert [o.censored for o in outcomes] == [not any(f) for f in flags]
+            assert {o.scenario for o in outcomes} == {scenario}
+            texts = table.texts()
+            parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"])[2] for text in texts]
+            assert parsed == outcomes
+            assert [_canonical_entry(text) for text in texts] == list(table.entries())
+
+    @pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL)
+    def test_non_canonical_row_keeps_its_parsed_fields(self, tmp_path, text):
+        scenario = [s.value for s in Scenario].index(text[:2])
+        code = int(text[33:2:-2], 2)  # c16 first
+        twin = _OutcomeTable.derived(np.array([scenario]), np.array([code])).texts()[0]
+        assert _canonical_entry(text) is None and twin != text
+        rows = [
+            f"A,BROAD,{text},male,30,5",
+            f"A,BROAD,{S2_CENSORED},male,30,5",
+            f"B,LOW,{twin},female,41,7",
+            f"B,LOW,{text},female,41,7",
+        ]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([HEADER] + rows) + "\n")
+        parsed = [_parse_row(no, row.split(",")) for no, row in enumerate(rows, 2)]
+        expected = Dataset([
+            SubjectRecord(sid, treatment, tuple(p[2] for p in parsed[k : k + 2]), person)
+            for k, (sid, treatment, _, person) in zip((0, 2), parsed[::2])
+        ])
+        data = read_csv(str(path))
+        assert data == expected
+        assert data.records[0].outcomes[0].res_wage == float(text.split(",")[17])
+        assert data.records[0].outcomes[0].consistent == (text[-1] == "1")
+        for got, want in zip(vars(data.observations).values(), vars(expected.observations).values()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        write_csv(data, str(tmp_path / "read.csv"))
+        write_csv(expected, str(tmp_path / "built.csv"))
+        assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
+
+
+class TestByteOrderMark:
+    MARK = b"\xef\xbb\xbf"
+
+    def test_leading_mark_is_dropped(self, tmp_path):
+        golden = (DATA / "golden_data.csv").read_bytes()
+        path = tmp_path / "marked.csv"
+        path.write_bytes(self.MARK + golden)
+        assert read_csv(str(path)) == read_csv(str(DATA / "golden_data.csv"))
+        write_csv(read_csv(str(path)), str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == golden  # written without a mark
+
+    @pytest.mark.parametrize(
+        "prefix, line",
+        [(b"\n" + MARK, 2), (MARK + MARK, 1)],
+        ids=["mark-after-a-blank-line", "second-mark"],
+    )
+    def test_mark_elsewhere_is_a_bad_header(self, tmp_path, prefix, line):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(prefix + (DATA / "golden_data.csv").read_bytes())
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == f"line {line}: bad header, expected {HEADER}"
+
+    @pytest.mark.parametrize("prefix", [b"", MARK], ids=["unmarked", "marked"])
+    def test_non_utf8_byte_names_its_offset(self, tmp_path, prefix):
+        golden = (DATA / "golden_data.csv").read_bytes()
+        path = tmp_path / "bad.csv"
+        path.write_bytes(prefix + golden[:500] + b"\xff" + golden[500:])
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == f"not UTF-8 text: byte {len(prefix) + 500} (invalid start byte)"
 
 
 class TestObservations:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketlab.preferences import (
     Bundle,
@@ -17,6 +18,7 @@ from bracketlab.preferences import (
     money_metric,
 )
 from bracketlab.theory import (
+    PROPOSITION_TOL,
     ChoiceTrace,
     ChosenNotInMenu,
     MenuPair,
@@ -29,6 +31,8 @@ from bracketlab.theory import (
     mixture_linearity,
     model_zoo,
     trace_pair,
+    Violation,
+    _bundles_differ,
     unidentifiability_probe,
     warp_scan,
 )
@@ -292,6 +296,72 @@ def test_warp_consistent_choices_are_clean():
     a, b, c = Bundle(0, 1.0), Bundle(5, 2.0), Bundle(10, 3.0)
     choices = [((a, b), b), ((a, b, c), c), ((a, c), c)]
     assert not warp_scan(choices)
+
+
+def warp_loop(choices):
+    """The pairwise scan warp_scan once ran, kept as the oracle for its matrix form."""
+
+    def contains(menu, bundle):
+        return any(not _bundles_differ(b, bundle) for b in menu)
+
+    for menu, chosen in choices:
+        if not contains(menu, chosen):
+            raise ChosenNotInMenu(f"{chosen} missing from its menu")
+    entries = []
+    for i in range(len(choices)):
+        menu_i, x = choices[i]
+        for j in range(i + 1, len(choices)):
+            menu_j, y = choices[j]
+            if _bundles_differ(x, y) and contains(menu_j, x) and contains(menu_i, y):
+                entries.append(Violation("warp", f"menus {i},{j}", x, y, math.inf))
+    return ViolationReport(tuple(entries))
+
+
+def scan_result(scan, choices):
+    try:
+        return scan(choices)
+    except ChosenNotInMenu as exc:
+        return f"ChosenNotInMenu: {exc}"
+
+
+# money values at, within and beyond PROPOSITION_TOL of each other, and a NaN
+WARP_MONEY = [0.0, 1.0, 1.0 + PROPOSITION_TOL / 2, 1.0 + 2 * PROPOSITION_TOL, 2.5, -1.0, math.nan]
+
+
+@st.composite
+def shared_pool_choices(draw):
+    """Menus drawn from a small shared pool of bundles, each with a random pick.
+
+    The pick is usually from its own menu, and now and then a menu is
+    empty or its pick comes from the pool, so both WARP violations and
+    ChosenNotInMenu occur.
+    """
+    pool = draw(st.lists(st.builds(Bundle, st.integers(0, 3), st.sampled_from(WARP_MONEY)), min_size=1, max_size=5))
+    rng = draw(st.randoms(use_true_random=True))
+    choices = []
+    for _ in range(draw(st.integers(0, 10))):
+        menu = tuple(rng.choices(pool, k=rng.randint(1, 4))) if rng.random() > 0.02 else ()
+        choices.append((menu, rng.choice(menu if menu and rng.random() > 0.02 else pool)))
+    return choices
+
+
+@settings(max_examples=400, deadline=None)
+@given(choices=shared_pool_choices())
+def test_warp_scan_matches_the_pairwise_loop(choices):
+    assert scan_result(warp_scan, choices) == scan_result(warp_loop, choices)
+
+
+def test_random_picks_from_a_shared_pool_violate_warp():
+    rng = np.random.default_rng(11)
+    pool = [Bundle(int(t), float(m)) for t, m in zip(rng.integers(0, 4, 6), rng.uniform(0.0, 3.0, 6))]
+    found = 0
+    for _ in range(50):
+        menus = [tuple(pool[k] for k in rng.choice(6, size=rng.integers(1, 5), replace=False)) for _ in range(10)]
+        choices = [(menu, menu[rng.integers(len(menu))]) for menu in menus]
+        report = warp_scan(choices)
+        assert report == warp_loop(choices)
+        found += len(report)
+    assert found > 0
 
 
 def random_menus(rng, n_menus):
