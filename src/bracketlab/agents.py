@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import Treatment, TreatmentSpec, price_list
-from .preferences import ROOT_TOL, Bundle, UtilityModel, _stack_columns
+from .preferences import ROOT_TOL, Bundle, UtilityModel
 
 __all__ = [
     "Broad",
@@ -156,12 +156,12 @@ def _frame_problem(frame: type, spec: TreatmentSpec) -> tuple[int, int, float]:
 def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray, money_base: np.ndarray) -> np.ndarray:
     """Extra wage r equating (tasks_a, money_base) and (tasks_b, money_base + r), per element.
 
-    Element i is priced by member i of model (a stack, see
-    preferences._stack_columns) and halves its own bracket until it is
-    narrower than ROOT_TOL, exactly as a lone bisection would, so its bits
-    do not depend on the batch. An element whose option B is still worse
-    at the top of the bracket has a wage above it: +inf. One with B better
-    already at the bottom, or with a NaN gap, has no answer: NaN.
+    Element i is priced by member i of model (a stack, see preferences)
+    and halves its own bracket until it is narrower than ROOT_TOL, exactly
+    as a lone bisection would, so its bits do not depend on the batch. An
+    element whose option B is still worse at the top of the bracket has a
+    wage above it: +inf. One with B better already at the bottom, or with
+    a NaN gap, has no answer: NaN.
     """
     target = model.at_tasks(tasks_a)(money_base)
     utility_b = model.at_tasks(tasks_b)
@@ -190,10 +190,8 @@ def _no_switch(spec: TreatmentSpec) -> str:
 
 
 def _members(model: UtilityModel, rows: np.ndarray, size: int) -> UtilityModel:
-    """The given rows of a population of size members: a stack, or one model for all."""
-    return _stack_columns(
-        type(model), **{f.name: np.broadcast_to(getattr(model, f.name), size)[rows] for f in fields(model)}
-    )
+    """The given rows of a population of size members, as a stack; a scalar parameter is every member's."""
+    return type(model)(**{f.name: np.broadcast_to(getattr(model, f.name), size)[rows] for f in fields(model)})
 
 
 def population_wages(
@@ -205,13 +203,13 @@ def population_wages(
 ) -> list[np.ndarray]:
     """Continuous extra wages of a population's first n members in each (cell, n).
 
-    model stacks the population's preferences (see
-    preferences._stack_columns), or is one model every member shares;
-    member j brackets with modes[mode_index[j]], and every member has
-    framing_shift. Each pure frame of each cell poses one problem (see
-    _frame_problem), and every distinct problem is solved for every member
-    that needs it by one array bisection. A member needs a frame only at a
-    nonzero weight, so ConvexKappa(0) and ConvexKappa(1) never price the
+    model stacks the population's preferences (see preferences), or is
+    one model every member shares; member j brackets with
+    modes[mode_index[j]], and every member has framing_shift. Each pure
+    frame of each cell poses one problem (see _frame_problem), and every
+    distinct problem is solved for every member that needs it by one
+    array bisection. A member needs a frame only at a nonzero weight, so
+    ConvexKappa(0) and ConvexKappa(1) never price the
     frame they ignore (0 * inf would be NaN). A member's wage then adds
     its frames in the order 0.0 + w_broad * r_broad + w_narrow * (r_narrow
     + shift) + w_partial * r_partial, the shift entering only under BEFORE

@@ -118,10 +118,11 @@ class MwuResult:
 class KappaFit:
     """Saturated cell-means regression with a shared bracketing weight.
 
-    b_s and n_s index scenarios (S1, S2). The mid treatment's fitted
-    cell is (1 - kappa) * b_s + kappa * n_s by construction. Reported
-    standard errors are heteroskedasticity-robust; se_kappa_model is
-    the classical one, kept for diagnostics.
+    b_s and n_s index scenarios (S1, S2) of the broad and narrow
+    anchor treatments. The mid treatment's fitted cell is
+    (1 - kappa) * b_s + kappa * n_s by construction. Reported standard
+    errors are heteroskedasticity-robust; se_kappa_model is the
+    classical one, kept for diagnostics.
     """
 
     b_s: tuple[float, float]
@@ -135,6 +136,9 @@ class KappaFit:
     converged: bool
     rss: float
     n_obs: int
+    broad: Treatment
+    narrow: Treatment
+    mid: Treatment
 
     def fitted_mid(self, scenario_index: int) -> float:
         return (1.0 - self.kappa) * self.b_s[scenario_index] + self.kappa * self.n_s[scenario_index]
@@ -393,6 +397,9 @@ def nls_kappa(
         converged=bool(converged),
         rss=float(resid @ resid),
         n_obs=int(y.size),
+        broad=broad_label,
+        narrow=narrow_label,
+        mid=mid_label,
     )
 
 

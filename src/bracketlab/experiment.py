@@ -33,7 +33,7 @@ from .agents import (
     snap_rows,
 )
 from .design import Scenario, Treatment, price_list, treatment_spec
-from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel, _stack_columns
+from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel
 
 __all__ = [
     "Covariates",
@@ -250,7 +250,8 @@ class Dataset:
     distinct outcome object once. records and observations are built
     from the columns on first use and cached: records builds one
     ScenarioOutcome per table entry, and every record shares the table's
-    outcome and covariate objects.
+    outcome and covariate objects. Equality and hashing read the columns
+    and build neither. No subject repeats a scenario.
     """
 
     def __init__(
@@ -289,6 +290,13 @@ class Dataset:
     def _fill(self, subject_ids, treatment, covariates, offsets, table, rows, seed, spec_digest) -> None:
         if len(set(subject_ids)) != len(subject_ids):
             raise ValueError("subject_ids must be unique")
+        offsets, rows = np.asarray(offsets, np.intp), np.asarray(rows, np.int32)
+        subject = np.repeat(np.arange(len(subject_ids)), np.diff(offsets))
+        uses = np.bincount(subject * len(_SCENARIOS) + table.scenario[rows])
+        repeats = np.flatnonzero(uses > 1)
+        if repeats.size:
+            j, s = divmod(int(repeats[0]), len(_SCENARIOS))
+            raise ValueError(f"subject {subject_ids[j]} repeats scenario {_SCENARIOS[s].value}")
         for column in vars(table).values():
             _read_only(column)
         self.__dict__.update(
@@ -297,9 +305,9 @@ class Dataset:
             _subject_ids=tuple(subject_ids),
             _treatment=_read_only(np.asarray(treatment, np.int8)),
             _covariates=tuple(covariates),
-            _offsets=_read_only(np.asarray(offsets, np.intp)),
+            _offsets=_read_only(offsets),
             _table=table,
-            _rows=_read_only(np.asarray(rows, np.int32)),
+            _rows=_read_only(rows),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -309,13 +317,31 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._subject_ids)
 
+    def _value_key(self) -> tuple:
+        """What equality compares: the subject columns, then each row's outcome fields.
+
+        The row fields are gathered from the outcome table, so the order
+        of its entries does not matter; censored is code == 0. Comparing
+        wages by their bytes is float equality, as every wage a row can
+        hold is positive and not NaN.
+        """
+        table, rows = self._table, self._rows
+        outcomes = (table.scenario[rows], table.code[rows], table.res_wage[rows], table.consistent[rows])
+        return (
+            self._subject_ids,
+            self._covariates,
+            self._treatment.tobytes(),
+            self._offsets.tobytes(),
+            *(column.tobytes() for column in outcomes),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self.records == other.records
+        return self._value_key() == other._value_key()
 
     def __hash__(self) -> int:
-        return hash(self.records)
+        return hash(self._value_key())
 
     def __repr__(self) -> str:
         return f"Dataset(records={self.records!r}, seed={self.seed!r}, spec_digest={self.spec_digest!r})"
@@ -586,17 +612,15 @@ class _Population:
 def _population(spec: PopulationSpec, draws: Sequence[tuple]) -> _Population:
     """Covariates, preference parameters and bracketing modes from one or more rows of draws.
 
-    alpha is exp'd per element with the C library (math.exp), as one
-    subject alone would be. Equal covariates are one shared object.
+    Equal covariates are one shared object.
     """
     u_male, age, tediousness, z_alpha, u_gamma, *u_mode = (np.array(column) for column in zip(*draws))
     male = u_male < spec.male_share
-    log_alpha = (
+    alpha = np.exp(
         spec.alpha_location
         + spec.alpha_tediousness_link * (tediousness - _TEDIOUSNESS_CENTER)
         + spec.alpha_scale * z_alpha
     )
-    alpha = np.array([math.exp(x) for x in log_alpha.tolist()], dtype=float)
     gamma_loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
     gamma = _truncated_normal(u_gamma, gamma_loc, spec.gamma_scale, *spec.gamma_bounds)
     if isinstance(spec.composition, MixtureComposition):
@@ -615,7 +639,7 @@ def _population(spec: PopulationSpec, draws: Sequence[tuple]) -> _Population:
     return _Population(covariates, alpha, gamma, modes, mode_index)
 
 
-def _member_model(spec: PopulationSpec, alpha: float, gamma: float) -> UtilityModel:
+def _member_model(spec: PopulationSpec, alpha: float | np.ndarray, gamma: float | np.ndarray) -> UtilityModel:
     if spec.rho is None:
         return QuasiLinearPowerCost(alpha=alpha, gamma=gamma)
     return CaraMoneyPowerCost(rho=spec.rho, alpha=alpha, gamma=gamma)
@@ -667,17 +691,11 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
         if trembles is not None:
             rng.random(out=trembles[j])
     population = _population(spec, draws)
-    # the parameter checks are lower bounds: they hold for every row if they hold for the smallest
-    probe = _member_model(spec, population.alpha.min(), population.gamma.min())
-    columns = {"alpha": population.alpha, "gamma": population.gamma}
-    if spec.rho is not None:
-        columns["rho"] = np.full(count, spec.rho)
     arms = [(t, spec.counts[t]) for t in Treatment if spec.counts.get(t, 0)]
     cells = [(treatment_spec(t, s), n) for t, n in arms for s in Scenario]
+    model = _member_model(spec, population.alpha, population.gamma)  # a stack, one member per subject index
     try:
-        wages = population_wages(
-            _stack_columns(type(probe), **columns), population.modes, population.mode_index, spec.framing_shift, cells
-        )
+        wages = population_wages(model, population.modes, population.mode_index, spec.framing_shift, cells)
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None

@@ -9,8 +9,10 @@ simulated reservation wages use the array bisection ``agents._bisect_wages``.
 Closed forms appear only in the test suite as oracles.
 
 ``value`` also evaluates elementwise over a money array, and over
-parameter arrays when a population of one model type is stacked with
-``_stack_columns``; the simulator runs its root finding on such arrays.
+parameter arrays: a model built with array parameters, such as
+``QuasiLinearPowerCost(alpha=alphas, gamma=gammas)``, is a stack whose
+member i has the i-th entry of every parameter, and its constructor
+checks every member. The simulator runs its root finding on such stacks.
 """
 from __future__ import annotations
 
@@ -45,6 +47,8 @@ residual budget the identification probes are judged against.
 
 MAX_DOUBLINGS = 200
 """Bracket expansion attempts before the search is declared hopeless."""
+
+_INITIAL_BRACKET = (-1.0, 1.0)  # dollars; each end doubles until it brackets the root
 
 _EXP_CAP = 709.0  # math.exp overflows just above this
 
@@ -134,23 +138,11 @@ def _safe_exp(x):
     return math.exp(x) if x < _EXP_CAP else math.inf
 
 
-def _power(base, exponent):
-    """base ** exponent, elementwise when either is an array.
-
-    Python's ** calls the C library's pow, which numpy's vectorised pow
-    misses by one ulp on a few percent of inputs.
-    """
-    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
-        bases, exponents = (a.tolist() for a in np.broadcast_arrays(base, exponent))
-        return np.array([b**e for b, e in zip(bases, exponents)], dtype=float)
-    return base**exponent
-
-
 class UtilityModel:
     """Base for the model variants; subclasses implement ``value``.
 
-    ``value`` must broadcast over a money array (and over parameter
-    arrays, see ``_stack_columns``).
+    ``value`` must broadcast over a money array and over parameter
+    arrays (a stack, see the module docstring).
     """
 
     def value(self, tasks: float, money: float) -> float:
@@ -161,10 +153,7 @@ class UtilityModel:
 
         Root finding over money evaluates it many times at one task
         count (or one count per member of a stack, as an array). The
-        power-cost models override it to compute the task term once,
-        with the C library's pow even on arrays, so a stacked population
-        gets its members' values bit for bit; their ``value`` keeps
-        numpy's pow on parameter arrays.
+        power-cost models override it to compute the task term once.
         """
         return lambda money: self.value(tasks, money)
 
@@ -177,16 +166,16 @@ class QuasiLinearPowerCost(UtilityModel):
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if np.any(self.alpha <= 0):
             raise ValueError("alpha must be positive")
-        if self.gamma < 1:
+        if np.any(self.gamma < 1):
             raise ValueError("gamma must be at least 1")
 
     def value(self, tasks: float, money: float) -> float:
         return money - self.alpha * tasks**self.gamma
 
     def at_tasks(self, tasks: float) -> Callable:
-        cost = self.alpha * _power(tasks, self.gamma)
+        cost = self.alpha * tasks**self.gamma
         return lambda money: money - cost
 
 
@@ -199,18 +188,18 @@ class CaraMoneyPowerCost(UtilityModel):
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.rho == 0:
+        if np.any(self.rho == 0):
             raise ValueError("rho must be nonzero")
-        if self.alpha < 0:
+        if np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative")
-        if self.gamma < 1:
+        if np.any(self.gamma < 1):
             raise ValueError("gamma must be at least 1")
 
     def value(self, tasks: float, money: float) -> float:
         return (1.0 - _safe_exp(-self.rho * money)) / self.rho - self.alpha * tasks**self.gamma
 
     def at_tasks(self, tasks: float) -> Callable:
-        cost = self.alpha * _power(tasks, self.gamma)
+        cost = self.alpha * tasks**self.gamma
         return lambda money: (1.0 - _safe_exp(-self.rho * money)) / self.rho - cost
 
 
@@ -222,7 +211,7 @@ class LinearMetric(UtilityModel):
     lambda_money: float
 
     def __post_init__(self) -> None:
-        if self.lambda_money <= 0:
+        if np.any(self.lambda_money <= 0):
             raise ValueError("lambda_money must be positive")
 
     def value(self, tasks: float, money: float) -> float:
@@ -241,7 +230,7 @@ class CrraMoney(UtilityModel):
     eta: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0 or self.eta == 1:
+        if np.any((self.eta <= 0) | (self.eta == 1)):
             raise ValueError("eta must be positive and different from 1")
 
     def value(self, tasks: float, money: float) -> float:
@@ -254,20 +243,6 @@ class CrraMoney(UtilityModel):
         return money ** (1.0 - self.eta) / (1.0 - self.eta)
 
 
-def _stack_columns(model_type: type, **columns: np.ndarray) -> UtilityModel:
-    """A stack of model_type members whose parameters are the given columns.
-
-    Its ``value`` evaluates member i at the i-th entry of every column,
-    so a whole population shares one array computation. No member object
-    is ever built: the caller vouches that each row passes model_type's
-    validation, which is skipped.
-    """
-    stacked = object.__new__(model_type)
-    for name, column in columns.items():
-        object.__setattr__(stacked, name, column)
-    return stacked
-
-
 def utility(model: UtilityModel, b: Bundle) -> float:
     """Utility of a sure bundle."""
     return model.value(b.tasks, b.money)
@@ -278,12 +253,13 @@ def expected_utility(model: UtilityModel, lottery: Lottery) -> float:
     return sum(p * model.value(b.tasks, b.money) for b, p in lottery.outcomes)
 
 
-def _bisect_increasing(g, lo: float = -1.0, hi: float = 1.0) -> float:
-    """Root of an increasing function, expanding the bracket geometrically.
+def _bisect_increasing(g) -> float:
+    """Root of an increasing function, expanding _INITIAL_BRACKET geometrically.
 
     Raises NonMonotoneModel when no sign change appears within
     MAX_DOUBLINGS doublings (non-monotone or unattainable target).
     """
+    lo, hi = _INITIAL_BRACKET
     for _ in range(MAX_DOUBLINGS):
         v = g(lo)
         if not math.isnan(v) and v <= 0.0:

@@ -162,31 +162,26 @@ def render_mwu_csv(rows: Sequence[MwuRow]) -> str:
 # ------------------------------------------------------------------- kappa
 
 
-def _kappa_rows(fit: KappaFit, broad: Treatment, narrow: Treatment) -> list[tuple[str, float, float]]:
+def _kappa_rows(fit: KappaFit) -> list[tuple[str, float, float]]:
     rows = []
     for i, scenario in enumerate(Scenario):
-        rows.append((f"{broad.value} mean {scenario.value}", fit.b_s[i], fit.se_b_s[i]))
+        rows.append((f"{fit.broad.value} mean {scenario.value}", fit.b_s[i], fit.se_b_s[i]))
     for i, scenario in enumerate(Scenario):
-        rows.append((f"{narrow.value} mean {scenario.value}", fit.n_s[i], fit.se_n_s[i]))
+        rows.append((f"{fit.narrow.value} mean {scenario.value}", fit.n_s[i], fit.se_n_s[i]))
     rows.append(("kappa", fit.kappa, fit.se_kappa))
     return rows
 
 
-def render_kappa_markdown(
-    fit: KappaFit,
-    broad: Treatment = Treatment.BROAD,
-    narrow: Treatment = Treatment.LOW,
-    mid: Treatment = Treatment.NARROW,
-) -> str:
-    body = [(name, f"{_f4(est)} ({_f4(se)})") for name, est, se in _kappa_rows(fit, broad, narrow)]
+def render_kappa_markdown(fit: KappaFit) -> str:
+    body = [(name, f"{_f4(est)} ({_f4(se)})") for name, est, se in _kappa_rows(fit)]
     table = _table(("parameter", "estimate (se)"), body)
     fitted = ", ".join(
         f"{scenario.value} {_f4(fit.fitted_mid(i))}" for i, scenario in enumerate(Scenario)
     )
     notes = "\n".join(
         [
-            f"- anchors: broad={broad.value}, narrow={narrow.value}, mid={mid.value}",
-            f"- fitted {mid.value} cells: {fitted}",
+            f"- anchors: broad={fit.broad.value}, narrow={fit.narrow.value}, mid={fit.mid.value}",
+            f"- fitted {fit.mid.value} cells: {fitted}",
             f"- model-based se(kappa): {_f4(fit.se_kappa_model)}",
             f"- converged: {'yes' if fit.converged else 'NO'} in {fit.iterations} iterations",
             f"- rss {_f4(fit.rss)} on {fit.n_obs} scenario observations",
@@ -195,13 +190,8 @@ def render_kappa_markdown(
     return f"# bracketing weight fit\n\n{table}\n\n{notes}\n"
 
 
-def render_kappa_csv(
-    fit: KappaFit,
-    broad: Treatment = Treatment.BROAD,
-    narrow: Treatment = Treatment.LOW,
-    mid: Treatment = Treatment.NARROW,
-) -> str:
-    body = [(name, _f4(est), _f4(se)) for name, est, se in _kappa_rows(fit, broad, narrow)]
+def render_kappa_csv(fit: KappaFit) -> str:
+    body = [(name, _f4(est), _f4(se)) for name, est, se in _kappa_rows(fit)]
     body.append(("se_kappa_model", _f4(fit.se_kappa_model), ""))
     body.append(("iterations", str(fit.iterations), ""))
     body.append(("converged", "1" if fit.converged else "0", ""))

@@ -421,6 +421,8 @@ _POSITIVE_COIN = Lottery(((Bundle(0, 1.0), 0.5), (Bundle(0, 2.0), 0.5)))
 _WEALTH_GRID = (0.0, 1.0, 2.5)
 _POSITIVE_WEALTH_GRID = (1.0, 10.0)
 _P_GRID = tuple(k / 10.0 for k in range(1, 10))
+_WARP_MENUS = 100  # random menus in the warp suite's battery
+_WARP_SEED = 7
 
 
 def _status(observed_clean: bool, expect_clean: bool) -> str:
@@ -444,10 +446,10 @@ def _generic_battery() -> list[MenuPair]:
     ]
 
 
-def _random_menu_battery(n_menus: int = 100, seed: int = 7):
-    rng = np.random.default_rng(seed)
+def _random_menu_battery():
+    rng = np.random.default_rng(_WARP_SEED)
     menus = []
-    for _ in range(n_menus):
+    for _ in range(_WARP_MENUS):
         size = int(rng.integers(2, 6))
         menus.append(
             tuple(
@@ -516,7 +518,7 @@ def _warp_rows():
     menus = _random_menu_battery()
     for entry in model_zoo():
         found = len(warp_scan(maximizer_choices(entry.model, menus)))
-        yield entry.name, "violations in 100 menus", str(found), "0", _status(found == 0, True)
+        yield entry.name, f"violations in {_WARP_MENUS} menus", str(found), "0", _status(found == 0, True)
 
 
 _SUITE_RUNNERS = {

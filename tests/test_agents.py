@@ -25,7 +25,6 @@ from bracketlab.preferences import (
     CaraMoneyPowerCost,
     LinearMetric,
     QuasiLinearPowerCost,
-    _stack_columns,
 )
 
 TOL = 1e-8
@@ -199,9 +198,7 @@ class TestAboveTheBracket:
 
     def test_nan_utility_has_no_indifference_and_no_warning(self):
         # exp(1000 m) overflows: both utilities are inf and their gap is NaN
-        model = _stack_columns(
-            CaraMoneyPowerCost, rho=np.array([-0.01, -1000.0]), alpha=np.full(2, 0.004), gamma=np.full(2, 2.0)
-        )
+        model = CaraMoneyPowerCost(rho=np.array([-0.01, -1000.0]), alpha=0.004, gamma=2.0)
         cells = [(treatment_spec(Treatment.BROAD, Scenario.S1), 2)]
         with pytest.raises(NoIndifference) as exc:
             population_wages(model, (Broad(),), np.zeros(2, np.intp), 0.0, cells)
@@ -268,11 +265,7 @@ class TestPopulationWages:
             return CaraMoneyPowerCost(rho, alpha, gamma)
 
         alphas, gammas, member_modes = zip(*members)
-        columns = {"alpha": np.array(alphas), "gamma": np.array(gammas)}
-        if rho is None:
-            stack = _stack_columns(QuasiLinearPowerCost, **columns)
-        else:
-            stack = _stack_columns(CaraMoneyPowerCost, rho=np.full(len(members), rho), **columns)
+        stack = model(np.array(alphas), np.array(gammas))
         modes = list(dict.fromkeys(member_modes))
         mode_index = np.array([modes.index(mode) for mode in member_modes])
         # all 12 cells in one call: cells posing one problem share its roots
@@ -287,7 +280,7 @@ class TestPopulationWages:
 
     def test_no_indifference_names_the_first_failing_member(self):
         # members 1 and 3 like work: option B dominates at every bracket wage
-        stack = _stack_columns(LinearMetric, lambda_tasks=np.array([-0.1, 10.0, -0.1, 10.0]), lambda_money=np.ones(4))
+        stack = LinearMetric(lambda_tasks=np.array([-0.1, 10.0, -0.1, 10.0]), lambda_money=1.0)
         narrow = treatment_spec(Treatment.NARROW, Scenario.S1)
         cells = [(treatment_spec(Treatment.BROAD, Scenario.S1), 1), (narrow, 4)]
         with pytest.raises(NoIndifference) as exc:

@@ -47,6 +47,7 @@ from bracketlab.estimation import (
     _kappa_design,
     _rank_setup,
 )
+from bracketlab.reports import render_kappa_csv, render_kappa_markdown
 
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_data.csv"
@@ -278,6 +279,16 @@ class TestKappa:
         assert fit.converged and fit.iterations <= 20
         assert fit.se_kappa > 0 and fit.se_kappa_model > 0
         assert fit.n_obs == 600
+
+    def test_fit_records_and_renders_its_anchors(self):
+        cells = dict(REFERENCE_CELLS)
+        cells[Treatment.PARTIAL] = cells.pop(Treatment.BROAD)
+        fit = nls_kappa(dataset_from_cell_means(cells), broad_label=Treatment.PARTIAL)
+        assert (fit.broad, fit.narrow, fit.mid) == (Treatment.PARTIAL, Treatment.LOW, Treatment.NARROW)
+        markdown, csv = render_kappa_markdown(fit), render_kappa_csv(fit)
+        assert "| PARTIAL mean S1 |" in markdown and "- anchors: broad=PARTIAL, narrow=LOW, mid=NARROW" in markdown
+        assert "\nPARTIAL mean S1," in csv
+        assert "BROAD" not in markdown + csv
 
     def test_matches_profile_oracle(self):
         data = dataset_from_cell_means(REFERENCE_CELLS)

@@ -428,6 +428,15 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             Dataset((record, record))
 
+    def test_repeated_scenario_rejected(self):
+        record = simulate_subject(
+            subject_stream(0, 0), Agent(QL, Broad()), Treatment.BROAD, Covariates(True, 30, 5),
+            subject_id="X-0000",
+        )
+        repeat = SubjectRecord("X-0000", Treatment.BROAD, record.outcomes + record.outcomes[:1], record.covariates)
+        with pytest.raises(ValueError, match="^subject X-0000 repeats scenario S1$"):
+            Dataset((repeat,))
+
 
 class TestCsvRoundTrip:
     def test_round_trip_equality(self, tmp_path):
@@ -583,6 +592,21 @@ class TestMalformedCsv:
         ]
         assert canonical == ["treatment", "gender", "age", "tediousness", "changes-treatment", "changes-covariates"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([f"C,LOW,{S1_SWITCH},male,30,5"] * 3, "subject C repeats scenario S1"),
+            ([VALID_ROWS[3]], "subject B repeats scenario S2"),
+        ],
+        ids=["three-rows-of-S1", "adjacent-S2-row"],
+    )
+    def test_subject_repeating_a_scenario(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([HEADER] + VALID_ROWS + rows) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == message
+
     def test_non_adjacent_duplicate_subject(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([HEADER] + VALID_ROWS + [VALID_ROWS[0]]) + "\n")
@@ -675,18 +699,21 @@ class TestOutcomeTable:
         code = int(text[33:2:-2], 2)  # c16 first
         twin = _OutcomeTable.derived(np.array([scenario]), np.array([code])).texts()[0]
         assert _canonical_entry(text) is None and twin != text
+        other = _OutcomeTable.derived(np.array([1 - scenario]), np.array([0])).texts()[0]  # censored
         rows = [
             f"A,BROAD,{text},male,30,5",
-            f"A,BROAD,{S2_CENSORED},male,30,5",
+            f"A,BROAD,{other},male,30,5",
             f"B,LOW,{twin},female,41,7",
-            f"B,LOW,{text},female,41,7",
+            f"B,LOW,{other},female,41,7",
+            f"C,LOW,{text},female,41,7",
+            f"C,LOW,{other},female,41,7",
         ]
         path = tmp_path / "data.csv"
         path.write_text("\n".join([HEADER] + rows) + "\n")
         parsed = [_parse_row(no, row.split(",")) for no, row in enumerate(rows, 2)]
         expected = Dataset([
             SubjectRecord(sid, treatment, tuple(p[2] for p in parsed[k : k + 2]), person)
-            for k, (sid, treatment, _, person) in zip((0, 2), parsed[::2])
+            for k, (sid, treatment, _, person) in zip(range(0, len(rows), 2), parsed[::2])
         ])
         data = read_csv(str(path))
         assert data == expected
@@ -799,7 +826,10 @@ def record_tuples(draw):
     shared_people = [Covariates(*p) for p in people]
     records = []
     for j in range(draw(st.integers(0, 6))):
-        uses = draw(st.lists(st.tuples(st.integers(0, len(outcomes) - 1), st.booleans()), min_size=1, max_size=2))
+        uses = draw(st.lists(
+            st.tuples(st.integers(0, len(outcomes) - 1), st.booleans()),
+            min_size=1, max_size=2, unique_by=lambda use: outcomes[use[0]][0],  # no subject repeats a scenario
+        ))
         k, share = draw(st.tuples(st.integers(0, len(people) - 1), st.booleans()))
         records.append(SubjectRecord(
             f"S-{j}",
@@ -869,6 +899,53 @@ class TestColumnStorage:
         data = simulate_dataset(spec)
         built = Dataset(data.records)
         self.assert_agree(data, built, tmp_path_factory.mktemp("columns"))
+
+    def test_equality_and_hash_build_no_objects(self, tmp_path, monkeypatch):
+        data = simulate_dataset(small_spec(tremble=0.3))
+        write_csv(data, str(tmp_path / "data.csv"))
+        first, second = (read_csv(str(tmp_path / "data.csv")) for _ in range(2))
+        built = []
+        for cls in (SubjectRecord, ScenarioOutcome):
+            validate = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, validate=validate: built.append(self) or validate(self))
+        assert first == second == data
+        assert hash(first) == hash(second) == hash(data)
+        assert built == []
+
+    def test_equal_datasets_with_reordered_outcome_tables(self):
+        data = simulate_dataset(small_spec(tremble=0.3))
+        built = Dataset(data.records[::-1])
+        again = Dataset(built.records[::-1])
+        # the same distinct outcomes: sorted by code, then first used walking backward and forward
+        assert sorted(data._table.entries()) == sorted(again._table.entries())
+        assert list(data._table.entries()) != list(again._table.entries())
+        assert data == again and hash(data) == hash(again)
+        assert data != built
+
+    @pytest.mark.parametrize(
+        "change",
+        ["subject_id", "treatment", "covariates", "code", "consistent", "res_wage", "split", None],
+    )
+    def test_equality_compares_every_field(self, change):
+        def outcome(scenario, first_row, res_wage=None, consistent=True):
+            choices = (False,) * first_row + (True,) * (16 - first_row)
+            return ScenarioOutcome(scenario, choices, res_wage or 0.25 * (first_row + 1), False, consistent)
+
+        def records(change=None):
+            a1 = outcome(Scenario.S1, 10 + (change == "code"), 2.7500000005 if change == "res_wage" else None)
+            a2 = outcome(Scenario.S2, 4, consistent=change != "consistent")
+            b1 = outcome(Scenario.S1, 6)
+            person = Covariates(True, 30 + (change == "covariates"), 5)
+            treatment = Treatment.LOW if change == "treatment" else Treatment.BROAD
+            a_id = "Z" if change == "subject_id" else "A"
+            if change == "split":  # the same rows, cut into subjects differently
+                return (SubjectRecord(a_id, treatment, (a1,), person), SubjectRecord("B", treatment, (a2, b1), person))
+            return (SubjectRecord(a_id, treatment, (a1, a2), person), SubjectRecord("B", treatment, (b1,), person))
+
+        base, changed = records(), records(change)
+        assert (Dataset(base) == Dataset(changed)) == (base == changed) == (change is None)
+        if change is None:
+            assert hash(Dataset(base)) == hash(Dataset(changed))
 
     def test_columns_cannot_be_reassigned(self):
         data = simulate_dataset(small_spec())

@@ -1,5 +1,7 @@
-"""The package's import graph, and no unused imports in the tree."""
+"""The package's import graph, the names the benchmark traces, and no unused imports in the tree."""
 import ast
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,16 @@ def test_package_import_leaves_out_scipy_optimize_and_stats():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_benchmark_traced_names_exist():
+    # bench/tracer.py looks each (module, function) up by name when tracing starts
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, name) for module, name, *_ in tracer._TARGETS]
+    missing = [f"{m}.{n}" for m, n in targets if not hasattr(importlib.import_module(f"bracketlab.{m}"), n)]
+    assert targets and missing == []
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -13,7 +13,6 @@ from bracketlab.preferences import (
     NonMonotoneModel,
     QuasiLinearPowerCost,
     ZERO_BUNDLE,
-    _stack_columns,
     certainty_equivalent,
     expected_utility,
     money_metric,
@@ -101,12 +100,31 @@ class TestUtility:
 
     def test_stacked_models_evaluate_elementwise(self):
         members = [QuasiLinearPowerCost(0.004, 2.0), QuasiLinearPowerCost(0.002, 1.7)]
-        stacked = _stack_columns(QuasiLinearPowerCost, alpha=np.array([0.004, 0.002]), gamma=np.array([2.0, 1.7]))
+        stacked = QuasiLinearPowerCost(alpha=np.array([0.004, 0.002]), gamma=np.array([2.0, 1.7]))
         money = np.array([1.0, 2.0])
         expected = [members[0].value(30, 1.0), members[1].value(30, 2.0)]
         np.testing.assert_allclose(stacked.value(30, money), expected, rtol=1e-15)
-        # at_tasks uses the members' own pow: equal bits
-        assert stacked.at_tasks(30)(money).tolist() == expected
+        # numpy's pow on the stack may miss the scalar pow by an ulp
+        np.testing.assert_allclose(stacked.at_tasks(30)(money), expected, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "model_type,params,message",
+        [
+            (QuasiLinearPowerCost, {"alpha": [0.004, 0.0], "gamma": 2.0}, "alpha must be positive"),
+            (QuasiLinearPowerCost, {"alpha": 0.004, "gamma": [2.0, 0.9]}, "gamma must be at least 1"),
+            (CaraMoneyPowerCost, {"rho": [0.01, 0.0], "alpha": 0.004, "gamma": 2.0}, "rho must be nonzero"),
+            (CaraMoneyPowerCost, {"rho": 0.01, "alpha": [0.0, -1e-3], "gamma": 2.0}, "alpha must be nonnegative"),
+            (CaraMoneyPowerCost, {"rho": 0.01, "alpha": 0.004, "gamma": [1.0, 0.5]}, "gamma must be at least 1"),
+            (LinearMetric, {"lambda_tasks": -0.1, "lambda_money": [1.0, -1.0]}, "lambda_money must be positive"),
+            (CrraMoney, {"eta": [2.0, 1.0]}, "eta must be positive and different from 1"),
+            (CrraMoney, {"eta": [0.5, -0.5]}, "eta must be positive and different from 1"),
+        ],
+    )
+    def test_stack_constructor_checks_every_member(self, model_type, params, message):
+        with pytest.raises(ValueError, match=message):
+            model_type(**{name: np.asarray(value) for name, value in params.items()})
+        valid = {name: np.atleast_1d(value)[:1] for name, value in params.items()}
+        assert model_type(**valid).value(0, np.zeros(1)).shape == (1,)
 
 
 class TestMoneyMetric:
