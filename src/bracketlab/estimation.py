@@ -4,8 +4,8 @@ Covers the full pipeline run on elicited reservation wages: cell
 summaries, tie-corrected rank-sum tests with an exact-permutation
 oracle, the nonlinear least-squares estimator of the bracketing weight
 kappa with a profile-grid oracle, a right-censored Tobit by Newton's
-method with analytic standard errors, two-sample power calculations,
-and a plain least-squares convenience.
+method with analytic standard errors, and two-sample power
+calculations.
 Censored observations carry the 4.25 code everywhere, matching how the
 summary tables treat the upper bound.
 """
@@ -552,14 +552,21 @@ def power_two_sample(
 
     ratio is n_large / n_small >= 1. With wilcoxon_are the required
     size is inflated by pi/3, the worst-case relative efficiency of the
-    rank-sum test against the t test.
+    rank-sum test against the t test. Inputs whose required size is
+    not a finite number, such as a d so small that d**2 is 0, raise
+    InvalidParams.
     """
-    if not (d > 0 and 0 < alpha < 1 and 0.5 < power < 1 and ratio >= 1):
-        raise InvalidParams("need d > 0, alpha in (0,1), power in (0.5,1), ratio >= 1")
+    if not (0 < d < math.inf and 0 < alpha < 1 and 0.5 < power < 1 and 1 <= ratio < math.inf):
+        raise InvalidParams("need finite d > 0, alpha in (0,1), power in (0.5,1), finite ratio >= 1")
     z = float(ndtri(1 - alpha / 2.0) + ndtri(power))
-    raw = (1.0 + 1.0 / ratio) * z**2 / d**2
+    try:
+        raw = (1.0 + 1.0 / ratio) * z**2 / d**2
+    except (OverflowError, ZeroDivisionError):  # d**2 leaves the float range
+        raw = 0.0 if d > 1 else math.inf
     if wilcoxon_are:
         raw *= math.pi / 3.0
+    if not math.isfinite(ratio * raw):
+        raise InvalidParams(f"the required sample size is not finite (d={d}, alpha={alpha}, ratio={ratio})")
     n_small = max(1, math.ceil(raw))
     n_large = max(1, math.ceil(ratio * raw))
     return n_large, n_small

@@ -84,13 +84,12 @@ class ScenarioOutcome:
     consistent: bool
 
     def __post_init__(self) -> None:
-        if len(self.choices) != N_ROWS:
-            raise ValueError(f"expected {N_ROWS} choices, got {len(self.choices)}")
-        if self.consistent and any(self.choices[i] and not self.choices[i + 1] for i in range(N_ROWS - 1)):
-            raise ValueError("consistent record with non-monotone choices")
+        consistent, expected = classify_consistency(self.choices)
+        if self.consistent != consistent:
+            claim = "consistent record with non-monotone" if self.consistent else "inconsistent record with monotone"
+            raise ValueError(f"{claim} choices")
         # every row, consistent or not, records its smallest accepted wage
-        expected = _switch_wage(self.choices)
-        if not abs(self.res_wage - expected) <= 1e-9:
+        if self.res_wage != expected:
             raise ValueError(f"res_wage {self.res_wage} does not match switch point {expected}")
         if self.censored != (not any(self.choices)):
             raise ValueError("censored flag contradicts the choice rows")
@@ -115,13 +114,9 @@ _SCENARIOS = tuple(Scenario)
 _ROW_INDEX = np.arange(N_ROWS)
 _ROW_BITS = 1 << _ROW_INDEX
 _ROW_SCENARIO = np.arange(len(Scenario))  # the scenario code of each column of a block's accept codes
-_RECORDED_WAGES = price_list().extra_wages + (CENSOR_CODE,)
+_ROW_WAGES = np.array(price_list().extra_wages + (CENSOR_CODE,))
 """The recorded wage when row i is the first accepted one; row N_ROWS means none is."""
-
-
-def _switch_wage(choices: Sequence[bool]) -> float:
-    """The smallest accepted wage, or the censor code when every row rejects."""
-    return _RECORDED_WAGES[choices.index(True) if True in choices else N_ROWS]
+_CODE_MASK = (1 << N_ROWS) - 1  # a row key's accept code; the bits above it hold the scenario code
 
 
 def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
@@ -134,7 +129,7 @@ def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
     if len(choices) != N_ROWS:
         raise ValueError(f"expected {N_ROWS} choices, got {len(choices)}")
     consistent = not any(choices[i] and not choices[i + 1] for i in range(N_ROWS - 1))
-    return consistent, _switch_wage(choices)
+    return consistent, float(_ROW_WAGES[choices.index(True) if True in choices else N_ROWS])
 
 
 def _code_fields() -> tuple[np.ndarray, np.ndarray]:
@@ -157,63 +152,31 @@ def _code_fields() -> tuple[np.ndarray, np.ndarray]:
 _CODE_FIRST_ROW, _CODE_CONSISTENT = _code_fields()
 
 
-def _entry(outcome: ScenarioOutcome) -> tuple[int, int, float, bool]:
-    """The outcome-table entry of a ScenarioOutcome: its wage and flag as carried, not derived."""
+def _key(outcome: ScenarioOutcome) -> int:
+    """The row key of an outcome: its scenario code above its accept code."""
     code = sum(1 << i for i, accepted in enumerate(outcome.choices) if accepted)
-    return _SCENARIO_CODE[outcome.scenario], code, outcome.res_wage, outcome.consistent
+    return _SCENARIO_CODE[outcome.scenario] << N_ROWS | code
 
 
-def _outcome_text(scenario: int, code: int, res_wage: float, consistent: bool) -> str:
-    """The scenario, c01..c16, res_wage, censored and consistent cells of one outcome-table entry."""
+def _outcomes(keys: np.ndarray) -> list[ScenarioOutcome]:
+    """One ScenarioOutcome per row key."""
+    codes = keys & _CODE_MASK
+    flags = (codes[:, None] & _ROW_BITS) != 0
+    wages = _ROW_WAGES[_CODE_FIRST_ROW[codes]]
+    columns = (flags.tolist(), wages.tolist(), (codes == 0).tolist(), _CODE_CONSISTENT[codes].tolist())
+    return [
+        ScenarioOutcome(_SCENARIOS[s], tuple(f), wage, censored, consistent)
+        for s, f, wage, censored, consistent in zip((keys >> N_ROWS).tolist(), *columns)
+    ]
+
+
+def _outcome_text(key: int) -> str:
+    """The scenario, c01..c16, res_wage, censored and consistent cells of a row key."""
+    code = key & _CODE_MASK
     choices = ",".join(format(code, "016b")[::-1])  # c01 is bit 0
-    censored = "0" if code else "1"
-    return f"{_SCENARIOS[scenario].value},{choices},{res_wage:.2f},{censored},{'1' if consistent else '0'}"
-
-
-@dataclass(frozen=True, eq=False)
-class _OutcomeTable:
-    """A dataset's distinct outcomes as columns, one entry per index.
-
-    scenario is an int8 index into tuple(Scenario), code a uint16 whose
-    bit i is set iff row i is accepted, then the recorded wage and the
-    consistency flag. censored is code == 0 for every entry. For entries
-    derived from (scenario, code) the wage and the flag are the code's
-    (_code_fields); entries parsed from a row that is not canonical or
-    taken from ScenarioOutcome objects keep the wage and flag they carry.
-    """
-
-    scenario: np.ndarray
-    code: np.ndarray
-    res_wage: np.ndarray
-    consistent: np.ndarray
-
-    @classmethod
-    def derived(cls, scenario: np.ndarray, code: np.ndarray) -> _OutcomeTable:
-        """The entries of (scenario, code) pairs, with the wage and flag their codes give."""
-        wage = np.array(_RECORDED_WAGES)[_CODE_FIRST_ROW[code]]
-        return cls(scenario.astype(np.int8), code.astype(np.uint16), wage, _CODE_CONSISTENT[code])
-
-    @classmethod
-    def of(cls, entries: Sequence[tuple[int, int, float, bool]]) -> _OutcomeTable:
-        """A table from (scenario, code, res_wage, consistent) entries."""
-        columns = list(zip(*entries)) or [()] * 4
-        return cls(*(np.array(c, dtype) for c, dtype in zip(columns, (np.int8, np.uint16, np.float64, bool))))
-
-    def entries(self) -> Iterator[tuple[int, int, float, bool]]:
-        """(scenario, code, res_wage, consistent) per entry, as Python scalars."""
-        return zip(self.scenario.tolist(), self.code.tolist(), self.res_wage.tolist(), self.consistent.tolist())
-
-    def outcomes(self) -> list[ScenarioOutcome]:
-        """One ScenarioOutcome per entry."""
-        flags = (self.code[:, None] & _ROW_BITS) != 0
-        return [
-            ScenarioOutcome(_SCENARIOS[s], tuple(f.tolist()), wage, code == 0, consistent)
-            for f, (s, code, wage, consistent) in zip(flags, self.entries())
-        ]
-
-    def texts(self) -> list[str]:
-        """Each entry's outcome cells as write_csv renders them."""
-        return [_outcome_text(*entry) for entry in self.entries()]
+    wage = _ROW_WAGES[_CODE_FIRST_ROW[code]]
+    censored, consistent = "0" if code else "1", "1" if _CODE_CONSISTENT[code] else "0"
+    return f"{_SCENARIOS[key >> N_ROWS].value},{choices},{wage:.2f},{censored},{consistent}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,40 +204,40 @@ class Dataset:
     The columns are the subject ids, each subject's treatment code (an
     index into tuple(Treatment)) and Covariates object, each subject's
     row offsets (subject i owns scenario rows offsets[i]:offsets[i + 1]),
-    and one int32 index per scenario row into the dataset's outcome
-    table. That table holds one entry per distinct outcome as small
-    arrays: scenario code, 16-bit accept code, recorded wage and
-    consistency flag. read_csv and simulate_dataset fill the columns
-    directly and build no ScenarioOutcome or SubjectRecord;
-    Dataset(records) derives the columns from the records and keeps each
-    distinct outcome object once. records and observations are built
-    from the columns on first use and cached: records builds one
-    ScenarioOutcome per table entry, and every record shares the table's
-    outcome and covariate objects. Equality and hashing read the columns
-    and build neither. No subject repeats a scenario.
+    and one int32 row key per scenario row: the scenario code (an index
+    into tuple(Scenario)) above the 16-bit accept code, whose bit i is
+    set iff row i is accepted. Every other field of a row follows from
+    its key: censored is code 0, the row is consistent iff its accepted
+    rows form a suffix, and the recorded wage is the grid wage of the
+    first accepted row or the censor code. read_csv and simulate_dataset
+    fill the columns directly and build no ScenarioOutcome or
+    SubjectRecord; Dataset(records) derives the columns from the records,
+    keying each distinct outcome object once. records and observations
+    are built from the columns on first use and cached: records builds
+    one ScenarioOutcome per distinct key, and every record shares those
+    outcomes and the covariate objects. Equality and hashing read the
+    columns and build neither. No subject repeats a scenario.
     """
 
     def __init__(
         self, records: Sequence[SubjectRecord], seed: int | None = None, spec_digest: str | None = None
     ) -> None:
         records = tuple(records)
-        slots: dict[int, int] = {}
-        table: list[ScenarioOutcome] = []
-        rows = []
+        memo: dict[int, int] = {}
+        keys = []
         for record in records:
             for outcome in record.outcomes:
                 # keyed by identity: the records keep every keyed object alive
-                slot = slots.setdefault(id(outcome), len(table))
-                if slot == len(table):
-                    table.append(outcome)
-                rows.append(slot)
+                key = memo.get(id(outcome))
+                if key is None:
+                    key = memo[id(outcome)] = _key(outcome)
+                keys.append(key)
         self._fill(
             [r.subject_id for r in records],
             [_TREATMENT_CODE[r.treatment] for r in records],
             [r.covariates for r in records],
             np.cumsum([0] + [len(r.outcomes) for r in records]),
-            _OutcomeTable.of([_entry(o) for o in table]),
-            rows,
+            keys,
             seed,
             spec_digest,
         )
@@ -282,23 +245,21 @@ class Dataset:
 
     @classmethod
     def _from_columns(cls, *columns, seed: int | None = None, spec_digest: str | None = None) -> Dataset:
-        """A dataset from (subject_ids, treatment codes, covariates, offsets, outcome table, rows)."""
+        """A dataset from (subject_ids, treatment codes, covariates, offsets, row keys)."""
         dataset = cls.__new__(cls)
         dataset._fill(*columns, seed, spec_digest)
         return dataset
 
-    def _fill(self, subject_ids, treatment, covariates, offsets, table, rows, seed, spec_digest) -> None:
+    def _fill(self, subject_ids, treatment, covariates, offsets, keys, seed, spec_digest) -> None:
         if len(set(subject_ids)) != len(subject_ids):
             raise ValueError("subject_ids must be unique")
-        offsets, rows = np.asarray(offsets, np.intp), np.asarray(rows, np.int32)
+        offsets, keys = np.asarray(offsets, np.intp), np.asarray(keys, np.int32)
         subject = np.repeat(np.arange(len(subject_ids)), np.diff(offsets))
-        uses = np.bincount(subject * len(_SCENARIOS) + table.scenario[rows])
+        uses = np.bincount(subject * len(_SCENARIOS) + (keys >> N_ROWS))
         repeats = np.flatnonzero(uses > 1)
         if repeats.size:
             j, s = divmod(int(repeats[0]), len(_SCENARIOS))
             raise ValueError(f"subject {subject_ids[j]} repeats scenario {_SCENARIOS[s].value}")
-        for column in vars(table).values():
-            _read_only(column)
         self.__dict__.update(
             seed=seed,
             spec_digest=spec_digest,
@@ -306,8 +267,7 @@ class Dataset:
             _treatment=_read_only(np.asarray(treatment, np.int8)),
             _covariates=tuple(covariates),
             _offsets=_read_only(offsets),
-            _table=table,
-            _rows=_read_only(rows),
+            _keys=_read_only(keys),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -318,21 +278,13 @@ class Dataset:
         return len(self._subject_ids)
 
     def _value_key(self) -> tuple:
-        """What equality compares: the subject columns, then each row's outcome fields.
-
-        The row fields are gathered from the outcome table, so the order
-        of its entries does not matter; censored is code == 0. Comparing
-        wages by their bytes is float equality, as every wage a row can
-        hold is positive and not NaN.
-        """
-        table, rows = self._table, self._rows
-        outcomes = (table.scenario[rows], table.code[rows], table.res_wage[rows], table.consistent[rows])
+        """What equality compares: the subject columns, then the row keys, which fix every outcome field."""
         return (
             self._subject_ids,
             self._covariates,
             self._treatment.tobytes(),
             self._offsets.tobytes(),
-            *(column.tobytes() for column in outcomes),
+            self._keys.tobytes(),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -349,7 +301,8 @@ class Dataset:
     @functools.cached_property
     def records(self) -> tuple[SubjectRecord, ...]:
         """One SubjectRecord per subject, built from the columns on first use."""
-        outcomes = list(map(self._table.outcomes().__getitem__, self._rows.tolist()))
+        keys, slots = np.unique(self._keys, return_inverse=True)
+        outcomes = list(map(_outcomes(keys).__getitem__, slots.tolist()))
         offsets = self._offsets.tolist()
         arms = tuple(Treatment)
         return tuple(
@@ -361,15 +314,16 @@ class Dataset:
 
     @functools.cached_property
     def observations(self) -> Observations:
-        """Every scenario row as columns, gathered from the outcome table on first use.
+        """Every scenario row as columns, derived from the row keys on first use.
 
         The cache lives in the instance __dict__, outside equality and
         repr; the columns are read-only, so it never goes stale.
         """
-        table = self._table
+        codes = self._keys & _CODE_MASK
         treatment = np.repeat(self._treatment, np.diff(self._offsets))
-        gathered = [table.scenario[self._rows], table.res_wage[self._rows], table.consistent[self._rows]]
-        return Observations(*(_read_only(c) for c in [treatment] + gathered))
+        scenario = (self._keys >> N_ROWS).astype(np.int8)
+        columns = [treatment, scenario, _ROW_WAGES[_CODE_FIRST_ROW[codes]], _CODE_CONSISTENT[codes]]
+        return Observations(*map(_read_only, columns))
 
 
 @dataclass(frozen=True)
@@ -422,6 +376,8 @@ class PopulationSpec:
     framing_shift: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for t, n in self.counts.items():
             if not isinstance(t, Treatment):
                 raise ValueError(f"counts key {t!r} is not a Treatment")
@@ -483,8 +439,8 @@ def simulate_subject(
         wages = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, cells)
     except NoIndifference as exc:
         raise NoIndifference(f"{exc}, subject {subject_id}", exc.index, exc.spec) from None
-    table = _OutcomeTable.derived(_ROW_SCENARIO, _accept_codes(wages, uniforms, tremble)[0])
-    return SubjectRecord(subject_id, treatment, tuple(table.outcomes()), covariates)
+    outcomes = _outcomes(_accept_codes(wages, uniforms, tremble)[0] | _ROW_SCENARIO << N_ROWS)
+    return SubjectRecord(subject_id, treatment, tuple(outcomes), covariates)
 
 
 def subject_stream(seed: int, index: int) -> np.random.Generator:
@@ -704,13 +660,11 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
         subject_ids += [f"{treatment.value}-{j:04d}" for j in range(n)]
         people += population.covariates[:n]
         codes.append(_accept_codes(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble))
-    # each row's scenario code above its 16-bit accept code; np.unique makes the outcome table
-    keys, rows = np.unique(np.concatenate(codes) | _ROW_SCENARIO << N_ROWS, return_inverse=True)
-    table = _OutcomeTable.derived(keys >> N_ROWS, keys & (1 << N_ROWS) - 1)
+    keys = np.concatenate(codes) | _ROW_SCENARIO << N_ROWS
     treatment = np.repeat([_TREATMENT_CODE[t] for t, _ in arms], [n for _, n in arms])
     offsets = np.arange(0, 2 * len(subject_ids) + 1, 2)  # both scenarios of every subject
     return Dataset._from_columns(
-        subject_ids, treatment, people, offsets, table, rows.ravel(), seed=spec.seed, spec_digest=digest
+        subject_ids, treatment, people, offsets, keys.ravel(), seed=spec.seed, spec_digest=digest
     )
 
 
@@ -748,17 +702,18 @@ def _covariates_text(covariates: Covariates) -> str:
 def write_csv(dataset: Dataset, path: str) -> None:
     """One row per subject x scenario; money as two-decimal strings.
 
-    Rendered from the dataset's columns: each entry of its outcome table
-    and each distinct covariates object is rendered once per call.
-    Covariates are keyed by identity, not value, as outcomes are by
-    their table entry: equal values can print differently (30 and 30.0),
-    and the dataset keeps every keyed object alive for the whole call.
+    Rendered from the dataset's columns: each distinct row key and each
+    distinct covariates object is rendered once per call. Covariates are
+    keyed by identity, not value: equal values can print differently (30
+    and 30.0), and the dataset keeps every keyed object alive for the
+    whole call.
     Rows are written in chunks of _WRITE_CHUNK lines, so the text of the
     whole file is never held at once.
     """
     arms = [t.value for t in Treatment]
     # one reference per row, so iterating makes no int per row
-    row_texts = iter(np.array(dataset._table.texts(), dtype=object)[dataset._rows])
+    keys, slots = np.unique(dataset._keys, return_inverse=True)
+    row_texts = iter(np.array(list(map(_outcome_text, keys.tolist())), dtype=object)[slots])
     subjects = zip(
         dataset._subject_ids, dataset._treatment.tolist(), dataset._covariates, np.diff(dataset._offsets).tolist()
     )
@@ -813,12 +768,11 @@ def _parse_flag(cell: str) -> bool:
 _SCENARIO_TEXT = {s.value: i for i, s in enumerate(Scenario)}
 
 
-def _canonical_entry(outcome_text: str) -> tuple[int, int, float, bool] | None:
-    """The derived table entry whose canonical text outcome_text is, or None.
+def _canonical_key(outcome_text: str) -> int | None:
+    """The row key whose canonical text outcome_text is, or None.
 
     The 16 choice cells are read as a code, c16 first; the text is
-    canonical iff it equals the text write_csv renders for that
-    (scenario, code).
+    canonical iff it equals the text write_csv renders for that key.
     """
     scenario = _SCENARIO_TEXT.get(outcome_text[:2])
     try:
@@ -827,8 +781,8 @@ def _canonical_entry(outcome_text: str) -> tuple[int, int, float, bool] | None:
         return None
     if scenario is None or code < 0:  # int() accepts a sign
         return None
-    entry = (scenario, code, _RECORDED_WAGES[_CODE_FIRST_ROW[code]], bool(_CODE_CONSISTENT[code]))
-    return entry if _outcome_text(*entry) == outcome_text else None
+    key = scenario << N_ROWS | code
+    return key if _outcome_text(key) == outcome_text else None
 
 
 def read_csv(path: str) -> Dataset:
@@ -839,16 +793,16 @@ def read_csv(path: str) -> Dataset:
     Adjacent rows with one subject_id form one subject. A row is cut into
     its subject_id, its treatment cell, its outcome cells (scenario
     through consistent) and its covariate cells, and each distinct text
-    of a part is parsed once per call. Each distinct outcome text is one
-    entry of the outcome table. A new outcome text that is the canonical
-    text of its (scenario, accept code), as write_csv renders it, is
-    that code's derived entry; any other new text goes through the
-    validating _parse_row whole, and its entry keeps the parsed wage and
-    consistency flag. A row with a canonical or seen outcome text has 20
-    outcome cells, so it has exactly the validated field count, and
-    parses only its unseen treatment or covariate cells, in _parse_row's
-    order. Equal covariate texts are one Covariates object. No
-    ScenarioOutcome or SubjectRecord is built for a canonical file.
+    of a part is parsed once per call. Each distinct outcome text maps
+    to a row key. A new outcome text that is the canonical text of a
+    key, as write_csv renders it, is that key; any other new text goes
+    through the validating _parse_row whole, which rejects a wage or
+    flag that its choices contradict, and takes the key of the parsed
+    outcome. A row with a canonical or seen outcome text has 20 outcome
+    cells, so it has exactly the validated field count, and parses only
+    its unseen treatment or covariate cells, in _parse_row's order.
+    Equal covariate texts are one Covariates object. No ScenarioOutcome
+    or SubjectRecord is built for a canonical file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -863,10 +817,9 @@ def read_csv(path: str) -> Dataset:
         raise DataFormatError(f"line {header_no}: bad header, expected {','.join(CSV_COLUMNS)}")
 
     arm_codes: dict[str, int] = {}
-    slots: dict[str, int] = {}
-    table: list[tuple[int, int, float, bool]] = []
+    row_keys: dict[str, int] = {}
     people: dict[str, Covariates] = {}
-    subject_ids, arms, covariates, offsets, rows = [], [], [], [], []
+    subject_ids, arms, covariates, offsets, keys = [], [], [], [], []
     sid, arm, person = None, None, None
     for line_no, line in enumerate(lines[header_no:], header_no + 1):
         if not line:
@@ -876,17 +829,16 @@ def read_csv(path: str) -> Dataset:
         outcome_text = rest.rsplit(",", 3)[0]
         covariates_text = rest[len(outcome_text) + 1 :]
         row_arm = arm_codes.get(treatment_text)
-        slot = slots.get(outcome_text)
+        key = row_keys.get(outcome_text)
         row_person = people.get(covariates_text)
-        if slot is None:
-            entry = _canonical_entry(outcome_text)
-            if entry is None:
+        if key is None:
+            key = _canonical_key(outcome_text)
+            if key is None:
                 row_sid, treatment, outcome, row_person = _parse_row(line_no, line.split(","))
                 row_arm = arm_codes.setdefault(treatment_text, _TREATMENT_CODE[treatment])
                 row_person = people.setdefault(covariates_text, row_person)
-                entry = _entry(outcome)
-            slot = slots[outcome_text] = len(table)
-            table.append(entry)
+                key = _key(outcome)
+            row_keys[outcome_text] = key
         if row_arm is None or row_person is None:
             # the outcome text has 20 cells, so the row has all 25 fields;
             # the cells are checked in _parse_row's order
@@ -902,12 +854,12 @@ def read_csv(path: str) -> Dataset:
             subject_ids.append(sid)
             arms.append(arm)
             covariates.append(person)
-            offsets.append(len(rows))
+            offsets.append(len(keys))
         elif row_arm != arm or (row_person is not person and row_person != person):
             raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
-        rows.append(slot)
-    offsets.append(len(rows))
+        keys.append(key)
+    offsets.append(len(keys))
     try:
-        return Dataset._from_columns(subject_ids, arms, covariates, offsets, _OutcomeTable.of(table), rows)
+        return Dataset._from_columns(subject_ids, arms, covariates, offsets, keys)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc

@@ -13,6 +13,9 @@ parameter arrays: a model built with array parameters, such as
 ``QuasiLinearPowerCost(alpha=alphas, gamma=gammas)``, is a stack whose
 member i has the i-th entry of every parameter, and its constructor
 checks every member. The simulator runs its root finding on such stacks.
+Only scalar models are hashable and comparable: the models are frozen
+dataclasses, so hashing a stack raises TypeError, and == between stacks
+of two or more members raises ValueError.
 """
 from __future__ import annotations
 
@@ -142,7 +145,8 @@ class UtilityModel:
     """Base for the model variants; subclasses implement ``value``.
 
     ``value`` must broadcast over a money array and over parameter
-    arrays (a stack, see the module docstring).
+    arrays (a stack, see the module docstring). Only a model with scalar
+    parameters is hashable and comparable by value.
     """
 
     def value(self, tasks: float, money: float) -> float:

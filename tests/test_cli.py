@@ -322,6 +322,61 @@ def test_power_missing_d_is_usage_error():
     assert exc.value.code == 2
 
 
+# -------------------------------------------------------------- contract
+
+
+def _golden_data_with_line_2(tmp_path, old, new):
+    lines = Path(GOLDEN_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert old in lines[1]
+    lines[1] = lines[1].replace(old, new, 1)
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return ["estimate", "means", "--data", str(path), "--out", str(tmp_path)]
+
+
+def _golden_config_with_seed(tmp_path, seed):
+    path = tmp_path / "run.ini"
+    path.write_text(Path(GOLDEN_INI).read_text(encoding="utf-8").replace("seed = 321", f"seed = {seed}"))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+
+
+NOT_FINITE = "usage error: need finite d > 0, alpha in (0,1), power in (0.5,1), finite ratio >= 1"
+BAD_INVOCATIONS = {
+    "power-ratio-inf": (lambda tmp: ["power", "--d", "0.5", "--ratio", "inf"], 2, NOT_FINITE),
+    "power-d-inf": (lambda tmp: ["power", "--d", "inf"], 2, NOT_FINITE),
+    "power-d-squared-underflows": (
+        lambda tmp: ["power", "--d", "1e-200"], 2,
+        "usage error: the required sample size is not finite (d=1e-200, alpha=0.05, ratio=1.0)",
+    ),
+    "power-size-overflows": (
+        lambda tmp: ["power", "--d", "1e-160"], 2,
+        "usage error: the required sample size is not finite (d=1e-160, alpha=0.05, ratio=1.0)",
+    ),
+    "negative-seed-flag": (
+        lambda tmp: ["simulate", "--config", GOLDEN_INI, "--out", str(tmp / "x.csv"), "--seed", "-1"], 2,
+        "config error: seed must be nonnegative, got -1",
+    ),
+    "negative-seed-key": (
+        lambda tmp: _golden_config_with_seed(tmp, -1), 2, "config error: seed must be nonnegative, got -1",
+    ),
+    "monotone-row-flagged-inconsistent": (
+        lambda tmp: _golden_data_with_line_2(tmp, ",3.25,0,1,", ",3.25,0,0,"), 1,
+        "error: line 2: inconsistent record with monotone choices",
+    ),
+    "wage-off-the-grid": (
+        lambda tmp: _golden_data_with_line_2(tmp, ",3.25,0,1,", ",3.2500000005,0,1,"), 1,
+        "error: line 2: res_wage 3.2500000005 does not match switch point 3.25",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS)
+def test_bad_invocation_is_one_stderr_line_and_its_exit_code(tmp_path, capsys, argv, code, line):
+    assert main(argv(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -25,9 +25,10 @@ from bracketlab.experiment import (
     simulate_subject,
     subject_stream,
     write_csv,
-    _OutcomeTable,
-    _canonical_entry,
+    _canonical_key,
     _draw_subject,
+    _outcome_text,
+    _outcomes,
     _parse_row,
     _stream_states,
 )
@@ -412,9 +413,14 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             ScenarioOutcome(Scenario.S1, (True, False) + (True,) * 14, 0.25, False, True)
 
+    def test_inconsistent_requires_non_monotone_choices(self):
+        with pytest.raises(ValueError, match="^inconsistent record with monotone choices$"):
+            ScenarioOutcome(Scenario.S1, (False,) * 8 + (True,) * 8, 2.25, False, False)
+
     def test_consistent_requires_matching_wage(self):
-        with pytest.raises(ValueError):
-            ScenarioOutcome(Scenario.S1, (False,) * 8 + (True,) * 8, 2.5, False, True)
+        for wage in (2.5, 2.25 + 1e-12):  # the switch wage is 2.25, exactly
+            with pytest.raises(ValueError, match="does not match switch point 2.25"):
+                ScenarioOutcome(Scenario.S1, (False,) * 8 + (True,) * 8, wage, False, True)
 
     def test_censor_flag_must_match(self):
         with pytest.raises(ValueError):
@@ -545,6 +551,11 @@ BAD_ROWS = [
         "res_wage nan does not match switch point 2.75",
     ),
     (
+        f"C,BROAD,{_cells(S1_SWITCH, 17, '2.7500000005')},male,30,5",
+        "res_wage 2.7500000005 does not match switch point 2.75",
+    ),
+    (f"C,BROAD,{_cells(S1_SWITCH, 19, '0')},male,30,5", "inconsistent record with monotone choices"),
+    (
         f"C,BROAD,{_cells(_cells(S1_NON_MONOTONE, 17, '9.99'), 18, '1')},male,30,5",
         "res_wage 9.99 does not match switch point 0.25",
     ),
@@ -557,8 +568,8 @@ BAD_ROWS = [
 ]
 BAD_ROW_IDS = [
     "24-fields", "26-fields", "choice-flag", "scenario", "signed-choices", "treatment", "gender", "age",
-    "tediousness", "switch-point", "nan-wage", "inconsistent-wage", "inconsistent-censored",
-    "changes-treatment", "changes-covariates",
+    "tediousness", "switch-point", "nan-wage", "wage-off-grid", "monotone-flagged-inconsistent",
+    "inconsistent-wage", "inconsistent-censored", "changes-treatment", "changes-covariates",
 ]
 
 
@@ -588,7 +599,7 @@ class TestMalformedCsv:
     def test_which_bad_rows_have_a_canonical_outcome_text(self):
         canonical = [
             name for name, (row, _) in zip(BAD_ROW_IDS, BAD_ROWS)
-            if _canonical_entry(row.split(",", 2)[2].rsplit(",", 3)[0]) is not None
+            if _canonical_key(row.split(",", 2)[2].rsplit(",", 3)[0]) is not None
         ]
         assert canonical == ["treatment", "gender", "age", "tediousness", "changes-treatment", "changes-covariates"]
 
@@ -660,70 +671,62 @@ class TestMalformedCsv:
         again = read_csv(str(path))
         assert built == []  # a canonical file builds no outcome object
         again.records
-        assert len(built) == len(outcome_texts)  # one per table entry
+        assert len(built) == len(outcome_texts)  # one per row key
         again.records
         assert len(built) == len(outcome_texts)
 
 
-# valid rows whose outcome text is not the canonical text of its (scenario, accept code)
-NON_CANONICAL = {
-    "monotone-flagged-inconsistent": "S1," + ",".join("0" * 10 + "1" * 6) + ",2.75,0,0",
-    "wage-spelled-1.0": "S2," + ",".join("0" * 3 + "1" * 13) + ",1.0,0,1",
-    "wage-off-grid": "S1," + ",".join("0" * 10 + "1" * 6) + ",2.7500000005,0,1",
-}
-
-
-class TestOutcomeTable:
-    """Outcome fields derived from (scenario, accept code) against the per-choice definitions."""
+class TestRowKeys:
+    """Outcome fields derived from a row key against the per-choice definitions."""
 
     def test_every_code_derives_as_classify_consistency(self):
         codes = np.arange(1 << 16)
         flags = [tuple(bool(code >> i & 1) for i in range(16)) for code in range(1 << 16)]
         consistent, wages = zip(*map(classify_consistency, flags))
+        person = Covariates(True, 30, 5)
         for s, scenario in enumerate(Scenario):
-            table = _OutcomeTable.derived(np.full(codes.size, s), codes)
-            assert table.consistent.tolist() == list(consistent)
-            assert table.res_wage.tolist() == list(wages)
-            outcomes = table.outcomes()
+            keys = codes | s << 16
+            n = codes.size  # one subject per key
+            columns = ([f"X-{j}" for j in range(n)], np.zeros(n), [person] * n, np.arange(n + 1), keys)
+            obs = Dataset._from_columns(*columns).observations
+            assert obs.consistent.tolist() == list(consistent)
+            assert obs.res_wage.tolist() == list(wages)
+            assert set(obs.scenario.tolist()) == {s}
+            outcomes = _outcomes(keys)
             assert [o.choices for o in outcomes] == flags
             assert [o.censored for o in outcomes] == [not any(f) for f in flags]
+            assert [o.consistent for o in outcomes] == list(consistent)
+            assert [o.res_wage for o in outcomes] == list(wages)
             assert {o.scenario for o in outcomes} == {scenario}
-            texts = table.texts()
+            texts = [_outcome_text(key) for key in keys.tolist()]
             parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"])[2] for text in texts]
             assert parsed == outcomes
-            assert [_canonical_entry(text) for text in texts] == list(table.entries())
+            assert [_canonical_key(text) for text in texts] == keys.tolist()
 
-    @pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL)
-    def test_non_canonical_row_keeps_its_parsed_fields(self, tmp_path, text):
-        scenario = [s.value for s in Scenario].index(text[:2])
-        code = int(text[33:2:-2], 2)  # c16 first
-        twin = _OutcomeTable.derived(np.array([scenario]), np.array([code])).texts()[0]
-        assert _canonical_entry(text) is None and twin != text
-        other = _OutcomeTable.derived(np.array([1 - scenario]), np.array([0])).texts()[0]  # censored
+    @pytest.mark.parametrize("wage", ["1.0", "1.000", "1"])
+    def test_other_wage_spelling_reads_as_its_canonical_twin(self, tmp_path, wage):
+        twin = "S2," + ",".join("0" * 3 + "1" * 13) + ",1.00,0,1"
+        text = twin.replace(",1.00,", f",{wage},")
+        assert _canonical_key(text) is None and _canonical_key(twin) is not None
+        other = "S1," + ",".join("0" * 16) + ",4.25,1,1"  # censored
+        # the text is met new, then its twin, then the text again
         rows = [
             f"A,BROAD,{text},male,30,5",
             f"A,BROAD,{other},male,30,5",
             f"B,LOW,{twin},female,41,7",
-            f"B,LOW,{other},female,41,7",
             f"C,LOW,{text},female,41,7",
-            f"C,LOW,{other},female,41,7",
         ]
         path = tmp_path / "data.csv"
         path.write_text("\n".join([HEADER] + rows) + "\n")
-        parsed = [_parse_row(no, row.split(",")) for no, row in enumerate(rows, 2)]
-        expected = Dataset([
-            SubjectRecord(sid, treatment, tuple(p[2] for p in parsed[k : k + 2]), person)
-            for k, (sid, treatment, _, person) in zip(range(0, len(rows), 2), parsed[::2])
-        ])
+        canonical = tmp_path / "canonical.csv"
+        canonical.write_text("\n".join([HEADER] + [row.replace(text, twin) for row in rows]) + "\n")
         data = read_csv(str(path))
-        assert data == expected
-        assert data.records[0].outcomes[0].res_wage == float(text.split(",")[17])
-        assert data.records[0].outcomes[0].consistent == (text[-1] == "1")
-        for got, want in zip(vars(data.observations).values(), vars(expected.observations).values()):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        write_csv(data, str(tmp_path / "read.csv"))
-        write_csv(expected, str(tmp_path / "built.csv"))
-        assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "built.csv").read_bytes()
+        assert data == read_csv(str(canonical))
+        a, b, c = data.records
+        assert a.outcomes[0] is b.outcomes[0] is c.outcomes[0]
+        assert a.outcomes[0].res_wage == 1.0
+        write_csv(data, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == canonical.read_bytes()
 
 
 class TestByteOrderMark:
@@ -916,25 +919,22 @@ class TestColumnStorage:
         data = simulate_dataset(small_spec(tremble=0.3))
         built = Dataset(data.records[::-1])
         again = Dataset(built.records[::-1])
-        # the same distinct outcomes: sorted by code, then first used walking backward and forward
-        assert sorted(data._table.entries()) == sorted(again._table.entries())
-        assert list(data._table.entries()) != list(again._table.entries())
         assert data == again and hash(data) == hash(again)
         assert data != built
 
     @pytest.mark.parametrize(
         "change",
-        ["subject_id", "treatment", "covariates", "code", "consistent", "res_wage", "split", None],
+        ["subject_id", "treatment", "covariates", "code", "scenario", "split", None],
     )
     def test_equality_compares_every_field(self, change):
-        def outcome(scenario, first_row, res_wage=None, consistent=True):
+        def outcome(scenario, first_row):
             choices = (False,) * first_row + (True,) * (16 - first_row)
-            return ScenarioOutcome(scenario, choices, res_wage or 0.25 * (first_row + 1), False, consistent)
+            return ScenarioOutcome(scenario, choices, 0.25 * (first_row + 1), False, True)
 
         def records(change=None):
-            a1 = outcome(Scenario.S1, 10 + (change == "code"), 2.7500000005 if change == "res_wage" else None)
-            a2 = outcome(Scenario.S2, 4, consistent=change != "consistent")
-            b1 = outcome(Scenario.S1, 6)
+            a1 = outcome(Scenario.S1, 10 + (change == "code"))
+            a2 = outcome(Scenario.S2, 4)
+            b1 = outcome(Scenario.S2 if change == "scenario" else Scenario.S1, 6)
             person = Covariates(True, 30 + (change == "covariates"), 5)
             treatment = Treatment.LOW if change == "treatment" else Treatment.BROAD
             a_id = "Z" if change == "subject_id" else "A"
@@ -949,7 +949,7 @@ class TestColumnStorage:
 
     def test_columns_cannot_be_reassigned(self):
         data = simulate_dataset(small_spec())
-        for name in ("records", "seed", "_rows"):
+        for name in ("records", "seed", "_keys"):
             with pytest.raises(AttributeError):
                 setattr(data, name, ())
 

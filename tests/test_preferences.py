@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bracketlab.agents import Agent, Broad, Narrow
 from bracketlab.preferences import (
     Bundle,
     CaraMoneyPowerCost,
@@ -125,6 +126,24 @@ class TestUtility:
             model_type(**{name: np.asarray(value) for name, value in params.items()})
         valid = {name: np.atleast_1d(value)[:1] for name, value in params.items()}
         assert model_type(**valid).value(0, np.zeros(1)).shape == (1,)
+
+
+class TestHashing:
+    """Scalar models, and Agents holding them, are values; a stack is neither hashable nor comparable."""
+
+    def test_scalar_models_and_agents_hash_and_compare_by_value(self):
+        twin = QuasiLinearPowerCost(alpha=0.004, gamma=2.0)
+        assert twin is not QL and twin == QL and hash(twin) == hash(QL)
+        assert QL != QuasiLinearPowerCost(alpha=0.004, gamma=2.1)
+        assert Agent(twin, Broad()) == Agent(QL, Broad()) and hash(Agent(twin, Broad())) == hash(Agent(QL, Broad()))
+        assert Agent(QL, Broad()) != Agent(QL, Narrow())
+        assert len({CARA, CaraMoneyPowerCost(rho=1.0, alpha=0.0, gamma=1.0), QL, twin}) == 2
+
+    def test_hashing_a_stack_raises(self):
+        stack = QuasiLinearPowerCost(alpha=np.array([0.004, 0.002]), gamma=np.array([2.0, 1.7]))
+        for value in (stack, Agent(stack, Broad())):
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 class TestMoneyMetric:
