@@ -128,13 +128,12 @@ def evaluate_option(agent: Agent, presented: Bundle, endowment: Bundle) -> float
 _FRAMES = (Broad, Narrow, Partial)
 
 
-def _frame_weights(mode: BracketingMode) -> dict[type, float]:
-    """The pure frames a mode's wage is built from, with their weights."""
+def _frame_weights(mode: BracketingMode) -> tuple[float, ...]:
+    """A mode's weight on each pure frame, in _FRAMES order."""
     if isinstance(mode, ConvexKappa):
-        return {Broad: 1.0 - mode.kappa, Narrow: mode.kappa}
-    for frame in _FRAMES:
-        if isinstance(mode, frame):
-            return {frame: 1.0}
+        return 1.0 - mode.kappa, mode.kappa, 0.0
+    if isinstance(mode, _FRAMES):
+        return tuple(float(isinstance(mode, frame)) for frame in _FRAMES)
     raise ModeUnsupported(f"{type(mode).__name__} is not a pure frame")
 
 
@@ -205,16 +204,19 @@ def population_wages(
 
     model stacks the population's preferences (see preferences), or is
     one model every member shares; member j brackets with
-    modes[mode_index[j]], and every member has framing_shift. Each pure
-    frame of each cell poses one problem (see _frame_problem), and every
-    distinct problem is solved for every member that needs it by one
-    array bisection. A member needs a frame only at a nonzero weight, so
-    ConvexKappa(0) and ConvexKappa(1) never price the
-    frame they ignore (0 * inf would be NaN). A member's wage then adds
-    its frames in the order 0.0 + w_broad * r_broad + w_narrow * (r_narrow
-    + shift) + w_partial * r_partial, the shift entering only under BEFORE
-    or AFTER. A frame wage above the bracket is +inf, and so is the
-    member's wage when that frame's weight is positive.
+    modes[mode_index[j]], and every member has framing_shift. The wages
+    come from two matrices. weights (frame x member) holds each member's
+    weight on each pure frame (see _frame_weights). Each pure frame of
+    each cell poses one problem (see _frame_problem), and roots (distinct
+    problem x member) holds its wage wherever a member needs it, from one
+    array bisection over all of them, and NaN elsewhere. A member needs a
+    frame only at a nonzero weight, so ConvexKappa(0) and ConvexKappa(1)
+    never price the frame they ignore (0 * inf would be NaN). A member's
+    wage then adds its frames in the order 0.0 + w_broad * r_broad +
+    w_narrow * (r_narrow + shift) + w_partial * r_partial, a zero weight
+    adding 0.0 and the shift entering only under BEFORE or AFTER. A frame
+    wage above the bracket is +inf, and so is the member's wage when that
+    frame's weight is positive.
 
     Raises NoIndifference for the first cell, in the given order, with a
     member that has no switch and no wage above the bracket in some
@@ -222,50 +224,33 @@ def population_wages(
     with kappa outside [0, 1]); its index is the first such member and
     its spec the cell.
     """
-    weights: dict[type, np.ndarray] = {}
-    for m, mode in enumerate(modes):
-        for frame, w in _frame_weights(mode).items():
-            weights.setdefault(frame, np.zeros(len(mode_index)))[mode_index == m] = w
-    frames = [frame for frame in _FRAMES if frame in weights]
-
-    needed: dict[tuple[int, int, float], np.ndarray] = {}
-    for spec, n in cells:
-        for frame in frames:
-            mask = needed.setdefault(_frame_problem(frame, spec), np.zeros(len(mode_index), dtype=bool))
-            mask[:n] |= weights[frame][:n] != 0.0
-    if not needed:
-        return [np.zeros(n) for _, n in cells]
-    position, rows, problems = {}, [], []
-    start = 0
-    for problem, mask in needed.items():
-        users = np.flatnonzero(mask)
-        position[problem] = np.zeros(len(mask), dtype=np.intp)
-        position[problem][users] = np.arange(start, start + len(users))
-        start += len(users)
-        rows.append(users)
-        problems.append(np.full((len(users), 3), problem, dtype=float))
-    tasks_a, tasks_b, money_base = np.concatenate(problems).T
+    weights = np.array([_frame_weights(mode) for mode in modes]).reshape(-1, len(_FRAMES))[mode_index].T
+    problems: dict[tuple[int, int, float], int] = {}  # distinct problem -> row
+    slots = [[problems.setdefault(_frame_problem(f, spec), len(problems)) for f in _FRAMES] for spec, _ in cells]
+    needed = np.zeros((len(problems), len(mode_index)), dtype=bool)
+    for (_, n), slot in zip(cells, slots):
+        for f, row in enumerate(slot):  # one at a time: frames of a cell can share a row
+            needed[row, :n] |= weights[f, :n] != 0.0
+    rows, members = np.nonzero(needed)
+    tasks_a, tasks_b, money_base = np.array(list(problems), dtype=float).reshape(-1, 3)[rows].T
+    roots = np.full(needed.shape, np.nan)
     with np.errstate(invalid="ignore"):
-        roots = _bisect_wages(_members(model, np.concatenate(rows), len(mode_index)), tasks_a, tasks_b, money_base)
+        roots[needed] = _bisect_wages(_members(model, members, len(mode_index)), tasks_a, tasks_b, money_base)
 
     out = []
-    for spec, n in cells:
-        shifted = spec.treatment in (Treatment.BEFORE, Treatment.AFTER)
-        wages = np.zeros(n)
-        failed = np.zeros(n, dtype=bool)
-        for frame in frames:
-            users = np.flatnonzero(weights[frame][:n])
-            r = roots[position[_frame_problem(frame, spec)][users]]
-            # a wage above the bracket is censored only where it raises the
-            # combined wage: under a negative weight its sign flips
-            failed[users] |= np.isnan(r) | (np.isinf(r) & (weights[frame][users] < 0.0))
-            if frame is Narrow and shifted:
-                r = r + framing_shift
-            with np.errstate(invalid="ignore"):  # inf - inf, only where failed
-                wages[users] += weights[frame][users] * r
+    for (spec, n), slot in zip(cells, slots):
+        w, r = weights[:, :n], roots[slot, :n]  # r is a copy: cells share rows
+        if spec.treatment in (Treatment.BEFORE, Treatment.AFTER):
+            r[1] += framing_shift  # the Narrow row
+        used = w != 0.0
+        # a wage above the bracket is censored only where it raises the
+        # combined wage: under a negative weight its sign flips
+        failed = (used & (np.isnan(r) | (np.isinf(r) & (w < 0.0)))).any(axis=0)
         if failed.any():
             raise NoIndifference(_no_switch(spec), index=int(np.argmax(failed)), spec=spec)
-        out.append(wages)
+        with np.errstate(invalid="ignore"):  # 0 * inf, only where unused
+            t = np.where(used, w * r, 0.0)
+        out.append(0.0 + t[0] + t[1] + t[2])
     return out
 
 

@@ -340,6 +340,15 @@ def nls_kappa(
     with the four cell effects, on consistent observations (on all of
     them with drop_inconsistent=False). Starts at the saturated cell
     means with kappa = 0.5.
+
+    The estimand is the mixture share: under MixtureComposition the
+    recorded cell means obey the model. Under KappaComposition each
+    subject's continuous wage obeys it (quasi-linear preferences only:
+    under CARA the broad frame of LOW counts the endowed money), but
+    recording snaps wages to the grid and censors above it, a map that
+    is not linear, so the estimate is biased: at 3,000 subjects per arm,
+    seed 3 and no trembles it gives 0.632 at kappa 0.7, 0.235 at 0.3
+    and 1.547 at 1.4.
     """
     y, group, scen, means, counts = _kappa_arrays(
         dataset, broad_label, narrow_label, mid_label, drop_inconsistent

@@ -48,6 +48,7 @@ __all__ = [
     "simulate_subject",
     "simulate_dataset",
     "subject_stream",
+    "population_digest",
     "iter_observations",
     "write_csv",
     "read_csv",

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "ROOT_TOL",
     "Bundle",
     "ZERO_BUNDLE",
     "Lottery",

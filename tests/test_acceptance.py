@@ -106,20 +106,26 @@ def _pooled_wages(dataset):
 def test_acceptance_2_bracketing_recovery_loop(verdict):
     start = time.perf_counter()
     kappas = {1.0: [], 0.0: [], 0.7: []}
-    p_narrow_low, p_narrow_broad = [], []
+    wages = {1.0: [], 0.0: []}
     for seed in range(20):
         for share in kappas:
             ds = simulate_dataset(_recovery_spec(seed, share))
             kappas[share].append(nls_kappa(ds).kappa)
-            wages = _pooled_wages(ds)
-            if share == 1.0:
-                p_narrow_low.append(
-                    mwu_test(wages[Treatment.NARROW], wages[Treatment.LOW]).p
-                )
-            elif share == 0.0:
-                p_narrow_broad.append(
-                    mwu_test(wages[Treatment.NARROW], wages[Treatment.BROAD]).p
-                )
+            if share in wages:
+                wages[share].append(_pooled_wages(ds))
+
+    # subject j of every arm of one dataset shares its draws, so a null
+    # pair within a dataset is identical data: take the other arm from
+    # the next seed's dataset
+    def null_p(share, other):
+        runs = wages[share]
+        return [
+            mwu_test(runs[s][Treatment.NARROW], runs[(s + 1) % len(runs)][other]).p
+            for s in range(len(runs))
+        ]
+
+    p_narrow_low = null_p(1.0, Treatment.LOW)
+    p_narrow_broad = null_p(0.0, Treatment.BROAD)
     narrow_hat = float(np.mean(kappas[1.0]))
     broad_hat = float(np.mean(kappas[0.0]))
     mix_hat = float(np.mean(kappas[0.7]))

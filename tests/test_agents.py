@@ -278,6 +278,23 @@ class TestPopulationWages:
                 # batching invariance: alone, the agent gets the same bits
                 assert reservation_wage_exact(Agent(model(alpha, gamma), mode, shift), spec) == r
 
+    @pytest.mark.parametrize("kappa", [0.7, 0.3, 1.4, -0.3])
+    def test_convex_weights_obey_the_kappa_relation_per_subject(self, kappa):
+        # nls_kappa's model on continuous wages: mid (NARROW) = (1 - kappa)
+        # * broad anchor (BROAD) + kappa * narrow anchor (LOW), subject by
+        # subject, under quasi-linear money; CARA breaks it, as LOW's broad
+        # frame counts the endowed money
+        rng, n = np.random.default_rng(0), 300
+        alpha, gamma = np.exp(rng.normal(math.log(0.004), 0.35, n)), rng.uniform(1.0, 2.2, n)
+        anchors = (Treatment.BROAD, Treatment.LOW, Treatment.NARROW)
+        models = ((QuasiLinearPowerCost(alpha, gamma), True), (CaraMoneyPowerCost(0.02, alpha, gamma), False))
+        for model, holds in models:
+            for scenario in Scenario:
+                cells = [(treatment_spec(t, scenario), n) for t in anchors]
+                broad, narrow, mid = population_wages(model, (ConvexKappa(kappa),), np.zeros(n, np.intp), 0.0, cells)
+                gap = np.abs(mid - ((1.0 - kappa) * broad + kappa * narrow)).max()
+                assert gap < 1e-12 if holds else gap > 0.01, (scenario, gap)
+
     def test_no_indifference_names_the_first_failing_member(self):
         # members 1 and 3 like work: option B dominates at every bracket wage
         stack = LinearMetric(lambda_tasks=np.array([-0.1, 10.0, -0.1, 10.0]), lambda_money=1.0)

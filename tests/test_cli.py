@@ -1,16 +1,25 @@
 """Command-line contract: exit codes, determinism, golden reports."""
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import records_from_wages
-from bracketlab import cli
+from bracketlab import cli, theory
 from bracketlab.agents import CENSOR_CODE, ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
 from bracketlab.estimation import nls_kappa
 from bracketlab.design import Treatment
-from bracketlab.experiment import Dataset, ScenarioOutcome, SubjectRecord, read_csv, simulate_dataset, write_csv
+from bracketlab.experiment import (
+    CSV_COLUMNS,
+    Dataset,
+    ScenarioOutcome,
+    SubjectRecord,
+    read_csv,
+    simulate_dataset,
+    write_csv,
+)
 from bracketlab.preferences import NonMonotoneModel
 from bracketlab.reports import render_kappa_csv
 
@@ -325,13 +334,24 @@ def test_power_missing_d_is_usage_error():
 # -------------------------------------------------------------- contract
 
 
+def _estimate_on(tmp_path, stat, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["estimate", stat, "--data", str(path), "--out", str(tmp_path)]
+
+
 def _golden_data_with_line_2(tmp_path, old, new):
     lines = Path(GOLDEN_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
     assert old in lines[1]
     lines[1] = lines[1].replace(old, new, 1)
-    path = tmp_path / "bad.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    return ["estimate", "means", "--data", str(path), "--out", str(tmp_path)]
+    return _estimate_on(tmp_path, "means", "".join(lines))
+
+
+def _golden_rows(column, value):
+    """The golden header and the golden data rows whose column holds value."""
+    header, *rows = Path(GOLDEN_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
+    k = CSV_COLUMNS.index(column)
+    return header + "".join(row for row in rows if row.split(",")[k] == value)
 
 
 def _golden_config_with_seed(tmp_path, seed):
@@ -367,6 +387,23 @@ BAD_INVOCATIONS = {
         lambda tmp: _golden_data_with_line_2(tmp, ",3.25,0,1,", ",3.2500000005,0,1,"), 1,
         "error: line 2: res_wage 3.2500000005 does not match switch point 3.25",
     ),
+    "means-on-inconsistent-rows-only": (
+        lambda tmp: _estimate_on(tmp, "means", _golden_rows("consistent", "0")), 1,
+        "error: no scenario observations after filtering",
+    ),
+    "tobit-on-inconsistent-rows-only": (
+        lambda tmp: _estimate_on(tmp, "tobit", _golden_rows("consistent", "0")), 1,
+        "error: no scenario observations after filtering",
+    ),
+    "mwu-on-one-treatment": (
+        lambda tmp: _estimate_on(tmp, "mwu", _golden_rows("treatment", "BROAD")), 1,
+        "error: need at least two treatments with data in one scenario",
+    ),
+    "empty-data-file": (lambda tmp: _estimate_on(tmp, "means", ""), 1, "error: empty file"),
+    "zero-workers": (
+        lambda tmp: ["simulate", "--config", GOLDEN_INI, "--out", str(tmp / "x.csv"), "--workers", "0"], 2,
+        "config error: --workers must be at least 1",
+    ),
 }
 
 
@@ -386,6 +423,19 @@ def test_verify_all_matches_golden(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == golden("golden_verify.txt")
     assert (tmp_path / "verify.md").read_bytes() == golden("golden_verify.md")
     assert (tmp_path / "verify.csv").read_bytes() == golden("golden_verify.csv")
+
+
+def test_verify_reports_a_failed_check(monkeypatch, capsys):
+    # power-money's certainty equivalents move with wealth, so expecting
+    # them not to fails the cara suite
+    zoo = tuple(replace(e, expect_cara=True) if e.name == "power-money" else e for e in theory.model_zoo())
+    monkeypatch.setattr(theory, "model_zoo", lambda: zoo)
+    assert main(["verify", "--suite", "cara"]) == 1
+    assert capsys.readouterr().out == (
+        "cara: FAIL (6 check(s))\n"
+        "  FAIL power-money max CE shift=7.826e-02 (expected < 1e-09)\n"
+        "overall: FAIL\n"
+    )
 
 
 @pytest.mark.parametrize("suite", ["additivity", "unidentifiability", "cara", "mixture", "warp"])

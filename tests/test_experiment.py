@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bracketlab import experiment
 from bracketlab.agents import Agent, Broad, Narrow, reservation_wage_exact, snap_to_list
 from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
 from bracketlab.experiment import (
@@ -450,6 +451,13 @@ class TestCsvRoundTrip:
         path = str(tmp_path / "data.csv")
         write_csv(data, path)
         assert read_csv(path) == data
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunked_write_keeps_the_golden_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(experiment, "_WRITE_CHUNK", chunk)
+        path = tmp_path / "data.csv"
+        write_csv(read_csv(str(DATA / "golden_data.csv")), str(path))
+        assert path.read_bytes() == (DATA / "golden_data.csv").read_bytes()
 
     def test_header_and_money_format(self, tmp_path):
         data = simulate_dataset(small_spec(counts={Treatment.BROAD: 1}, tremble=0.0))
