@@ -5,9 +5,9 @@ a population specification, goes through both scenarios of one
 treatment, and leaves a 16-row accept/reject record per scenario. The
 random stream for subject j is derived from (master seed, j) alone, so
 subject j faces the same preference draw in every treatment (common
-random numbers). The simulator seeds every subject's stream in one
-array pass, draws each subject index once into columns, reuses those
-draws in every treatment, and solves the reservation wages of all
+random numbers). The simulator seeds and steps every subject's stream
+in array passes, draws each subject index once into columns, reuses
+those draws in every treatment, and solves the reservation wages of all
 (treatment, scenario) cells with one array bisection.
 """
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .agents import (
     Agent,
     Broad,
@@ -58,7 +59,8 @@ __all__ = [
 
 N_ROWS = 16
 
-_TEDIOUSNESS_CENTER = 5.5  # midpoint of the 1..10 scale
+_TEDIOUSNESS_WIDTH = 10  # tediousness is drawn on a 1..10 scale
+_TEDIOUSNESS_CENTER = 5.5  # its midpoint
 
 
 @dataclass(frozen=True)
@@ -448,8 +450,10 @@ def subject_stream(seed: int, index: int) -> np.random.Generator:
     """Independent per-subject stream keyed by (master seed, index).
 
     The key deliberately omits the treatment so subject j shares one
-    parameter draw across all treatments. simulate_dataset seeds the
-    same streams in bulk (see _stream_states).
+    parameter draw across all treatments. simulate_dataset seeds and
+    steps the same streams in bulk, as uint64 columns, and sets a
+    generator to one of them only for a subject that leaves the fast path
+    (see _stream_states and _bulk_draws).
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
@@ -461,7 +465,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
+# uint64 operands of the column arithmetic: the multiplier's words and the
+# low word's 32-bit limbs, shift counts and masks
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_LIMB0, _MULT_LIMB1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
+_U32, _U64_MASK32 = np.uint64(32), np.uint64(_MASK32)
+_RANDOM_SHIFT, _RANDOM_SCALE = np.uint64(11), 2.0**-53  # next_double: the top 53 bits
+_ZIG_LAYER, _ZIG_MAG = np.uint64(0xFF), np.uint64((1 << 52) - 1)
+_ZIG_SIGN_SHIFT, _ZIG_MAG_SHIFT = np.uint64(8), np.uint64(9)
 
 
 def _words(n: int) -> list[int]:
@@ -475,16 +487,42 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _stream_states(seed: int, count: int) -> list[dict]:
-    """subject_stream(seed, j).bit_generator.state, for every j < count.
+def _lcg_step(state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """state * MULT + inc mod 2**128, on (high, low) uint64 word columns.
 
+    uint64 array arithmetic wraps, which gives every product's low word.
+    The high word of low * MULT_LO comes from its 32-bit limb products.
+    """
+    hi, lo = state
+    inc_hi, inc_lo = inc
+    lo0, lo1 = lo & _U64_MASK32, lo >> _U32
+    cross0, cross1 = lo0 * _MULT_LIMB1, lo1 * _MULT_LIMB0
+    mid = (lo0 * _MULT_LIMB0 >> _U32) + (cross0 & _U64_MASK32) + (cross1 & _U64_MASK32)
+    carry = lo1 * _MULT_LIMB1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _next_uint64(state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """PCG64's next state and its XSL-RR output, rotr64(hi ^ lo, hi >> 58)."""
+    state = _lcg_step(state, inc)
+    hi, lo = state
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return state, x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+
+
+def _stream_states(seed: int, count: int) -> tuple:
+    """PCG64's (state, inc) of subject_stream(seed, j) for every j < count.
+
+    Each is a (high, low) pair of uint64 columns with one row per subject.
     SeedSequence((seed, j)) hashes the 32-bit words of seed, then the one
     word of j (j < 2**32), into a pool of four words, mixing in words
     beyond the fourth afterwards; generate_state(4, uint64) hashes the
     pool again. Every step is uint32 arithmetic on a hash constant that
-    does not depend on the data, so it runs on a column per word with
-    one row per subject. PCG64 then seeds its 128-bit LCG with inc =
-    (initseq << 1) | 1 and state = (inc + initstate) * MULT + inc.
+    does not depend on the data, so it runs on a column per word. PCG64
+    then seeds its 128-bit LCG with inc = (initseq << 1) | 1 and one step
+    from initstate + inc.
     """
     entropy = [np.full(count, w, dtype=np.uint32) for w in _words(seed)]
     entropy.append(np.arange(count, dtype=np.uint32))
@@ -519,15 +557,22 @@ def _stream_states(seed: int, count: int) -> list[dict]:
         value = value * np.uint32(hash_const)
         words.append((value ^ (value >> 16)).astype(np.uint64))
     # little-endian pairs of words make the four uint64s: initstate high, low, initseq high, low
-    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+    state_hi, state_lo, seq_hi, seq_lo = (words[2 * k] | words[2 * k + 1] << _U32 for k in range(4))
+    inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+    start_lo = state_lo + inc[1]
+    start = (state_hi + inc[0] + (start_lo < inc[1]), start_lo)
+    return _lcg_step(start, inc), inc
+
+
+def _pcg64_state(state: tuple, inc: tuple, j: int) -> dict:
+    """Row j of (state, inc) word columns as a PCG64 state dict."""
+    hi, lo, inc_hi, inc_lo = (int(column[j]) for column in (*state, *inc))
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _subject_draws(spec: PopulationSpec, rng: np.random.Generator) -> tuple:
@@ -537,13 +582,82 @@ def _subject_draws(spec: PopulationSpec, rng: np.random.Generator) -> tuple:
     draws = (
         rng.random(),
         int(rng.integers(spec.age_range[0], spec.age_range[1] + 1)),
-        int(rng.integers(1, 11)),
+        int(rng.integers(1, _TEDIOUSNESS_WIDTH + 1)),
         rng.standard_normal(),
         rng.random(),
     )
     if isinstance(spec.composition, MixtureComposition):
         return draws + (rng.random(),)
     return draws
+
+
+def _uniform(output: np.ndarray) -> np.ndarray:
+    """rng.random() from each PCG64 output."""
+    return (output >> _RANDOM_SHIFT) * _RANDOM_SCALE
+
+
+def _bounded(output: np.ndarray, lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's bounded integer in [lo, lo + width) from 32-bit outputs, and where numpy would redraw."""
+    scaled = output * np.uint64(width)
+    rejected = scaled & _U64_MASK32 < np.uint64((2**32 - width) % width)
+    return (scaled >> _U32).astype(np.int64) + lo, rejected
+
+
+def _draw_columns(spec: PopulationSpec, outputs: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """_subject_draws' columns from each subject's first PCG64 outputs, and which subjects they miss.
+
+    outputs holds one column per output: male, then the two integers, fed
+    through PCG64's 32-bit buffer (age from the low half, tediousness from
+    the high half), the normal, the gamma uniform and, for mixtures, the
+    mode uniform. A subject is slow, and its columns are not its draws,
+    wherever numpy would take another output: a rejected integer or a
+    normal outside the ziggurat's fast path. Every subject is slow when
+    numpy would not draw the age from one 32-bit half: for a one-value
+    or at least 2**32-wide age range, or one beyond int64.
+    """
+    u_male, u_ints, u_normal, *u_rest = outputs
+    lo, hi = map(int, spec.age_range)  # as numpy reads the bounds of integers()
+    width = hi - lo + 1
+    if 2 <= width < 2**32 and hi < 2**63:
+        age, slow = _bounded(u_ints & _U64_MASK32, lo, width)
+    else:
+        age, slow = np.zeros(len(u_ints), np.int64), np.ones(len(u_ints), bool)
+    tediousness, rejected = _bounded(u_ints >> _U32, 1, _TEDIOUSNESS_WIDTH)
+    layer = u_normal & _ZIG_LAYER
+    magnitude = u_normal >> _ZIG_MAG_SHIFT & _ZIG_MAG
+    z_alpha = magnitude * WI_DOUBLE[layer]
+    z_alpha = np.where(u_normal >> _ZIG_SIGN_SHIFT & np.uint64(1), -z_alpha, z_alpha)
+    slow |= rejected | (magnitude >= KI_DOUBLE[layer])
+    return [_uniform(u_male), age, tediousness, z_alpha, *map(_uniform, u_rest)], slow
+
+
+def _bulk_draws(spec: PopulationSpec, count: int) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """_subject_draws' columns for subjects 0..count-1, and their (count, 2, 16) tremble draws.
+
+    The tremble draws are None when tremble is 0. Each stream steps once
+    per draw, and each step's output goes straight to its column; the
+    subjects that _draw_columns marks slow are then redrawn one at a time.
+    """
+    start, inc = _stream_states(spec.seed, count)
+    state, outputs = start, []
+    for _ in range(5 if isinstance(spec.composition, MixtureComposition) else 4):
+        state, output = _next_uint64(state, inc)
+        outputs.append(output)
+    columns, slow = _draw_columns(spec, outputs)
+    trembles = np.empty((count, 2, N_ROWS)) if spec.tremble > 0.0 else None
+    if trembles is not None:
+        flat = trembles.reshape(count, 2 * N_ROWS)
+        for k in range(2 * N_ROWS):
+            state, output = _next_uint64(state, inc)
+            flat[:, k] = _uniform(output)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for j in np.flatnonzero(slow).tolist():
+        rng.bit_generator.state = _pcg64_state(start, inc, j)
+        for column, draw in zip(columns, _subject_draws(spec, rng)):
+            column[j] = draw
+        if trembles is not None:
+            rng.random(out=trembles[j])
+    return columns, trembles
 
 
 def _truncated_normal(u: np.ndarray, loc: np.ndarray, scale: float, lo: float, hi: float) -> np.ndarray:
@@ -566,12 +680,12 @@ class _Population:
     mode_index: np.ndarray
 
 
-def _population(spec: PopulationSpec, draws: Sequence[tuple]) -> _Population:
-    """Covariates, preference parameters and bracketing modes from one or more rows of draws.
+def _population(spec: PopulationSpec, columns: Sequence[np.ndarray]) -> _Population:
+    """Covariates, preference parameters and bracketing modes from columns of _subject_draws.
 
     Equal covariates are one shared object.
     """
-    u_male, age, tediousness, z_alpha, u_gamma, *u_mode = (np.array(column) for column in zip(*draws))
+    u_male, age, tediousness, z_alpha, u_gamma, *u_mode = columns
     male = u_male < spec.male_share
     alpha = np.exp(
         spec.alpha_location
@@ -585,7 +699,7 @@ def _population(spec: PopulationSpec, draws: Sequence[tuple]) -> _Population:
         mode_index = (u_mode[0] < spec.composition.narrow_share).astype(np.intp)
     else:
         modes = (ConvexKappa(spec.composition.kappa),)
-        mode_index = np.zeros(len(draws), dtype=np.intp)
+        mode_index = np.zeros(len(u_male), dtype=np.intp)
     interned: dict[tuple, Covariates] = {}
     covariates = []
     for key in zip(male.tolist(), age.tolist(), tediousness.tolist()):
@@ -604,7 +718,7 @@ def _member_model(spec: PopulationSpec, alpha: float | np.ndarray, gamma: float 
 
 def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covariates, Agent]:
     """One subject's covariates and agent: the one-row case of simulate_dataset's draws."""
-    population = _population(spec, [_subject_draws(spec, rng)])
+    population = _population(spec, [np.array([draw]) for draw in _subject_draws(spec, rng)])
     model = _member_model(spec, float(population.alpha[0]), float(population.gamma[0]))
     mode = population.modes[population.mode_index[0]]
     return population.covariates[0], Agent(model, mode, spec.framing_shift)
@@ -626,11 +740,15 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     Deterministic for a fixed seed; records are ordered by treatment
     (declaration order), then subject index. Subject j is drawn once from
     subject_stream(seed, j), in the documented order followed by its
-    tremble draws, and those draws serve every treatment. The streams are
-    seeded in bulk and drawn through one reused generator; the subjects'
-    parameters stay in columns, and every cell's reservation wages come
-    from one call to population_wages. workers is kept for compatibility:
-    it must be at least 1 and has no effect on the output or the speed.
+    tremble draws, and those draws serve every treatment. Every stream is
+    seeded and stepped as uint64 columns, one step per draw, and each
+    step's output is decoded with numpy as _subject_draws and the tremble
+    draws would decode it. The few subjects whose draws leave that fast
+    path (see _draw_columns) are redrawn one at a time from their own
+    streams. The subjects' parameters stay in columns, and every cell's
+    reservation wages come from one call to population_wages. workers is
+    kept for compatibility: it must be at least 1 and has no effect on
+    the output or the speed.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -638,16 +756,8 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     count = max(spec.counts.values(), default=0)
     if not count:
         return Dataset((), seed=spec.seed, spec_digest=digest)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    draws = []
-    trembles = np.empty((count, 2, N_ROWS)) if spec.tremble > 0.0 else None
-    for j, state in enumerate(_stream_states(spec.seed, count)):
-        bit_generator.state = state
-        draws.append(_subject_draws(spec, rng))
-        if trembles is not None:
-            rng.random(out=trembles[j])
-    population = _population(spec, draws)
+    columns, trembles = _bulk_draws(spec, count)
+    population = _population(spec, columns)
     arms = [(t, spec.counts[t]) for t in Treatment if spec.counts.get(t, 0)]
     cells = [(treatment_spec(t, s), n) for t, n in arms for s in Scenario]
     model = _member_model(spec, population.alpha, population.gamma)  # a stack, one member per subject index
@@ -658,7 +768,8 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
     subject_ids, people, codes = [], [], []
     for k, (treatment, n) in enumerate(arms):
-        subject_ids += [f"{treatment.value}-{j:04d}" for j in range(n)]
+        arm = treatment.value
+        subject_ids += [f"{arm}-{j:04d}" for j in range(n)]
         people += population.covariates[:n]
         codes.append(_accept_codes(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble))
     keys = np.concatenate(codes) | _ROW_SCENARIO << N_ROWS

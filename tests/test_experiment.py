@@ -31,8 +31,11 @@ from bracketlab.experiment import (
     _outcome_text,
     _outcomes,
     _parse_row,
+    _pcg64_state,
     _stream_states,
+    _subject_draws,
 )
+from bracketlab._ziggurat import KI_DOUBLE, WI_DOUBLE
 from bracketlab.preferences import Bundle, QuasiLinearPowerCost
 
 QL = QuasiLinearPowerCost(alpha=0.004, gamma=2.0)
@@ -324,20 +327,23 @@ class TestBulkSimulation:
         picks=st.lists(st.integers(0, 2999), max_size=6),
     )
     def test_stream_states_match_subject_stream(self, seed, count, picks):
-        states = _stream_states(seed, count)
-        assert len(states) == count
+        state, inc = _stream_states(seed, count)
+        for column in (*state, *inc):
+            assert column.dtype == np.uint64 and column.shape == (count,)
         rng = np.random.Generator(np.random.PCG64(0))
         for j in {0, count - 1} | {p % count for p in picks}:
             reference = subject_stream(seed, j)
-            assert states[j] == reference.bit_generator.state
-            rng.bit_generator.state = states[j]
+            assert _pcg64_state(state, inc, j) == reference.bit_generator.state
+            rng.bit_generator.state = _pcg64_state(state, inc, j)
             assert rng.random(3).tolist() == reference.random(3).tolist()
             assert rng.integers(0, 100) == reference.integers(0, 100)
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 2**31 + 5, 2**40 + 17, 2**97 + 3])
     def test_every_stream_of_a_block(self, seed):
-        states = _stream_states(seed, 2500)
-        assert states == [subject_stream(seed, j).bit_generator.state for j in range(2500)]
+        state, inc = _stream_states(seed, 2500)
+        expected = [subject_stream(seed, j).bit_generator.state["state"] for j in range(2500)]
+        for key, (hi, lo) in (("state", state), ("inc", inc)):
+            assert (hi.astype(object) << 64 | lo.astype(object)).tolist() == [e[key] for e in expected]
 
     def test_negative_seed_is_rejected_like_seed_sequence(self):
         with pytest.raises(ValueError):
@@ -369,6 +375,156 @@ class TestBulkSimulation:
         assert len({id(o) for o in outcomes}) == len(set(outcomes))
         people = [r.covariates for r in data.records]
         assert len({id(c) for c in people}) == len(set(people))
+
+
+def per_subject_draws(spec, count):
+    """_bulk_draws one subject at a time: set each stream's state, then draw in the documented order."""
+    state, inc = _stream_states(spec.seed, count)
+    rng = np.random.Generator(np.random.PCG64(0))
+    draws = []
+    trembles = np.empty((count, 2, 16)) if spec.tremble > 0.0 else None
+    for j in range(count):
+        rng.bit_generator.state = _pcg64_state(state, inc, j)
+        draws.append(_subject_draws(spec, rng))
+        if trembles is not None:
+            rng.random(out=trembles[j])
+    return [np.array(column) for column in zip(*draws)], trembles
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INC = 0x5851F42D4C957F2D14057B7EF767814F  # any odd increment
+
+
+def stream_before(output):
+    """A generator whose next PCG64 output is `output`.
+
+    Its next state is the integer output itself: the high word is 0, so
+    XSL-RR neither mixes nor rotates the low word.
+    """
+    state = (output - _INC) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": _INC}, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def took_one_output(rng, output):
+    """Whether rng has drawn exactly the output stream_before set up, with no 32-bit half left over."""
+    state = rng.bit_generator.state
+    return state["state"]["state"] == output and state["has_uint32"] == 0
+
+
+def _ziggurat_output(layer, magnitude, sign=0):
+    return magnitude << 9 | sign << 8 | layer
+
+
+KI = [int(k) for k in KI_DOUBLE]
+# (u1, u2, slow) of one subject: u1 holds the age (18..70) in its low half
+# and the tediousness (1..10) in its high half, and u2 the normal. Lemire
+# redraws a half whose product's low word is below (2**32 - 53) % 53 = 42
+# for the age, or (2**32 - 10) % 10 = 6 for the tediousness.
+CRAFTED_OUTPUTS = {
+    "fast": (1 | 1 << 32, _ziggurat_output(7, KI[7] - 1), False),
+    "age-rejected": (0 | 1 << 32, _ziggurat_output(7, 0), True),
+    "age-at-threshold": (1 | 7 << 32, _ziggurat_output(7, 0), False),  # 53 >= 42
+    "tediousness-rejected": (1 | 0 << 32, _ziggurat_output(7, 0), True),
+    "tediousness-at-threshold": (1 | 1 << 32, _ziggurat_output(7, 0), False),  # 10 >= 6
+    "layer-0-tail": (1 | 1 << 32, _ziggurat_output(0, KI[0]), True),
+    "layer-0-core": (1 | 1 << 32, _ziggurat_output(0, KI[0] - 1, sign=1), False),
+    "layer-1": (1 | 1 << 32, _ziggurat_output(1, 0), True),
+    "wedge": (1 | 1 << 32, _ziggurat_output(100, KI[100]), True),
+    "below-wedge": (1 | 1 << 32, _ziggurat_output(100, KI[100] - 1, sign=1), False),
+    "wedge-top": (1 | 1 << 32, _ziggurat_output(255, (1 << 52) - 1), True),
+}
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize(
+        "age_range", [(18, 70), (30, 30), (5, 6), (0, 2**33), (18.0, 70.5)], ids=lambda r: f"ages{r[0]}-{r[1]}"
+    )
+    @pytest.mark.parametrize(
+        "seed", [7, 2**32 + 5, 2**64 + 3, 2**128 + 11], ids=["1word", "2words", "3words", "5words"]
+    )
+    @pytest.mark.parametrize("tremble", [0.0, 0.2])
+    @pytest.mark.parametrize("composition", [MixtureComposition(0.4), KappaComposition(0.7)], ids=["mixture", "kappa"])
+    def test_matches_the_per_subject_loop(self, monkeypatch, composition, tremble, seed, age_range):
+        spec = PopulationSpec(
+            counts={Treatment.BROAD: 2000}, seed=seed, composition=composition, tremble=tremble, age_range=age_range
+        )
+        redrawn = []
+
+        def counted(spec, rng):
+            redrawn.append(1)
+            return _subject_draws(spec, rng)
+
+        monkeypatch.setattr(experiment, "_subject_draws", counted)
+        columns, trembles = experiment._bulk_draws(spec, 2000)
+        expected_columns, expected_trembles = per_subject_draws(spec, 2000)
+        assert [c.tolist() for c in columns] == [c.tolist() for c in expected_columns]
+        assert [c.dtype for c in columns] == [c.dtype for c in expected_columns]
+        if tremble:
+            assert trembles.tolist() == expected_trembles.tolist()
+        else:
+            assert trembles is None
+        if age_range in {(30, 30), (0, 2**33)}:  # numpy draws no age, or a 64-bit one
+            assert len(redrawn) == 2000
+        else:  # the fast path misses about 1.5% of subjects
+            assert 5 <= len(redrawn) <= 100
+
+    @pytest.mark.parametrize("age_range", [(0, 2**63), (2**64, 2**64 + 3)])
+    def test_age_beyond_int64_is_rejected_as_numpy_rejects_it(self, age_range):
+        with pytest.raises(ValueError, match="out of bounds for int64"):
+            simulate_dataset(small_spec(age_range=age_range))
+
+    @pytest.mark.parametrize("name", CRAFTED_OUTPUTS)
+    def test_slow_mask_on_crafted_outputs(self, name):
+        u_ints, u_normal, expected_slow = CRAFTED_OUTPUTS[name]
+        spec = small_spec()
+        outputs = [np.array([u], dtype=np.uint64) for u in (0, u_ints, u_normal, 0, 0)]
+        columns, slow = experiment._draw_columns(spec, outputs)
+        rng = stream_before(u_ints)
+        age, tediousness = rng.integers(18, 71), rng.integers(1, 11)
+        ints_fast = took_one_output(rng, u_ints)
+        rng = stream_before(u_normal)
+        z = rng.standard_normal()
+        normal_fast = took_one_output(rng, u_normal)
+        assert slow.tolist() == [not (ints_fast and normal_fast)] == [expected_slow]
+        if ints_fast:
+            assert (columns[1].tolist(), columns[2].tolist()) == ([age], [tediousness])
+        if normal_fast:
+            assert columns[3].tolist() == [z]
+
+    def test_ziggurat_tables_match_standard_normal(self):
+        assert KI_DOUBLE.shape == WI_DOUBLE.shape == (256,)
+        assert max(KI) < 2**52 and KI[1] == 0
+        for layer, (ki, wi) in enumerate(zip(KI, WI_DOUBLE.tolist())):
+            if ki >= 1:  # the largest magnitude of the fast path
+                for sign in (0, 1):
+                    output = _ziggurat_output(layer, ki - 1, sign)
+                    rng = stream_before(output)
+                    assert rng.standard_normal() == (-1) ** sign * (ki - 1) * wi
+                    assert took_one_output(rng, output), layer
+            output = _ziggurat_output(layer, ki)  # the smallest beyond it
+            rng = stream_before(output)
+            rng.standard_normal()
+            assert not took_one_output(rng, output), layer
+
+    @pytest.mark.parametrize("composition", [MixtureComposition(0.4), KappaComposition(0.7)], ids=["mixture", "kappa"])
+    def test_redrawing_every_subject_gives_the_same_dataset(self, monkeypatch, composition):
+        spec = PopulationSpec(
+            counts={t: 300 - 40 * k for k, t in enumerate(Treatment)}, seed=41, composition=composition,
+            tremble=0.1, framing_shift=0.2,
+        )
+        expected = simulate_dataset(spec)
+        draw_columns = experiment._draw_columns
+
+        def all_slow(spec, outputs):
+            columns, slow = draw_columns(spec, outputs)
+            return columns, np.ones_like(slow)
+
+        monkeypatch.setattr(experiment, "_draw_columns", all_slow)
+        assert simulate_dataset(spec) == expected
 
 
 # population seeds on which a wage above the bracket aborted the whole
