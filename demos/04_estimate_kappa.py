@@ -7,16 +7,19 @@ anchor.
 
 Run: python3 demos/04_estimate_kappa.py
 """
+import numpy as np
+
 from bracketlab import (
     MixtureComposition,
     PopulationSpec,
+    Scenario,
     Treatment,
+    cell_wages,
     kappa_profile_oracle,
     mwu_test,
     nls_kappa,
     power_two_sample,
     simulate_dataset,
-    iter_observations,
 )
 
 # Simulate a population whose true composition we know, then recover it.
@@ -42,10 +45,10 @@ spec = PopulationSpec(
     composition=MixtureComposition(0.0),  # broad bracketers notice the endowment
     tremble=0.0,
 )
-wages = {}
-for record, outcome in iter_observations(simulate_dataset(spec)):
-    wages.setdefault(record.treatment, []).append(outcome.res_wage)
-test = mwu_test(wages[Treatment.NARROW], wages[Treatment.LOW])
+# each arm's sample pools the wages of both scenarios
+cells = cell_wages(simulate_dataset(spec))
+narrow, low = (np.concatenate([cells[arm, s] for s in Scenario]) for arm in (Treatment.NARROW, Treatment.LOW))
+test = mwu_test(narrow, low)
 print(f"\nbroad population, NARROW vs LOW: z = {test.z:.2f}, p = {test.p:.2g}")
 
 # How many subjects would a new run need to see d = 0.4 at 90% power

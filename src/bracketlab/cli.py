@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     pwr.add_argument("--alpha", type=float, default=0.05)
     pwr.add_argument("--power", type=float, default=0.90)
     pwr.add_argument("--ratio", type=float, default=1.0, help="larger/smaller group ratio")
-    pwr.add_argument("--are", action="store_true", help="inflate by the rank-sum efficiency bound")
+    pwr.add_argument("--are", action="store_true", help="inflate by pi/3 = 1 / (rank-sum ARE at the normal)")
     pwr.set_defaults(func=cmd_power)
 
     ver = sub.add_parser("verify", help="run the identification check suites")

@@ -560,10 +560,11 @@ def power_two_sample(
     """Two-sample normal-approximation sample sizes (n_large, n_small).
 
     ratio is n_large / n_small >= 1. With wilcoxon_are the required
-    size is inflated by pi/3, the worst-case relative efficiency of the
-    rank-sum test against the t test. Inputs whose required size is
-    not a finite number, such as a d so small that d**2 is 0, raise
-    InvalidParams.
+    size is inflated by pi/3, the inverse of the rank-sum test's
+    efficiency against the t test at the normal (3/pi); over shift
+    families it can fall to 108/125 (Hodges and Lehmann 1956). Inputs
+    whose required size is not a finite number, such as a d so small
+    that d**2 is 0, raise InvalidParams.
     """
     if not (0 < d < math.inf and 0 < alpha < 1 and 0.5 < power < 1 and 1 <= ratio < math.inf):
         raise InvalidParams("need finite d > 0, alpha in (0,1), power in (0.5,1), finite ratio >= 1")

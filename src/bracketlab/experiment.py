@@ -16,6 +16,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
@@ -70,10 +71,17 @@ class Covariates:
     tediousness: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.tediousness <= 10:
-            raise ValueError("tediousness is a 1..10 scale")
-        if self.age < 0:
-            raise ValueError("age must be nonnegative")
+        _check_covariates(self.age, self.tediousness)
+
+
+def _check_covariates(age: int, tediousness: int) -> None:
+    """Reject what a Dataset's int64 age and int8 tediousness columns cannot hold, non-integers included."""
+    if not 1 <= operator.index(tediousness) <= 10:
+        raise ValueError("tediousness is a 1..10 scale")
+    if operator.index(age) < 0:
+        raise ValueError("age must be nonnegative")
+    if age >= 2**63:
+        raise ValueError("age must be below 2**63")
 
 
 @dataclass(frozen=True)
@@ -205,21 +213,22 @@ class Dataset:
     """Subjects plus provenance, stored as columns; provenance is not compared.
 
     The columns are the subject ids, each subject's treatment code (an
-    index into tuple(Treatment)) and Covariates object, each subject's
-    row offsets (subject i owns scenario rows offsets[i]:offsets[i + 1]),
-    and one int32 row key per scenario row: the scenario code (an index
-    into tuple(Scenario)) above the 16-bit accept code, whose bit i is
-    set iff row i is accepted. Every other field of a row follows from
-    its key: censored is code 0, the row is consistent iff its accepted
-    rows form a suffix, and the recorded wage is the grid wage of the
-    first accepted row or the censor code. read_csv and simulate_dataset
-    fill the columns directly and build no ScenarioOutcome or
-    SubjectRecord; Dataset(records) derives the columns from the records,
-    keying each distinct outcome object once. records and observations
-    are built from the columns on first use and cached: records builds
-    one ScenarioOutcome per distinct key, and every record shares those
-    outcomes and the covariate objects. Equality and hashing read the
-    columns and build neither. No subject repeats a scenario.
+    index into tuple(Treatment)), male (bool), age (int64) and
+    tediousness (int8), each subject's row offsets (subject i owns
+    scenario rows offsets[i]:offsets[i + 1]), and one int32 row key per
+    scenario row: the scenario code (an index into tuple(Scenario)) above
+    the 16-bit accept code, whose bit i is set iff row i is accepted.
+    Every other field of a row follows from its key: censored is code 0,
+    the row is consistent iff its accepted rows form a suffix, and the
+    recorded wage is the grid wage of the first accepted row or the
+    censor code. read_csv and simulate_dataset fill the columns directly
+    and build no ScenarioOutcome, SubjectRecord or Covariates;
+    Dataset(records) derives the columns from the records, keying each
+    distinct outcome object once. records and observations are built
+    from the columns on first use and cached: records builds one
+    ScenarioOutcome per distinct key and one Covariates per distinct
+    value, and every record shares them. Equality and hashing compare
+    the columns' bytes and build neither. No subject repeats a scenario.
     """
 
     def __init__(
@@ -238,7 +247,7 @@ class Dataset:
         self._fill(
             [r.subject_id for r in records],
             [_TREATMENT_CODE[r.treatment] for r in records],
-            [r.covariates for r in records],
+            [[getattr(r.covariates, name) for r in records] for name in ("male", "age", "tediousness")],
             np.cumsum([0] + [len(r.outcomes) for r in records]),
             keys,
             seed,
@@ -248,7 +257,7 @@ class Dataset:
 
     @classmethod
     def _from_columns(cls, *columns, seed: int | None = None, spec_digest: str | None = None) -> Dataset:
-        """A dataset from (subject_ids, treatment codes, covariates, offsets, row keys)."""
+        """A dataset from (subject_ids, treatment codes, (male, age, tediousness) columns, offsets, row keys)."""
         dataset = cls.__new__(cls)
         dataset._fill(*columns, seed, spec_digest)
         return dataset
@@ -268,7 +277,7 @@ class Dataset:
             spec_digest=spec_digest,
             _subject_ids=tuple(subject_ids),
             _treatment=_read_only(np.asarray(treatment, np.int8)),
-            _covariates=tuple(covariates),
+            _covariates=tuple(map(_read_only, map(np.asarray, covariates, (bool, np.int64, np.int8)))),
             _offsets=_read_only(offsets),
             _keys=_read_only(keys),
         )
@@ -282,13 +291,8 @@ class Dataset:
 
     def _value_key(self) -> tuple:
         """What equality compares: the subject columns, then the row keys, which fix every outcome field."""
-        return (
-            self._subject_ids,
-            self._covariates,
-            self._treatment.tobytes(),
-            self._offsets.tobytes(),
-            self._keys.tobytes(),
-        )
+        columns = (*self._covariates, self._treatment, self._offsets, self._keys)
+        return (self._subject_ids, *(column.tobytes() for column in columns))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -306,14 +310,22 @@ class Dataset:
         """One SubjectRecord per subject, built from the columns on first use."""
         keys, slots = np.unique(self._keys, return_inverse=True)
         outcomes = list(map(_outcomes(keys).__getitem__, slots.tolist()))
+        values, people = self._distinct_covariates()
+        people = map([Covariates(*value) for value in values].__getitem__, people)
         offsets = self._offsets.tolist()
         arms = tuple(Treatment)
         return tuple(
             SubjectRecord(sid, arms[t], tuple(outcomes[lo:hi]), person)
-            for sid, t, person, lo, hi in zip(
-                self._subject_ids, self._treatment.tolist(), self._covariates, offsets, offsets[1:]
-            )
+            for sid, t, person, lo, hi in zip(self._subject_ids, self._treatment.tolist(), people, offsets, offsets[1:])
         )
+
+    def _distinct_covariates(self) -> tuple[list[tuple[bool, int, int]], list[int]]:
+        """Each distinct (male, age, tediousness) value once, and each subject's index into them."""
+        male, age, tediousness = self._covariates
+        age_rank = np.unique(age, return_inverse=True)[1]  # below len(self), so packed cannot overflow
+        packed = (age_rank * (_TEDIOUSNESS_WIDTH + 1) + tediousness) * 2 + male
+        _, first, slots = np.unique(packed, return_index=True, return_inverse=True)
+        return list(zip(*(column[first].tolist() for column in self._covariates))), slots.tolist()
 
     @functools.cached_property
     def observations(self) -> Observations:
@@ -399,8 +411,8 @@ class PopulationSpec:
             raise ValueError("tremble is a probability")
         if not 0.0 <= self.male_share <= 1.0:
             raise ValueError("male_share is a probability")
-        if self.age_range[0] > self.age_range[1] or self.age_range[0] < 0:
-            raise ValueError("age_range must be a nonnegative (lo, hi) pair")
+        if not 0 <= self.age_range[0] <= self.age_range[1] < 2**63:
+            raise ValueError("age_range must be a nonnegative (lo, hi) pair below 2**63")
         if self.rho is not None and (self.rho == 0 or not math.isfinite(self.rho)):
             raise ValueError("rho must be nonzero and finite when set")
 
@@ -613,12 +625,12 @@ def _draw_columns(spec: PopulationSpec, outputs: Sequence[np.ndarray]) -> tuple[
     wherever numpy would take another output: a rejected integer or a
     normal outside the ziggurat's fast path. Every subject is slow when
     numpy would not draw the age from one 32-bit half: for a one-value
-    or at least 2**32-wide age range, or one beyond int64.
+    or at least 2**32-wide age range.
     """
     u_male, u_ints, u_normal, *u_rest = outputs
     lo, hi = map(int, spec.age_range)  # as numpy reads the bounds of integers()
     width = hi - lo + 1
-    if 2 <= width < 2**32 and hi < 2**63:
+    if 2 <= width < 2**32:
         age, slow = _bounded(u_ints & _U64_MASK32, lo, width)
     else:
         age, slow = np.zeros(len(u_ints), np.int64), np.ones(len(u_ints), bool)
@@ -673,7 +685,7 @@ def _truncated_normal(u: np.ndarray, loc: np.ndarray, scale: float, lo: float, h
 class _Population:
     """Subjects' parameters as columns, one row per subject index."""
 
-    covariates: list[Covariates]
+    covariates: tuple[np.ndarray, np.ndarray, np.ndarray]  # male, age, tediousness
     alpha: np.ndarray
     gamma: np.ndarray
     modes: tuple
@@ -681,10 +693,7 @@ class _Population:
 
 
 def _population(spec: PopulationSpec, columns: Sequence[np.ndarray]) -> _Population:
-    """Covariates, preference parameters and bracketing modes from columns of _subject_draws.
-
-    Equal covariates are one shared object.
-    """
+    """Covariates, preference parameters and bracketing modes from columns of _subject_draws."""
     u_male, age, tediousness, z_alpha, u_gamma, *u_mode = columns
     male = u_male < spec.male_share
     alpha = np.exp(
@@ -700,14 +709,7 @@ def _population(spec: PopulationSpec, columns: Sequence[np.ndarray]) -> _Populat
     else:
         modes = (ConvexKappa(spec.composition.kappa),)
         mode_index = np.zeros(len(u_male), dtype=np.intp)
-    interned: dict[tuple, Covariates] = {}
-    covariates = []
-    for key in zip(male.tolist(), age.tolist(), tediousness.tolist()):
-        person = interned.get(key)
-        if person is None:
-            person = interned[key] = Covariates(*key)
-        covariates.append(person)
-    return _Population(covariates, alpha, gamma, modes, mode_index)
+    return _Population((male, age, tediousness), alpha, gamma, modes, mode_index)
 
 
 def _member_model(spec: PopulationSpec, alpha: float | np.ndarray, gamma: float | np.ndarray) -> UtilityModel:
@@ -721,7 +723,7 @@ def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covar
     population = _population(spec, [np.array([draw]) for draw in _subject_draws(spec, rng)])
     model = _member_model(spec, float(population.alpha[0]), float(population.gamma[0]))
     mode = population.modes[population.mode_index[0]]
-    return population.covariates[0], Agent(model, mode, spec.framing_shift)
+    return Covariates(*(column[0].item() for column in population.covariates)), Agent(model, mode, spec.framing_shift)
 
 
 def population_digest(spec: PopulationSpec) -> str:
@@ -766,17 +768,17 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
-    subject_ids, people, codes = [], [], []
+    subject_ids, codes = [], []
     for k, (treatment, n) in enumerate(arms):
         arm = treatment.value
         subject_ids += [f"{arm}-{j:04d}" for j in range(n)]
-        people += population.covariates[:n]
         codes.append(_accept_codes(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble))
     keys = np.concatenate(codes) | _ROW_SCENARIO << N_ROWS
     treatment = np.repeat([_TREATMENT_CODE[t] for t, _ in arms], [n for _, n in arms])
+    covariates = [np.concatenate([column[:n] for _, n in arms]) for column in population.covariates]
     offsets = np.arange(0, 2 * len(subject_ids) + 1, 2)  # both scenarios of every subject
     return Dataset._from_columns(
-        subject_ids, treatment, people, offsets, keys.ravel(), seed=spec.seed, spec_digest=digest
+        subject_ids, treatment, covariates, offsets, keys.ravel(), seed=spec.seed, spec_digest=digest
     )
 
 
@@ -805,20 +807,11 @@ class DataFormatError(Exception):
     """A data file does not match the expected CSV schema."""
 
 
-def _covariates_text(covariates: Covariates) -> str:
-    """The gender, age and tediousness cells."""
-    gender = "male" if covariates.male else "female"
-    return f"{gender},{covariates.age},{covariates.tediousness}"
-
-
 def write_csv(dataset: Dataset, path: str) -> None:
     """One row per subject x scenario; money as two-decimal strings.
 
     Rendered from the dataset's columns: each distinct row key and each
-    distinct covariates object is rendered once per call. Covariates are
-    keyed by identity, not value: equal values can print differently (30
-    and 30.0), and the dataset keeps every keyed object alive for the
-    whole call.
+    distinct (male, age, tediousness) value is rendered once per call.
     Rows are written in chunks of _WRITE_CHUNK lines, so the text of the
     whole file is never held at once.
     """
@@ -826,16 +819,13 @@ def write_csv(dataset: Dataset, path: str) -> None:
     # one reference per row, so iterating makes no int per row
     keys, slots = np.unique(dataset._keys, return_inverse=True)
     row_texts = iter(np.array(list(map(_outcome_text, keys.tolist())), dtype=object)[slots])
-    subjects = zip(
-        dataset._subject_ids, dataset._treatment.tolist(), dataset._covariates, np.diff(dataset._offsets).tolist()
-    )
-    covariate_texts: dict[int, str] = {}
+    values, people = dataset._distinct_covariates()
+    tails = [f"{'male' if male else 'female'},{age},{tediousness}\n" for male, age, tediousness in values]
+    counts = np.diff(dataset._offsets).tolist()
+    subjects = zip(dataset._subject_ids, dataset._treatment.tolist(), map(tails.__getitem__, people), counts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         lines = [",".join(CSV_COLUMNS) + "\n"]
-        for sid, t, person, count in subjects:
-            tail = covariate_texts.get(id(person))
-            if tail is None:
-                tail = covariate_texts[id(person)] = _covariates_text(person) + "\n"
+        for sid, t, tail, count in subjects:
             head = f"{sid},{arms[t]},"
             lines += [f"{head}{text},{tail}" for text in itertools.islice(row_texts, count)]
             if len(lines) >= _WRITE_CHUNK:
@@ -844,29 +834,30 @@ def write_csv(dataset: Dataset, path: str) -> None:
         fh.write("".join(lines))
 
 
-def _parse_row(line_no: int, cells: list[str]) -> tuple[str, Treatment, ScenarioOutcome, Covariates]:
+def _parse_row(line_no: int, cells: list[str]) -> ScenarioOutcome:
+    """A row's outcome, once every cell of the row has passed its check, in column order."""
     if len(cells) != len(CSV_COLUMNS):
         raise DataFormatError(f"line {line_no}: expected {len(CSV_COLUMNS)} fields, got {len(cells)}")
     try:
-        treatment = Treatment(cells[1])
+        Treatment(cells[1])
         scenario = Scenario(cells[2])
         choices = tuple(_parse_flag(c) for c in cells[3 : 3 + N_ROWS])
         res_wage = float(cells[3 + N_ROWS])
         censored = _parse_flag(cells[4 + N_ROWS])
         consistent = _parse_flag(cells[5 + N_ROWS])
-        covariates = _parse_covariates(*cells[6 + N_ROWS :])
-        outcome = ScenarioOutcome(scenario, choices, res_wage, censored, consistent)
-    except DataFormatError:
-        raise
+        _parse_covariates(*cells[6 + N_ROWS :])
+        return ScenarioOutcome(scenario, choices, res_wage, censored, consistent)
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: {exc}") from exc
-    return cells[0], treatment, outcome, covariates
 
 
-def _parse_covariates(gender: str, age: str, tediousness: str) -> Covariates:
+def _parse_covariates(gender: str, age: str, tediousness: str) -> tuple[bool, int, int]:
+    """The (male, age, tediousness) value of the covariate cells, checked as Covariates checks it."""
     if gender not in ("male", "female"):
         raise ValueError(f"gender must be male or female, got {gender!r}")
-    return Covariates(gender == "male", int(age), int(tediousness))
+    value = (gender == "male", int(age), int(tediousness))
+    _check_covariates(*value[1:])
+    return value
 
 
 def _parse_flag(cell: str) -> bool:
@@ -911,10 +902,12 @@ def read_csv(path: str) -> Dataset:
     through the validating _parse_row whole, which rejects a wage or
     flag that its choices contradict, and takes the key of the parsed
     outcome. A row with a canonical or seen outcome text has 20 outcome
-    cells, so it has exactly the validated field count, and parses only
-    its unseen treatment or covariate cells, in _parse_row's order.
-    Equal covariate texts are one Covariates object. No ScenarioOutcome
-    or SubjectRecord is built for a canonical file.
+    cells, so it has exactly the validated field count. Every row then
+    parses its unseen treatment or covariate cells, in _parse_row's order.
+    Each distinct covariate text maps to a row of a table of distinct
+    values, gathered into the covariate columns at the end; an age of
+    2**63 or more is rejected. No ScenarioOutcome, SubjectRecord or
+    Covariates is built for a canonical file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -930,8 +923,9 @@ def read_csv(path: str) -> Dataset:
 
     arm_codes: dict[str, int] = {}
     row_keys: dict[str, int] = {}
-    people: dict[str, Covariates] = {}
-    subject_ids, arms, covariates, offsets, keys = [], [], [], [], []
+    people: dict[str, int] = {}  # covariate text -> its row in values
+    values: dict[tuple[bool, int, int], int] = {}  # each distinct value -> its row
+    subject_ids, arms, subject_people, offsets, keys = [], [], [], [], []
     sid, arm, person = None, None, None
     for line_no, line in enumerate(lines[header_no:], header_no + 1):
         if not line:
@@ -945,11 +939,8 @@ def read_csv(path: str) -> Dataset:
         row_person = people.get(covariates_text)
         if key is None:
             key = _canonical_key(outcome_text)
-            if key is None:
-                row_sid, treatment, outcome, row_person = _parse_row(line_no, line.split(","))
-                row_arm = arm_codes.setdefault(treatment_text, _TREATMENT_CODE[treatment])
-                row_person = people.setdefault(covariates_text, row_person)
-                key = _key(outcome)
+            if key is None:  # validates the whole row; its unseen parts are read below
+                key = _key(_parse_row(line_no, line.split(",")))
             row_keys[outcome_text] = key
         if row_arm is None or row_person is None:
             # the outcome text has 20 cells, so the row has all 25 fields;
@@ -958,19 +949,22 @@ def read_csv(path: str) -> Dataset:
                 if row_arm is None:
                     row_arm = arm_codes[treatment_text] = _TREATMENT_CODE[Treatment(treatment_text)]
                 if row_person is None:
-                    row_person = people[covariates_text] = _parse_covariates(*covariates_text.split(","))
+                    value = _parse_covariates(*covariates_text.split(","))
+                    row_person = people[covariates_text] = values.setdefault(value, len(values))
             except ValueError as exc:
                 raise DataFormatError(f"line {line_no}: {exc}") from exc
         if row_sid != sid:
             sid, arm, person = row_sid, row_arm, row_person
             subject_ids.append(sid)
             arms.append(arm)
-            covariates.append(person)
+            subject_people.append(person)
             offsets.append(len(keys))
-        elif row_arm != arm or (row_person is not person and row_person != person):
+        elif row_arm != arm or row_person != person:
             raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
         keys.append(key)
     offsets.append(len(keys))
+    people_index = np.array(subject_people, np.intp)
+    covariates = [np.array(column)[people_index] for column in zip(*values)] if values else ((), (), ())
     try:
         return Dataset._from_columns(subject_ids, arms, covariates, offsets, keys)
     except ValueError as exc:

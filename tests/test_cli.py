@@ -354,9 +354,10 @@ def _golden_rows(column, value):
     return header + "".join(row for row in rows if row.split(",")[k] == value)
 
 
-def _golden_config_with_seed(tmp_path, seed):
+def _golden_config_with_seed(tmp_path, seed, *population_lines):
     path = tmp_path / "run.ini"
-    path.write_text(Path(GOLDEN_INI).read_text(encoding="utf-8").replace("seed = 321", f"seed = {seed}"))
+    lines = "\n".join([f"seed = {seed}", *population_lines])
+    path.write_text(Path(GOLDEN_INI).read_text(encoding="utf-8").replace("seed = 321", lines))
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
 
 
@@ -378,6 +379,10 @@ BAD_INVOCATIONS = {
     ),
     "negative-seed-key": (
         lambda tmp: _golden_config_with_seed(tmp, -1), 2, "config error: seed must be nonnegative, got -1",
+    ),
+    "age-max-beyond-int64": (
+        lambda tmp: _golden_config_with_seed(tmp, 321, "age_max = 9223372036854775808"), 2,
+        "config error: age_range must be a nonnegative (lo, hi) pair below 2**63",
     ),
     "monotone-row-flagged-inconsistent": (
         lambda tmp: _golden_data_with_line_2(tmp, ",3.25,0,1,", ",3.25,0,0,"), 1,

@@ -473,9 +473,14 @@ class TestBulkDraws:
             assert 5 <= len(redrawn) <= 100
 
     @pytest.mark.parametrize("age_range", [(0, 2**63), (2**64, 2**64 + 3)])
-    def test_age_beyond_int64_is_rejected_as_numpy_rejects_it(self, age_range):
-        with pytest.raises(ValueError, match="out of bounds for int64"):
-            simulate_dataset(small_spec(age_range=age_range))
+    def test_age_beyond_int64_is_rejected_by_the_spec(self, age_range):
+        with pytest.raises(ValueError, match=r"^age_range must be a nonnegative \(lo, hi\) pair below 2\*\*63$"):
+            small_spec(age_range=age_range)
+
+    def test_largest_int64_age_is_drawn(self):
+        lo, hi = 2**63 - 4, 2**63 - 1
+        data = simulate_dataset(small_spec(counts={Treatment.BROAD: 50}, age_range=(lo, hi)))
+        assert {r.covariates.age for r in data.records} == set(range(lo, hi + 1))
 
     @pytest.mark.parametrize("name", CRAFTED_OUTPUTS)
     def test_slow_mask_on_crafted_outputs(self, name):
@@ -582,6 +587,26 @@ class TestRecordValidation:
     def test_censor_flag_must_match(self):
         with pytest.raises(ValueError):
             ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, False, True)
+
+    @pytest.mark.parametrize(
+        "age, tediousness, error, message",
+        [
+            (30.0, 5, TypeError, "'float' object cannot be interpreted as an integer"),
+            (30, 5.0, TypeError, "'float' object cannot be interpreted as an integer"),
+            (2**63, 5, ValueError, "age must be below 2**63"),
+            (-1, 5, ValueError, "age must be nonnegative"),
+            (30, 11, ValueError, "tediousness is a 1..10 scale"),
+        ],
+        ids=["float-age", "float-tediousness", "age-beyond-int64", "negative-age", "tediousness-11"],
+    )
+    def test_covariates_reject_what_the_columns_cannot_hold(self, age, tediousness, error, message):
+        with pytest.raises(error) as exc:
+            Covariates(True, age, tediousness)
+        assert str(exc.value) == message
+
+    def test_covariates_take_numpy_ints(self):
+        person = Covariates(True, np.int64(2**63 - 1), np.int8(5))
+        assert person == Covariates(True, 2**63 - 1, 5)
 
     def test_duplicate_subject_ids_rejected(self):
         record = simulate_subject(
@@ -705,6 +730,7 @@ BAD_ROWS = [
     (f"C,MIDDLE,{S1_SWITCH},male,30,5", "'MIDDLE' is not a valid Treatment"),
     (f"C,BROAD,{S1_SWITCH},x,30,5", "gender must be male or female, got 'x'"),
     (f"C,BROAD,{S1_SWITCH},male,-1,5", "age must be nonnegative"),
+    (f"C,BROAD,{S1_SWITCH},male,99999999999999999999,5", "age must be below 2**63"),
     (f"C,BROAD,{S1_SWITCH},male,30,11", "tediousness is a 1..10 scale"),
     (
         f"C,BROAD,{_cells(S1_SWITCH, 17, '2.50')},male,30,5",
@@ -732,7 +758,7 @@ BAD_ROWS = [
 ]
 BAD_ROW_IDS = [
     "24-fields", "26-fields", "choice-flag", "scenario", "signed-choices", "treatment", "gender", "age",
-    "tediousness", "switch-point", "nan-wage", "wage-off-grid", "monotone-flagged-inconsistent",
+    "age-beyond-int64", "tediousness", "switch-point", "nan-wage", "wage-off-grid", "monotone-flagged-inconsistent",
     "inconsistent-wage", "inconsistent-censored", "changes-treatment", "changes-covariates",
 ]
 
@@ -765,7 +791,9 @@ class TestMalformedCsv:
             name for name, (row, _) in zip(BAD_ROW_IDS, BAD_ROWS)
             if _canonical_key(row.split(",", 2)[2].rsplit(",", 3)[0]) is not None
         ]
-        assert canonical == ["treatment", "gender", "age", "tediousness", "changes-treatment", "changes-covariates"]
+        assert canonical == [
+            "treatment", "gender", "age", "age-beyond-int64", "tediousness", "changes-treatment", "changes-covariates",
+        ]
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -820,6 +848,19 @@ class TestMalformedCsv:
         assert b.covariates is c.covariates
         assert a.covariates is not b.covariates
 
+    def test_other_covariate_spelling_is_the_same_value(self, tmp_path):
+        # a subject may spell one value two ways; write_csv renders the value once
+        path = tmp_path / "data.csv"
+        rows = [VALID_ROWS[0], VALID_ROWS[1].replace("male,30,5", "male,030,+5"), f"C,LOW,{S2_CENSORED},male,30,05"]
+        path.write_text("\n".join([HEADER] + rows) + "\n")
+        data = read_csv(str(path))
+        a, c = data.records
+        assert a.covariates is c.covariates == Covariates(True, 30, 5)
+        write_csv(data, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_text().splitlines()[1:] == [
+            VALID_ROWS[0], VALID_ROWS[1], f"C,LOW,{S2_CENSORED},male,30,5",
+        ]
+
     def test_outcomes_are_built_only_for_records(self, tmp_path, monkeypatch):
         data = simulate_dataset(small_spec(seed=5, tremble=0.3))
         path = tmp_path / "data.csv"
@@ -847,11 +888,11 @@ class TestRowKeys:
         codes = np.arange(1 << 16)
         flags = [tuple(bool(code >> i & 1) for i in range(16)) for code in range(1 << 16)]
         consistent, wages = zip(*map(classify_consistency, flags))
-        person = Covariates(True, 30, 5)
+        n = codes.size  # one subject per key
+        covariates = (np.ones(n, bool), np.full(n, 30), np.full(n, 5))  # male, 30, 5
         for s, scenario in enumerate(Scenario):
             keys = codes | s << 16
-            n = codes.size  # one subject per key
-            columns = ([f"X-{j}" for j in range(n)], np.zeros(n), [person] * n, np.arange(n + 1), keys)
+            columns = ([f"X-{j}" for j in range(n)], np.zeros(n), covariates, np.arange(n + 1), keys)
             obs = Dataset._from_columns(*columns).observations
             assert obs.consistent.tolist() == list(consistent)
             assert obs.res_wage.tolist() == list(wages)
@@ -863,7 +904,7 @@ class TestRowKeys:
             assert [o.res_wage for o in outcomes] == list(wages)
             assert {o.scenario for o in outcomes} == {scenario}
             texts = [_outcome_text(key) for key in keys.tolist()]
-            parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"])[2] for text in texts]
+            parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"]) for text in texts]
             assert parsed == outcomes
             assert [_canonical_key(text) for text in texts] == keys.tolist()
 
@@ -1072,7 +1113,7 @@ class TestColumnStorage:
         write_csv(data, str(tmp_path / "data.csv"))
         first, second = (read_csv(str(tmp_path / "data.csv")) for _ in range(2))
         built = []
-        for cls in (SubjectRecord, ScenarioOutcome):
+        for cls in (SubjectRecord, ScenarioOutcome, Covariates):
             validate = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda self, validate=validate: built.append(self) or validate(self))
         assert first == second == data
@@ -1111,6 +1152,12 @@ class TestColumnStorage:
         if change is None:
             assert hash(Dataset(base)) == hash(Dataset(changed))
 
+    def test_covariate_columns_are_read_only_bool_int64_int8(self):
+        data = simulate_dataset(small_spec())
+        for dataset in (data, Dataset(data.records), Dataset(())):
+            assert [c.dtype.name for c in dataset._covariates] == ["bool", "int64", "int8"]
+            assert all(not c.flags.writeable and c.shape == (len(dataset),) for c in dataset._covariates)
+
     def test_columns_cannot_be_reassigned(self):
         data = simulate_dataset(small_spec())
         for name in ("records", "seed", "_keys"):
@@ -1128,3 +1175,17 @@ class TestColumnStorage:
             for drop_inconsistent in (True, False):
                 list(iter_observations(dataset, drop_inconsistent))
         assert len(built) == len(data) + len(again)
+
+    def test_simulate_read_and_write_build_no_covariates(self, tmp_path, monkeypatch):
+        built = []
+        validate = Covariates.__post_init__
+        monkeypatch.setattr(Covariates, "__post_init__", lambda self: built.append(self) or validate(self))
+        data = simulate_dataset(small_spec(tremble=0.3))
+        write_csv(data, str(tmp_path / "data.csv"))
+        golden = read_csv(str(DATA / "golden_data.csv"))
+        write_csv(golden, str(tmp_path / "golden.csv"))
+        assert built == []
+        for dataset in (data, golden):
+            people = [r.covariates for r in dataset.records]
+            assert len(built) == len(set(people)) and built[-1] in people  # one per distinct value
+            built.clear()
