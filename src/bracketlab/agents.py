@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Treatment, TreatmentSpec, price_list
+from .design import CENSOR_CODE, N_ROWS, RECORDED_WAGE, Treatment, TreatmentSpec, snap_rows
 from .preferences import ROOT_TOL, Bundle, UtilityModel
 
 __all__ = [
@@ -36,13 +36,8 @@ __all__ = [
     "snap_to_list",
 ]
 
-CENSOR_CODE = 4.25
-"""Recorded wage when option B is rejected on every list row."""
-
 WAGE_BRACKET = 100.0
 """Reservation wages are searched for on [-WAGE_BRACKET, WAGE_BRACKET]."""
-
-_SNAP_SLACK = 1e-7  # absorbs root-finding error when r sits on a grid point
 
 
 class ModeUnsupported(Exception):
@@ -264,24 +259,9 @@ def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     return float(wage[0])
 
 
-def snap_rows(r) -> np.ndarray:
-    """Index of the grid row each continuous wage is recorded at.
-
-    The agent accepts at indifference, so that is the smallest grid
-    wage at or above r; an index equal to the grid length means the
-    wage lies above the grid (censored).
-    """
-    return np.searchsorted(price_list().extra_wages, np.asarray(r) - _SNAP_SLACK)
-
-
 def snap_to_list(r: float) -> tuple[float, bool]:
-    """Record a continuous wage on the grid: (recorded wage, censored).
-
-    The recorded wage is the grid wage at snap_rows(r); above the grid
-    the record is CENSOR_CODE with the censored flag set.
-    """
-    wages = price_list().extra_wages
+    """Record a continuous wage: (RECORDED_WAGE at snap_rows(r), whether r is above the grid); NaN raises ValueError."""
+    if math.isnan(r):
+        raise ValueError("a NaN wage has no row on the price list")
     k = int(snap_rows(r))
-    if k < len(wages):
-        return wages[k], False
-    return CENSOR_CODE, True
+    return float(RECORDED_WAGE[k]), k == N_ROWS

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import CENSOR_CODE, ModeUnsupported, NoIndifference
+from .agents import ModeUnsupported, NoIndifference
 from .config import ConfigError, parse_config
-from .design import Scenario, Treatment
+from .design import CENSOR_CODE, Scenario, Treatment
 from .estimation import (
     AllCensored,
     Degenerate,

@@ -10,8 +10,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .agents import CENSOR_CODE
-from .design import Treatment
+from .design import CENSOR_CODE, Treatment
 from .experiment import KappaComposition, MixtureComposition, PopulationSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "example_config"]

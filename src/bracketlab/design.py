@@ -6,11 +6,17 @@ heavier option B (15 extra decoding tasks) whose pay rises down a
 outcomes are split between the presented choice and an endowment
 granted outside it; LOW is the exception, dropping the endowed work
 entirely so that narrow and broad evaluations can be told apart.
+
+It also owns how a row pattern is read: its accept code has bit i set
+iff row i is accepted, it records the grid wage of its first accepted
+row (CENSOR_CODE if none is), and it is consistent iff those form a suffix.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .preferences import Bundle
 
@@ -20,8 +26,11 @@ __all__ = [
     "TreatmentSpec",
     "PriceList",
     "BASE_WAGE",
+    "CENSOR_CODE",
+    "N_ROWS",
     "treatment_spec",
     "price_list",
+    "snap_rows",
 ]
 
 BASE_WAGE = 4.00
@@ -113,3 +122,39 @@ _PRICE_LIST = PriceList(tuple(0.25 * k for k in range(1, 17)))
 def price_list() -> PriceList:
     """The 16-row extra-wage grid: 0.25 to 4.00 in 0.25 steps."""
     return _PRICE_LIST
+
+
+N_ROWS = len(_PRICE_LIST.extra_wages)
+"""Rows of the price list, so an accept code has N_ROWS bits."""
+
+CENSOR_CODE = 4.25
+"""Recorded wage when option B is rejected on every list row."""
+
+RECORDED_WAGE = np.array(_PRICE_LIST.extra_wages + (CENSOR_CODE,))
+"""The recorded wage when row i is the first accepted one; row N_ROWS means none is."""
+
+
+def _code_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Every accept code's first accepted row (its lowest set bit, N_ROWS for code 0) and consistency flag."""
+    first_row = np.full(1 << N_ROWS, N_ROWS, np.uint8)
+    for row in range(N_ROWS):
+        first_row[1 << row :: 1 << row + 1] = row  # the codes whose lowest set bit is row
+    consistent = np.zeros(1 << N_ROWS, bool)
+    consistent[(1 << N_ROWS) - (1 << np.arange(N_ROWS + 1))] = True  # the suffixes, code 0 among them
+    return first_row, consistent
+
+
+CODE_FIRST_ROW, CODE_CONSISTENT = _code_tables()
+for _table in (RECORDED_WAGE, CODE_FIRST_ROW, CODE_CONSISTENT):
+    _table.flags.writeable = False  # every dataset reads them
+
+_SNAP_SLACK = 1e-7  # absorbs root-finding error when r sits on a grid point
+
+
+def snap_rows(r) -> np.ndarray:
+    """Index of the grid row each continuous wage is recorded at: RECORDED_WAGE's index.
+
+    The agent accepts at indifference, so that is the smallest grid wage
+    at or above r; N_ROWS means the wage lies above the grid (censored).
+    """
+    return np.searchsorted(RECORDED_WAGE[:N_ROWS], np.asarray(r) - _SNAP_SLACK)

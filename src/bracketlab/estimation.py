@@ -6,8 +6,8 @@ oracle, the nonlinear least-squares estimator of the bracketing weight
 kappa with a profile-grid oracle, a right-censored Tobit by Newton's
 method with analytic standard errors, and two-sample power
 calculations.
-Censored observations carry the 4.25 code everywhere, matching how the
-summary tables treat the upper bound.
+Censored observations carry design.CENSOR_CODE everywhere, matching
+how the summary tables treat the upper bound.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .agents import CENSOR_CODE
-from .design import Scenario, Treatment
+from .design import CENSOR_CODE, Scenario, Treatment
 from .experiment import Dataset
 
 __all__ = [
@@ -181,7 +180,7 @@ def summarize_means(dataset: Dataset, drop_inconsistent: bool = True) -> list[Ce
     """Mean, spread, censoring share, and N per treatment x scenario.
 
     Cells with no observations after filtering are omitted; censored
-    responses enter the mean at the 4.25 code.
+    responses enter the mean at CENSOR_CODE.
     """
     return [
         CellSummary(

@@ -24,17 +24,17 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
-from .agents import (
-    Agent,
-    Broad,
-    CENSOR_CODE,
-    ConvexKappa,
-    Narrow,
-    NoIndifference,
-    population_wages,
+from .agents import Agent, Broad, ConvexKappa, Narrow, NoIndifference, population_wages
+from .design import (
+    CODE_CONSISTENT,
+    CODE_FIRST_ROW,
+    N_ROWS,
+    RECORDED_WAGE,
+    Scenario,
+    Treatment,
     snap_rows,
+    treatment_spec,
 )
-from .design import Scenario, Treatment, price_list, treatment_spec
 from .preferences import CaraMoneyPowerCost, QuasiLinearPowerCost, UtilityModel
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-N_ROWS = 16
-
 _TEDIOUSNESS_WIDTH = 10  # tediousness is drawn on a 1..10 scale
 _TEDIOUSNESS_CENTER = 5.5  # its midpoint
 
@@ -71,11 +69,13 @@ class Covariates:
     tediousness: int
 
     def __post_init__(self) -> None:
-        _check_covariates(self.age, self.tediousness)
+        _check_covariates(self.male, self.age, self.tediousness)
 
 
-def _check_covariates(age: int, tediousness: int) -> None:
-    """Reject what a Dataset's int64 age and int8 tediousness columns cannot hold, non-integers included."""
+def _check_covariates(male: bool, age: int, tediousness: int) -> None:
+    """Reject what a Dataset's bool male, int64 age and int8 tediousness columns cannot hold, non-integers included."""
+    if not isinstance(male, (bool, np.bool_)):
+        raise TypeError(f"male must be a bool, got {male!r}")
     if not 1 <= operator.index(tediousness) <= 10:
         raise ValueError("tediousness is a 1..10 scale")
     if operator.index(age) < 0:
@@ -95,15 +95,7 @@ class ScenarioOutcome:
     consistent: bool
 
     def __post_init__(self) -> None:
-        consistent, expected = classify_consistency(self.choices)
-        if self.consistent != consistent:
-            claim = "consistent record with non-monotone" if self.consistent else "inconsistent record with monotone"
-            raise ValueError(f"{claim} choices")
-        # every row, consistent or not, records its smallest accepted wage
-        if self.res_wage != expected:
-            raise ValueError(f"res_wage {self.res_wage} does not match switch point {expected}")
-        if self.censored != (not any(self.choices)):
-            raise ValueError("censored flag contradicts the choice rows")
+        _check_fields(_accept_code(self.choices), self.res_wage, self.censored, self.consistent)
 
 
 @dataclass(frozen=True)
@@ -125,56 +117,41 @@ _SCENARIOS = tuple(Scenario)
 _ROW_INDEX = np.arange(N_ROWS)
 _ROW_BITS = 1 << _ROW_INDEX
 _ROW_SCENARIO = np.arange(len(Scenario))  # the scenario code of each column of a block's accept codes
-_ROW_WAGES = np.array(price_list().extra_wages + (CENSOR_CODE,))
-"""The recorded wage when row i is the first accepted one; row N_ROWS means none is."""
 _CODE_MASK = (1 << N_ROWS) - 1  # a row key's accept code; the bits above it hold the scenario code
 
 
-def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
-    """Monotonicity flag and recorded wage for one 16-row price list.
-
-    The recorded wage is the smallest accepted wage (the switch point
-    when the rows are monotone) or the censor code when every row
-    rejects.
-    """
+def _accept_code(choices: Sequence[bool]) -> int:
+    """The accept code of a price list's choices: bit i set iff row i is accepted."""
     if len(choices) != N_ROWS:
         raise ValueError(f"expected {N_ROWS} choices, got {len(choices)}")
-    consistent = not any(choices[i] and not choices[i + 1] for i in range(N_ROWS - 1))
-    return consistent, float(_ROW_WAGES[choices.index(True) if True in choices else N_ROWS])
+    return sum(1 << i for i, accepted in enumerate(choices) if accepted)
 
 
-def _code_fields() -> tuple[np.ndarray, np.ndarray]:
-    """First accepted row and consistency flag of every accept code (bit i set iff row i is accepted).
-
-    The first accepted row is the code's lowest set bit, or row 16
-    (recorded as the censor code) when no row is. The rows are consistent
-    iff the accepted ones form a suffix, rows i..15 for some i; for
-    i = 16 that is code 0.
-    """
-    first_row = np.full(1 << N_ROWS, N_ROWS, np.uint8)
-    for row in range(N_ROWS):
-        first_row[1 << row :: 1 << row + 1] = row  # the codes whose lowest set bit is row
-    consistent = np.zeros(1 << N_ROWS, bool)
-    consistent[(1 << N_ROWS) - (1 << np.arange(N_ROWS + 1))] = True
-    return first_row, consistent
+def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
+    """Monotonicity flag and recorded wage of one price list's choices, as design reads their accept code."""
+    code = _accept_code(choices)
+    return bool(CODE_CONSISTENT[code]), float(RECORDED_WAGE[CODE_FIRST_ROW[code]])
 
 
-# every code's fields, so a row's fields are one lookup by its code
-_CODE_FIRST_ROW, _CODE_CONSISTENT = _code_fields()
-
-
-def _key(outcome: ScenarioOutcome) -> int:
-    """The row key of an outcome: its scenario code above its accept code."""
-    code = sum(1 << i for i, accepted in enumerate(outcome.choices) if accepted)
-    return _SCENARIO_CODE[outcome.scenario] << N_ROWS | code
+def _check_fields(code: int, res_wage: float, censored: bool, consistent: bool) -> None:
+    """Reject a recorded flag or wage that the accept code contradicts."""
+    if consistent != bool(CODE_CONSISTENT[code]):
+        claim = "consistent record with non-monotone" if consistent else "inconsistent record with monotone"
+        raise ValueError(f"{claim} choices")
+    # every row, consistent or not, records its smallest accepted wage
+    expected = float(RECORDED_WAGE[CODE_FIRST_ROW[code]])
+    if res_wage != expected:
+        raise ValueError(f"res_wage {res_wage} does not match switch point {expected}")
+    if censored != (code == 0):
+        raise ValueError("censored flag contradicts the choice rows")
 
 
 def _outcomes(keys: np.ndarray) -> list[ScenarioOutcome]:
     """One ScenarioOutcome per row key."""
     codes = keys & _CODE_MASK
     flags = (codes[:, None] & _ROW_BITS) != 0
-    wages = _ROW_WAGES[_CODE_FIRST_ROW[codes]]
-    columns = (flags.tolist(), wages.tolist(), (codes == 0).tolist(), _CODE_CONSISTENT[codes].tolist())
+    wages = RECORDED_WAGE[CODE_FIRST_ROW[codes]]
+    columns = (flags.tolist(), wages.tolist(), (codes == 0).tolist(), CODE_CONSISTENT[codes].tolist())
     return [
         ScenarioOutcome(_SCENARIOS[s], tuple(f), wage, censored, consistent)
         for s, f, wage, censored, consistent in zip((keys >> N_ROWS).tolist(), *columns)
@@ -182,11 +159,11 @@ def _outcomes(keys: np.ndarray) -> list[ScenarioOutcome]:
 
 
 def _outcome_text(key: int) -> str:
-    """The scenario, c01..c16, res_wage, censored and consistent cells of a row key."""
+    """The scenario, choice, res_wage, censored and consistent cells of a row key."""
     code = key & _CODE_MASK
-    choices = ",".join(format(code, "016b")[::-1])  # c01 is bit 0
-    wage = _ROW_WAGES[_CODE_FIRST_ROW[code]]
-    censored, consistent = "0" if code else "1", "1" if _CODE_CONSISTENT[code] else "0"
+    choices = ",".join(format(code, f"0{N_ROWS}b")[::-1])  # c01 is bit 0
+    wage = RECORDED_WAGE[CODE_FIRST_ROW[code]]
+    censored, consistent = "0" if code else "1", "1" if CODE_CONSISTENT[code] else "0"
     return f"{_SCENARIOS[key >> N_ROWS].value},{choices},{wage:.2f},{censored},{consistent}"
 
 
@@ -217,14 +194,11 @@ class Dataset:
     tediousness (int8), each subject's row offsets (subject i owns
     scenario rows offsets[i]:offsets[i + 1]), and one int32 row key per
     scenario row: the scenario code (an index into tuple(Scenario)) above
-    the 16-bit accept code, whose bit i is set iff row i is accepted.
-    Every other field of a row follows from its key: censored is code 0,
-    the row is consistent iff its accepted rows form a suffix, and the
-    recorded wage is the grid wage of the first accepted row or the
-    censor code. read_csv and simulate_dataset fill the columns directly
-    and build no ScenarioOutcome, SubjectRecord or Covariates;
-    Dataset(records) derives the columns from the records, keying each
-    distinct outcome object once. records and observations are built
+    the accept code, from which design's tables give every other field.
+    read_csv and simulate_dataset fill the columns directly and build no
+    ScenarioOutcome, SubjectRecord or Covariates; Dataset(records)
+    derives the columns from the records, keying each distinct outcome
+    object once. records and observations are built
     from the columns on first use and cached: records builds one
     ScenarioOutcome per distinct key and one Covariates per distinct
     value, and every record shares them. Equality and hashing compare
@@ -242,7 +216,7 @@ class Dataset:
                 # keyed by identity: the records keep every keyed object alive
                 key = memo.get(id(outcome))
                 if key is None:
-                    key = memo[id(outcome)] = _key(outcome)
+                    key = memo[id(outcome)] = _SCENARIO_CODE[outcome.scenario] << N_ROWS | _accept_code(outcome.choices)
                 keys.append(key)
         self._fill(
             [r.subject_id for r in records],
@@ -337,7 +311,7 @@ class Dataset:
         codes = self._keys & _CODE_MASK
         treatment = np.repeat(self._treatment, np.diff(self._offsets))
         scenario = (self._keys >> N_ROWS).astype(np.int8)
-        columns = [treatment, scenario, _ROW_WAGES[_CODE_FIRST_ROW[codes]], _CODE_CONSISTENT[codes]]
+        columns = [treatment, scenario, RECORDED_WAGE[CODE_FIRST_ROW[codes]], CODE_CONSISTENT[codes]]
         return Observations(*map(_read_only, columns))
 
 
@@ -421,7 +395,7 @@ def _accept_codes(wages: Sequence[np.ndarray], uniforms: np.ndarray | None, trem
     """Accept codes of a block of subjects, one row per subject, one column per scenario.
 
     wages holds each scenario's continuous wages and uniforms each
-    subject's 2 x 16 tremble draws (None when tremble is 0). Bit i of a
+    subject's 2 x N_ROWS tremble draws (None when tremble is 0). Bit i of a
     code is set iff row i is accepted.
     """
     per_scenario = []
@@ -444,7 +418,7 @@ def simulate_subject(
 ) -> SubjectRecord:
     """Run one agent through both scenarios of one treatment.
 
-    The rng is consumed only for tremble draws (16 per scenario, drawn
+    The rng is consumed only for tremble draws (N_ROWS per scenario, drawn
     only when tremble > 0), keeping streams aligned across runs that
     differ only in the tremble rate being zero or absent.
     """
@@ -644,7 +618,7 @@ def _draw_columns(spec: PopulationSpec, outputs: Sequence[np.ndarray]) -> tuple[
 
 
 def _bulk_draws(spec: PopulationSpec, count: int) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """_subject_draws' columns for subjects 0..count-1, and their (count, 2, 16) tremble draws.
+    """_subject_draws' columns for subjects 0..count-1, and their (count, 2, N_ROWS) tremble draws.
 
     The tremble draws are None when tremble is 0. Each stream steps once
     per draw, and each step's output goes straight to its column; the
@@ -834,19 +808,20 @@ def write_csv(dataset: Dataset, path: str) -> None:
         fh.write("".join(lines))
 
 
-def _parse_row(line_no: int, cells: list[str]) -> ScenarioOutcome:
-    """A row's outcome, once every cell of the row has passed its check, in column order."""
+def _parse_row(line_no: int, cells: list[str]) -> int:
+    """A row's key, once every cell of the row has passed its check, in column order."""
     if len(cells) != len(CSV_COLUMNS):
         raise DataFormatError(f"line {line_no}: expected {len(CSV_COLUMNS)} fields, got {len(cells)}")
     try:
         Treatment(cells[1])
         scenario = Scenario(cells[2])
-        choices = tuple(_parse_flag(c) for c in cells[3 : 3 + N_ROWS])
+        code = _accept_code([_parse_flag(c) for c in cells[3 : 3 + N_ROWS]])
         res_wage = float(cells[3 + N_ROWS])
         censored = _parse_flag(cells[4 + N_ROWS])
         consistent = _parse_flag(cells[5 + N_ROWS])
         _parse_covariates(*cells[6 + N_ROWS :])
-        return ScenarioOutcome(scenario, choices, res_wage, censored, consistent)
+        _check_fields(code, res_wage, censored, consistent)
+        return _SCENARIO_CODE[scenario] << N_ROWS | code
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: {exc}") from exc
 
@@ -856,7 +831,7 @@ def _parse_covariates(gender: str, age: str, tediousness: str) -> tuple[bool, in
     if gender not in ("male", "female"):
         raise ValueError(f"gender must be male or female, got {gender!r}")
     value = (gender == "male", int(age), int(tediousness))
-    _check_covariates(*value[1:])
+    _check_covariates(*value)
     return value
 
 
@@ -874,12 +849,12 @@ _SCENARIO_TEXT = {s.value: i for i, s in enumerate(Scenario)}
 def _canonical_key(outcome_text: str) -> int | None:
     """The row key whose canonical text outcome_text is, or None.
 
-    The 16 choice cells are read as a code, c16 first; the text is
-    canonical iff it equals the text write_csv renders for that key.
+    The N_ROWS choice cells are read as a code, the last first; the text
+    is canonical iff it equals the text write_csv renders for that key.
     """
     scenario = _SCENARIO_TEXT.get(outcome_text[:2])
     try:
-        code = int(outcome_text[33:2:-2], 2)
+        code = int(outcome_text[2 * N_ROWS + 1 : 2 : -2], 2)
     except ValueError:
         return None
     if scenario is None or code < 0:  # int() accepts a sign
@@ -900,9 +875,9 @@ def read_csv(path: str) -> Dataset:
     to a row key. A new outcome text that is the canonical text of a
     key, as write_csv renders it, is that key; any other new text goes
     through the validating _parse_row whole, which rejects a wage or
-    flag that its choices contradict, and takes the key of the parsed
-    outcome. A row with a canonical or seen outcome text has 20 outcome
-    cells, so it has exactly the validated field count. Every row then
+    flag that its choices contradict, and returns its key. A row with a
+    canonical or seen outcome text has N_ROWS + 4 outcome cells, so it
+    has exactly the validated field count. Every row then
     parses its unseen treatment or covariate cells, in _parse_row's order.
     Each distinct covariate text maps to a row of a table of distinct
     values, gathered into the covariate columns at the end; an age of
@@ -940,10 +915,10 @@ def read_csv(path: str) -> Dataset:
         if key is None:
             key = _canonical_key(outcome_text)
             if key is None:  # validates the whole row; its unseen parts are read below
-                key = _key(_parse_row(line_no, line.split(",")))
+                key = _parse_row(line_no, line.split(","))
             row_keys[outcome_text] = key
         if row_arm is None or row_person is None:
-            # the outcome text has 20 cells, so the row has all 25 fields;
+            # the outcome text has N_ROWS + 4 cells, so the row has every field;
             # the cells are checked in _parse_row's order
             try:
                 if row_arm is None:

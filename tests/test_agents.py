@@ -17,9 +17,10 @@ from bracketlab.agents import (
     evaluate_option,
     population_wages,
     reservation_wage_exact,
+    snap_rows,
     snap_to_list,
 )
-from bracketlab.design import Scenario, Treatment, treatment_spec
+from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
 from bracketlab.preferences import (
     Bundle,
     CaraMoneyPowerCost,
@@ -336,3 +337,34 @@ class TestSnapToList:
     def test_idempotent_on_grid(self, k):
         wage = 0.25 * k
         assert snap_to_list(wage) == (wage, False)
+
+    def test_nan_wage_is_rejected(self):
+        # a NaN is above no grid wage, so it must not be recorded as censored
+        with pytest.raises(ValueError, match="NaN"):
+            snap_to_list(math.nan)
+
+
+GRID = price_list().extra_wages
+# finite wages, grid points, their neighbours at the snap slack (1e-7) and
+# just beyond it, and the infinities
+WAGES = st.one_of(
+    st.floats(min_value=-10, max_value=10),
+    st.builds(lambda w, step: w + step, st.sampled_from(GRID), st.sampled_from([0.0, -1e-7, 1e-7, -2e-7, 2e-7])),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+def _snap_by_definition(r):
+    """The smallest grid wage w with w >= r - 1e-7, else the censor code."""
+    return next(((w, False) for w in GRID if w >= r - 1e-7), (CENSOR_CODE, True))
+
+
+class TestSnapAgreement:
+    @given(st.lists(WAGES, max_size=20))
+    def test_array_snap_is_elementwise_snap(self, wages):
+        rows = snap_rows(np.array(wages, dtype=float))
+        assert rows.tolist() == [int(snap_rows(r)) for r in wages]
+
+    @given(WAGES)
+    def test_snap_to_list_is_the_scalar_definition(self, r):
+        assert snap_to_list(r) == _snap_by_definition(r)

@@ -8,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from bracketlab import experiment
 from bracketlab.agents import Agent, Broad, Narrow, reservation_wage_exact, snap_to_list
-from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
+from bracketlab.design import (
+    CENSOR_CODE,
+    CODE_CONSISTENT,
+    CODE_FIRST_ROW,
+    N_ROWS,
+    RECORDED_WAGE,
+    Scenario,
+    Treatment,
+    price_list,
+    treatment_spec,
+)
 from bracketlab.experiment import (
     CSV_COLUMNS,
     Covariates,
@@ -100,6 +110,17 @@ class TestDesignTable:
         assert wages[0] == 0.25
         assert wages[-1] == 4.0
         assert all(b - a == 0.25 for a, b in zip(wages, wages[1:]))
+
+
+def _classify_by_rows(choices):
+    """Monotonicity flag and recorded wage by the per-choice definitions.
+
+    The rows are monotone iff no accepted row is followed by a rejected
+    one; the recorded wage is the grid wage of the first accepted row, or
+    the censor code when every row rejects.
+    """
+    consistent = not any(choices[i] and not choices[i + 1] for i in range(len(choices) - 1))
+    return consistent, price_list().extra_wages[choices.index(True)] if True in choices else CENSOR_CODE
 
 
 class TestClassifyConsistency:
@@ -608,6 +629,24 @@ class TestRecordValidation:
         person = Covariates(True, np.int64(2**63 - 1), np.int8(5))
         assert person == Covariates(True, 2**63 - 1, 5)
 
+    @pytest.mark.parametrize("male", ["no", 2, 1, None], ids=["text", "two", "one", "none"])
+    def test_covariates_reject_a_male_that_is_not_a_bool(self, male):
+        outcome = ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, True, True)
+        with pytest.raises(TypeError, match=f"^male must be a bool, got {male!r}$"):
+            Dataset([SubjectRecord("X-0", Treatment.LOW, (outcome,), Covariates(male, 30, 5))])
+
+    def test_records_with_a_numpy_bool_male_round_trip(self, tmp_path):
+        outcome = ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, True, True)
+        data = Dataset([
+            SubjectRecord(f"X-{j}", Treatment.LOW, (outcome,), Covariates(male, 30, 5))
+            for j, male in enumerate([np.True_, np.False_])
+        ])
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+        assert [line.split(",")[-3] for line in path.read_text().splitlines()[1:]] == ["male", "female"]
+        assert read_csv(str(path)) == data
+        assert [r.covariates.male for r in read_csv(str(path)).records] == [True, False]
+
     def test_duplicate_subject_ids_rejected(self):
         record = simulate_subject(
             subject_stream(0, 0), Agent(QL, Broad()), Treatment.BROAD, Covariates(True, 30, 5),
@@ -884,10 +923,13 @@ class TestMalformedCsv:
 class TestRowKeys:
     """Outcome fields derived from a row key against the per-choice definitions."""
 
-    def test_every_code_derives_as_classify_consistency(self):
-        codes = np.arange(1 << 16)
-        flags = [tuple(bool(code >> i & 1) for i in range(16)) for code in range(1 << 16)]
-        consistent, wages = zip(*map(classify_consistency, flags))
+    def test_every_code_derives_as_the_per_choice_definitions(self):
+        codes = np.arange(1 << N_ROWS)
+        flags = [tuple(bool(code >> i & 1) for i in range(N_ROWS)) for code in range(1 << N_ROWS)]
+        consistent, wages = zip(*map(_classify_by_rows, flags))
+        assert CODE_CONSISTENT.tolist() == list(consistent)
+        assert RECORDED_WAGE[CODE_FIRST_ROW].tolist() == list(wages)
+        assert list(map(classify_consistency, flags)) == list(zip(consistent, wages))
         n = codes.size  # one subject per key
         covariates = (np.ones(n, bool), np.full(n, 30), np.full(n, 5))  # male, 30, 5
         for s, scenario in enumerate(Scenario):
@@ -905,7 +947,7 @@ class TestRowKeys:
             assert {o.scenario for o in outcomes} == {scenario}
             texts = [_outcome_text(key) for key in keys.tolist()]
             parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"]) for text in texts]
-            assert parsed == outcomes
+            assert parsed == keys.tolist()
             assert [_canonical_key(text) for text in texts] == keys.tolist()
 
     @pytest.mark.parametrize("wage", ["1.0", "1.000", "1"])

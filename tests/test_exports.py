@@ -2,14 +2,18 @@
 
 The benchmark tracer looks up every reports.render_* name in __all__,
 so a stale export would break every traced run, not just an import.
+The price list and the reading of a row pattern on it are defined in
+bracketlab.design alone; every other module imports them.
 """
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import bracketlab
-from bracketlab import cli, theory
+from bracketlab import cli, design, theory
 
 MODULES = ["bracketlab"] + sorted(m.name for m in pkgutil.iter_modules(bracketlab.__path__, "bracketlab."))
 
@@ -32,3 +36,34 @@ def test_every_package_export_is_a_submodule_export():
     # declared public where it lives
     declared = {n for m in MODULES[1:] for n in getattr(importlib.import_module(m), "__all__", ())}
     assert [n for n in bracketlab.__all__ if n != "__version__" and n not in declared] == []
+
+
+# the price list and the reading of a row pattern on it, owned by design
+PRICE_LIST_FACTS = ("N_ROWS", "CENSOR_CODE", "RECORDED_WAGE", "CODE_FIRST_ROW", "CODE_CONSISTENT", "snap_rows")
+
+
+@pytest.mark.parametrize(
+    "name", ["bracketlab"] + [f"bracketlab.{m}" for m in ("agents", "experiment", "estimation", "config", "cli")]
+)
+def test_price_list_facts_are_designs(name):
+    module = importlib.import_module(name)
+    assert [n for n in PRICE_LIST_FACTS if hasattr(module, n) and getattr(module, n) is not getattr(design, n)] == []
+
+
+def _module_level_names(tree):
+    """The names a module's top-level statements assign or define."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES[1:] if m != "bracketlab.design"])
+def test_only_design_defines_the_price_list_facts(name):
+    # N_ROWS = 16 anywhere would be the same int object, so identity alone cannot catch it
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    assert _module_level_names(tree) & {*PRICE_LIST_FACTS, "_SNAP_SLACK"} == set()
