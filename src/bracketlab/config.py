@@ -157,7 +157,8 @@ narrow_share = 1.0
 alpha_location = -5.521460917862246
 alpha_scale = 0.35
 alpha_tediousness_link = 0.08
-# effort cost convexity: normal truncated to [gamma_lo, gamma_hi]
+# effort cost convexity: normal truncated to [gamma_lo, gamma_hi];
+# gamma_lo is finite, and gamma_hi = inf truncates from below only
 gamma_location = 2.0
 gamma_scale = 0.15
 gamma_male_shift = -0.10

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
+from ._normal import log_ndtr, ndtr, ndtri
 from .design import CENSOR_CODE, Scenario, Treatment
 from .experiment import Dataset
 

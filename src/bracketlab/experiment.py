@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .agents import Agent, Broad, ConvexKappa, Narrow, NoIndifference, population_wages
 from .design import (
@@ -198,7 +198,8 @@ class Dataset:
     read_csv and simulate_dataset fill the columns directly and build no
     ScenarioOutcome, SubjectRecord or Covariates; Dataset(records)
     derives the columns from the records, keying each distinct outcome
-    object once. records and observations are built
+    object once and checking each distinct covariates object as
+    Covariates checks it. records and observations are built
     from the columns on first use and cached: records builds one
     ScenarioOutcome per distinct key and one Covariates per distinct
     value, and every record shares them. Equality and hashing compare
@@ -209,6 +210,8 @@ class Dataset:
         self, records: Sequence[SubjectRecord], seed: int | None = None, spec_digest: str | None = None
     ) -> None:
         records = tuple(records)
+        for covariates in {id(r.covariates): r.covariates for r in records}.values():
+            _check_covariates(covariates.male, covariates.age, covariates.tediousness)
         memo: dict[int, int] = {}
         keys = []
         for record in records:
@@ -343,7 +346,8 @@ class PopulationSpec:
 
     Cost scale alpha is log-normal around alpha_location with a linear
     tediousness link on the log scale; convexity gamma is normal,
-    truncated to gamma_bounds, with a location shift for men. Defaults
+    truncated to gamma_bounds, with a location shift for men. The lower
+    bound is finite; an upper bound of inf truncates from below only. Defaults
     are calibrated so simulated reservation wages land mid price list
     with a realistic censoring share; the example config documents them.
     """
@@ -379,8 +383,8 @@ class PopulationSpec:
         if self.alpha_scale < 0 or self.gamma_scale < 0:
             raise ValueError("distribution scales must be nonnegative")
         lo, hi = self.gamma_bounds
-        if not (1.0 <= lo <= hi):
-            raise ValueError("gamma_bounds must satisfy 1 <= lo <= hi")
+        if not (1.0 <= lo <= hi and math.isfinite(lo)):
+            raise ValueError("gamma_bounds must satisfy 1 <= lo <= hi with a finite lo")
         if not 0.0 <= self.tremble <= 1.0:
             raise ValueError("tremble is a probability")
         if not 0.0 <= self.male_share <= 1.0:
@@ -646,11 +650,18 @@ def _bulk_draws(spec: PopulationSpec, count: int) -> tuple[list[np.ndarray], np.
     return columns, trembles
 
 
-def _truncated_normal(u: np.ndarray, loc: np.ndarray, scale: float, lo: float, hi: float) -> np.ndarray:
+def _truncated_normal(
+    u: np.ndarray, locs: np.ndarray, index: np.ndarray, scale: float, lo: float, hi: float
+) -> np.ndarray:
+    """Normals truncated to [lo, hi] by inversion of the uniforms u; draw j is centred at locs[index[j]].
+
+    The bounds' CDFs are evaluated once per location, not once per draw.
+    """
+    loc = locs[index]
     if scale == 0.0:
         return np.minimum(np.maximum(loc, lo), hi)
-    a = ndtr((lo - loc) / scale)
-    b = ndtr((hi - loc) / scale)
+    a = ndtr((lo - locs) / scale)[index]
+    b = ndtr((hi - locs) / scale)[index]
     x = loc + scale * ndtri(a + u * (b - a))
     return np.minimum(np.maximum(x, lo), hi)
 
@@ -675,8 +686,8 @@ def _population(spec: PopulationSpec, columns: Sequence[np.ndarray]) -> _Populat
         + spec.alpha_tediousness_link * (tediousness - _TEDIOUSNESS_CENTER)
         + spec.alpha_scale * z_alpha
     )
-    gamma_loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
-    gamma = _truncated_normal(u_gamma, gamma_loc, spec.gamma_scale, *spec.gamma_bounds)
+    gamma_locs = spec.gamma_location + np.array([0.0, spec.gamma_male_shift])  # women's, men's
+    gamma = _truncated_normal(u_gamma, gamma_locs, male.astype(np.intp), spec.gamma_scale, *spec.gamma_bounds)
     if isinstance(spec.composition, MixtureComposition):
         modes = (Broad(), Narrow())
         mode_index = (u_mode[0] < spec.composition.narrow_share).astype(np.intp)

@@ -380,6 +380,10 @@ BAD_INVOCATIONS = {
     "negative-seed-key": (
         lambda tmp: _golden_config_with_seed(tmp, -1), 2, "config error: seed must be nonnegative, got -1",
     ),
+    "gamma-lo-inf": (
+        lambda tmp: _golden_config_with_seed(tmp, 321, "gamma_lo = inf", "gamma_hi = inf"), 2,
+        "config error: gamma_bounds must satisfy 1 <= lo <= hi with a finite lo",
+    ),
     "age-max-beyond-int64": (
         lambda tmp: _golden_config_with_seed(tmp, 321, "age_max = 9223372036854775808"), 2,
         "config error: age_range must be a nonnegative (lo, hi) pair below 2**63",

@@ -1,6 +1,7 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +319,19 @@ class TestSimulateDataset:
         with pytest.raises(ValueError):
             MixtureComposition(1.2)
 
+    @pytest.mark.parametrize(
+        "bounds", [(math.inf, math.inf), (math.nan, 4.0), (2.0, math.nan), (0.5, 4.0), (3.0, 2.0)],
+        ids=["lo-inf", "lo-nan", "hi-nan", "lo-below-1", "lo-above-hi"],
+    )
+    def test_gamma_bounds_need_a_finite_lo_between_1_and_hi(self, bounds):
+        with pytest.raises(ValueError, match=r"^gamma_bounds must satisfy 1 <= lo <= hi with a finite lo$"):
+            small_spec(gamma_bounds=bounds)
+
+    def test_an_infinite_upper_gamma_bound_truncates_from_below_only(self):
+        # as an upper bound no draw reaches, which leaves every draw where it is
+        spec = small_spec(gamma_bounds=(1.9, math.inf))
+        assert simulate_dataset(spec) == simulate_dataset(small_spec(gamma_bounds=(1.9, 1e6)))
+
 
 def per_subject_reference(spec):
     """The dataset built one subject at a time, each treatment drawing subject j afresh."""
@@ -634,6 +648,23 @@ class TestRecordValidation:
         outcome = ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, True, True)
         with pytest.raises(TypeError, match=f"^male must be a bool, got {male!r}$"):
             Dataset([SubjectRecord("X-0", Treatment.LOW, (outcome,), Covariates(male, 30, 5))])
+
+    @pytest.mark.parametrize(
+        "covariates, error, message",
+        [
+            (SimpleNamespace(male="no", age=30, tediousness=5), TypeError, "male must be a bool, got 'no'"),
+            (SimpleNamespace(male=True, age=30.7, tediousness=5), TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            (SimpleNamespace(male=True, age=30, tediousness=300), ValueError, "tediousness is a 1..10 scale"),
+        ],
+        ids=["text-male", "fractional-age", "tediousness-300"],
+    )
+    def test_records_covariates_are_checked_as_covariates_checks_them(self, covariates, error, message):
+        # a record's covariates need not be a Covariates, whose own checks would have run
+        outcome = ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, True, True)
+        with pytest.raises(error) as exc:
+            Dataset([SubjectRecord("X-0", Treatment.LOW, (outcome,), covariates)])
+        assert str(exc.value) == message
 
     def test_records_with_a_numpy_bool_male_round_trip(self, tmp_path):
         outcome = ScenarioOutcome(Scenario.S1, (False,) * 16, 4.25, True, True)

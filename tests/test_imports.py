@@ -12,15 +12,43 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(path for top in ("src", "tests", "demos") for path in (ROOT / top).rglob("*.py"))
 
 
-def test_package_import_leaves_out_scipy_optimize_and_stats():
-    # a fresh interpreter, since this process imports scipy.stats itself
+def test_package_import_loads_no_scipy():
+    # a fresh interpreter, since this process imports scipy itself as the tests' oracle
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import bracketlab, bracketlab.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _scipy_imports(source: str) -> list[str]:
+    """The scipy modules a source file imports, at any depth."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_source_file_imports_scipy(path):
+    # numpy is the one runtime dependency; scipy is the tests' oracle
+    assert _scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_a_scipy_import():
+    source = (
+        "import numpy, scipy.stats as st\n"
+        "from scipy.special import ndtr\n"
+        "from . import scipy_like\n"
+        "def f():\n"
+        "    from scipy import optimize\n"
+    )
+    assert _scipy_imports(source) == ["scipy.stats", "scipy.special", "scipy"]
 
 
 def test_benchmark_traced_names_exist():
