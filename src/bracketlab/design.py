@@ -38,6 +38,13 @@ BASE_WAGE = 4.00
 
 
 class Treatment(enum.Enum):
+    """A treatment arm.
+
+    Members hash by identity, in C: each is a singleton equal only to
+    itself, and Enum's own hash (of the name) is salted per process, so
+    no output can depend on the hash value.
+    """
+
     BROAD = "BROAD"
     NARROW = "NARROW"
     LOW = "LOW"
@@ -45,10 +52,16 @@ class Treatment(enum.Enum):
     BEFORE = "BEFORE"
     AFTER = "AFTER"
 
+    __hash__ = object.__hash__
+
 
 class Scenario(enum.Enum):
+    """A scenario of the price list; members hash by identity, as Treatment's do."""
+
     S1 = "S1"
     S2 = "S2"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,11 @@ def cell_wages(dataset: Dataset, drop_inconsistent: bool = True) -> dict[tuple[T
     observations after filtering are omitted.
     """
     obs = dataset.observations
-    keep = obs.consistent if drop_inconsistent else slice(None)
-    cell = obs.treatment[keep].astype(np.intp) * len(Scenario) + obs.scenario[keep]
-    # a stable sort keeps record order inside each cell
-    grouped = obs.res_wage[keep][np.argsort(cell, kind="stable")]
+    cell = obs.treatment * len(Scenario) + obs.scenario
+    rows = np.flatnonzero(obs.consistent) if drop_inconsistent else np.arange(cell.size)
+    cell = cell[rows]
+    # a stable sort keeps record order inside each cell; int8 keys get numpy's radix sort
+    grouped = obs.res_wage[rows[np.argsort(cell, kind="stable")]]
     parts = np.split(grouped, np.cumsum(np.bincount(cell, minlength=len(Treatment) * len(Scenario)))[:-1])
     return {key: part for key, part in zip(itertools.product(Treatment, Scenario), parts) if part.size}
 
@@ -275,36 +276,42 @@ def _kappa_arrays(
     mid_label: Treatment,
     drop_inconsistent: bool = True,
 ):
-    """Responses with group/scenario codes, by default consistent scenarios only."""
+    """Responses and their cells in record order, by default consistent scenarios only, and each cell's mean and count.
+
+    A row's cell is 2 * group + scenario, for groups broad, narrow and
+    mid. One stable sort by cell lays out each cell's responses in
+    record order, so a cell's mean has the bits of its masked mean.
+    """
     labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
     if len(labels) != 3:
         raise ValueError("the three treatment labels must be distinct")
     obs = dataset.observations
-    group_of = np.array([labels.get(t, -1) for t in Treatment], dtype=np.int8)
-    group = group_of[obs.treatment]
-    keep = group >= 0
+    # the other treatments get a negative cell whatever the scenario
+    cell_of = np.array([2 * labels.get(t, -1) for t in Treatment], dtype=np.int8)
+    cell = cell_of[obs.treatment] + obs.scenario
+    keep = cell >= 0
     if drop_inconsistent:
         keep &= obs.consistent
-    y, group, scen = obs.res_wage[keep], group[keep], obs.scenario[keep]
-    means = np.zeros((3, 2))
-    counts = np.zeros((3, 2))
-    for label, g in labels.items():
-        for s in range(2):
-            sel = (group == g) & (scen == s)
-            counts[g, s] = sel.sum()
-            if not counts[g, s]:
-                raise Degenerate(
-                    f"no {'consistent ' if drop_inconsistent else ''}observations for "
-                    f"{label.value} in {_SCENARIOS[s].value}; "
-                    "kappa needs all three treatments in both scenarios"
-                )
-            means[g, s] = y[sel].mean()
+    rows = np.flatnonzero(keep)
+    y, cell = obs.res_wage[rows], cell[rows]
+    counts = np.bincount(cell, minlength=6)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        g, s = divmod(int(empty[0]), 2)
+        raise Degenerate(
+            f"no {'consistent ' if drop_inconsistent else ''}observations for "
+            f"{(broad_label, narrow_label, mid_label)[g].value} in {_SCENARIOS[s].value}; "
+            "kappa needs all three treatments in both scenarios"
+        )
+    # int8 keys get numpy's radix sort
+    by_cell = np.split(y[np.argsort(cell, kind="stable")], np.cumsum(counts)[:-1])
+    means = np.array([part.mean() for part in by_cell]).reshape(3, 2)
     if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
         raise Degenerate(
             "broad and narrow cell means coincide in both scenarios; "
             "the bracketing weight is unidentified on this data"
         )
-    return y, group, scen, means, counts
+    return y, cell.astype(np.intp), means, counts.reshape(3, 2).astype(float)
 
 
 def _kappa_fitted(theta: np.ndarray) -> np.ndarray:
@@ -321,7 +328,7 @@ def _kappa_design(theta: np.ndarray, cell: np.ndarray):
     jac[[4, 5], [0, 1]] = 1.0 - kappa
     jac[[4, 5], [2, 3]] = kappa
     jac[[4, 5], 4] = n - b
-    return _kappa_fitted(theta)[cell], jac[cell]
+    return np.take(_kappa_fitted(theta), cell), np.take(jac, cell, axis=0)
 
 
 def nls_kappa(
@@ -349,14 +356,11 @@ def nls_kappa(
     seed 3 and no trembles it gives 0.632 at kappa 0.7, 0.235 at 0.3
     and 1.547 at 1.4.
     """
-    y, group, scen, means, counts = _kappa_arrays(
-        dataset, broad_label, narrow_label, mid_label, drop_inconsistent
-    )
-    cell = 2 * group.astype(np.intp) + scen
+    y, cell, means, _ = _kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
     theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
 
     def rss_at(t):
-        r = y - _kappa_fitted(t)[cell]
+        r = y - np.take(_kappa_fitted(t), cell)
         return float(r @ r)
 
     rss = rss_at(theta)
@@ -365,27 +369,26 @@ def nls_kappa(
     for iterations in range(1, _MAX_ITER + 1):
         fitted, jac = _kappa_design(theta, cell)
         resid = y - fitted
-        grad = 2.0 * (jac.T @ resid)
-        if float(np.linalg.norm(grad)) < _GRAD_TOL:
+        score = jac.T @ resid  # half the gradient of the rss
+        if float(np.linalg.norm(2.0 * score)) < _GRAD_TOL:
             converged = True
             break
-        step, *_ = np.linalg.lstsq(jac.T @ jac, jac.T @ resid, rcond=None)
+        step, *_ = np.linalg.lstsq(jac.T @ jac, score, rcond=None)
         lam = 1.0
-        while lam > 1e-12 and rss_at(theta + lam * step) > rss:
+        # the last trial is at the step taken, so its rss is the new rss
+        while (rss_trial := rss_at(theta + lam * step)) > rss and lam > 1e-12:
             lam /= 2.0
         taken = lam * step
-        theta = theta + taken
-        rss = rss_at(theta)
+        theta, rss = theta + taken, rss_trial
         if float(np.linalg.norm(taken)) < _STEP_TOL:
             fitted, jac = _kappa_design(theta, cell)
-            grad = 2.0 * (jac.T @ (y - fitted))
-            converged = float(np.linalg.norm(grad)) < _GRAD_TOL
+            resid = y - fitted
+            converged = float(np.linalg.norm(2.0 * (jac.T @ resid))) < _GRAD_TOL
             break
     else:
         raise NotConverged(f"Gauss-Newton did not converge in {_MAX_ITER} iterations")
 
-    fitted, jac = _kappa_design(theta, cell)
-    resid = y - fitted
+    # jac and resid are at the final theta
     bread = np.linalg.inv(jac.T @ jac)
     meat = jac.T @ (jac * (resid**2)[:, None])
     robust = bread @ meat @ bread
@@ -423,7 +426,7 @@ def kappa_profile_oracle(
     form, so the returned arg-min of the joint least-squares objective is
     an independent check on nls_kappa.
     """
-    _, _, _, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
+    *_, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
     kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + _KAPPA_STEP / 2.0, _KAPPA_STEP)
     u = 1.0 - kappas
     v = kappas

@@ -656,13 +656,17 @@ def _truncated_normal(
     """Normals truncated to [lo, hi] by inversion of the uniforms u; draw j is centred at locs[index[j]].
 
     The bounds' CDFs are evaluated once per location, not once per draw.
+    Where lo lies above a location, the CDF rounds to 1 in the tail, so
+    that location's draws invert the survival function instead: the
+    normal reflected about the location, with the bounds reflected too.
     """
     loc = locs[index]
     if scale == 0.0:
         return np.minimum(np.maximum(loc, lo), hi)
-    a = ndtr((lo - locs) / scale)[index]
-    b = ndtr((hi - locs) / scale)[index]
-    x = loc + scale * ndtri(a + u * (b - a))
+    sign = np.where(lo > locs, -1.0, 1.0)  # products by 1.0 keep the CDF inversion's bits
+    a = ndtr(sign * (lo - locs) / scale)[index]
+    b = ndtr(sign * (hi - locs) / scale)[index]
+    x = loc + (sign * scale)[index] * ndtri(a + u * (b - a))
     return np.minimum(np.maximum(x, lo), hi)
 
 

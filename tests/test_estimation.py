@@ -1,4 +1,5 @@
 """Estimators against closed forms, oracles, and constructed datasets."""
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -12,7 +13,7 @@ from scipy.stats import norm, rankdata
 from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
 from bracketlab.agents import CENSOR_CODE
 from bracketlab.cli import _tobit_fits
-from bracketlab.design import Scenario, Treatment, price_list
+from bracketlab.design import CODE_CONSISTENT, N_ROWS, Scenario, Treatment, price_list
 from bracketlab.experiment import (
     Covariates,
     Dataset,
@@ -31,6 +32,7 @@ from bracketlab.estimation import (
     Degenerate,
     EmptySample,
     InvalidParams,
+    KappaFit,
     MwuResult,
     NotConverged,
     RankDeficient,
@@ -630,6 +632,111 @@ def _row_kappa_design(theta, group, scen):
     return fitted, jac
 
 
+def _row_nls_kappa(dataset, broad_label=Treatment.BROAD, narrow_label=Treatment.LOW,
+                   mid_label=Treatment.NARROW, drop_inconsistent=True):
+    """nls_kappa's damped Gauss-Newton on row-walk arrays, masked cell means and a row-built design (the oracle)."""
+    y, group, scen = _row_kappa_arrays(dataset, (broad_label, narrow_label, mid_label), drop_inconsistent)
+    means = np.array([[y[(group == g) & (scen == s)].mean() for s in range(2)] for g in range(3)])
+    theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
+
+    def rss_at(t):
+        r = y - _row_kappa_design(t, group, scen)[0]
+        return float(r @ r)
+
+    rss = rss_at(theta)
+    converged = False
+    for iterations in range(1, 501):
+        fitted, jac = _row_kappa_design(theta, group, scen)
+        resid = y - fitted
+        grad = 2.0 * (jac.T @ resid)
+        if float(np.linalg.norm(grad)) < 1e-8:
+            converged = True
+            break
+        step, *_ = np.linalg.lstsq(jac.T @ jac, jac.T @ resid, rcond=None)
+        lam = 1.0
+        while lam > 1e-12 and rss_at(theta + lam * step) > rss:
+            lam /= 2.0
+        taken = lam * step
+        theta = theta + taken
+        rss = rss_at(theta)
+        if float(np.linalg.norm(taken)) < 1e-10:
+            fitted, jac = _row_kappa_design(theta, group, scen)
+            grad = 2.0 * (jac.T @ (y - fitted))
+            converged = float(np.linalg.norm(grad)) < 1e-8
+            break
+    fitted, jac = _row_kappa_design(theta, group, scen)
+    resid = y - fitted
+    bread = np.linalg.inv(jac.T @ jac)
+    robust = bread @ (jac.T @ (jac * (resid**2)[:, None])) @ bread
+    model_cov = (resid @ resid / max(y.size - 5, 1)) * bread
+    se_r = np.sqrt(np.maximum(np.diag(robust), 0.0))
+    se_m = np.sqrt(np.maximum(np.diag(model_cov), 0.0))
+    return KappaFit(
+        b_s=(float(theta[0]), float(theta[1])),
+        n_s=(float(theta[2]), float(theta[3])),
+        se_b_s=(float(se_r[0]), float(se_r[1])),
+        se_n_s=(float(se_r[2]), float(se_r[3])),
+        kappa=float(theta[4]),
+        se_kappa=float(se_r[4]),
+        se_kappa_model=float(se_m[4]),
+        iterations=iterations,
+        converged=bool(converged),
+        rss=float(resid @ resid),
+        n_obs=int(y.size),
+        broad=broad_label,
+        narrow=narrow_label,
+        mid=mid_label,
+    )
+
+
+def _bits(fit):
+    """Every KappaFit field, floats as their exact hex."""
+    def exact(value):
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return float.hex(value) if isinstance(value, float) else value
+    return {f.name: exact(getattr(fit, f.name)) for f in dataclasses.fields(fit)}
+
+
+# one row key per subject: scenario code above a 16-bit accept code
+ROW_KEYS = st.builds(
+    lambda scenario, code: scenario << N_ROWS | code,
+    st.integers(0, 1),
+    st.one_of(st.sampled_from(np.flatnonzero(CODE_CONSISTENT).tolist()), st.integers(0, (1 << N_ROWS) - 1)),
+)
+
+
+def dataset_from_rows(rows):
+    """One single-scenario subject per (treatment code, row key), in the order given."""
+    n = len(rows)
+    return Dataset._from_columns(
+        [f"S{j}" for j in range(n)],
+        [t for t, _ in rows],
+        (np.zeros(n, bool), np.full(n, 30), np.full(n, 5)),
+        np.arange(n + 1),
+        [key for _, key in rows],
+    )
+
+
+def _masked_kappa_cells(dataset, labels, drop_inconsistent):
+    """Each cell's count and mean by one boolean mask per cell, or the Degenerate message (the oracle)."""
+    obs = dataset.observations
+    keep = obs.consistent if drop_inconsistent else np.ones(obs.res_wage.size, bool)
+    means, counts = np.zeros((3, 2)), np.zeros((3, 2))
+    for g, label in enumerate(labels):
+        for s in range(2):
+            sel = keep & (obs.treatment == list(Treatment).index(label)) & (obs.scenario == s)
+            counts[g, s] = sel.sum()
+            if not counts[g, s]:
+                return (f"no {'consistent ' if drop_inconsistent else ''}observations for "
+                        f"{label.value} in S{s + 1}; kappa needs all three treatments in both scenarios")
+            means[g, s] = obs.res_wage[sel].mean()
+    if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
+        return ("broad and narrow cell means coincide in both scenarios; "
+                "the bracketing weight is unidentified on this data")
+    return means, counts
+
+
 class TestColumnarEstimators:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -659,7 +766,7 @@ class TestColumnarEstimators:
 
         y_o, group_o, scen_o = _row_kappa_arrays(data, labels[:3], drop)
         try:
-            y, group, scen, _, _ = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
+            y, cell, _, _ = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
         except Degenerate:
             cells = set(zip(group_o.tolist(), scen_o.tolist()))
             assert len(cells) < 6 or all(
@@ -669,8 +776,7 @@ class TestColumnarEstimators:
             )
         else:
             assert y.tolist() == y_o.tolist()
-            assert group.tolist() == group_o.tolist()
-            assert scen.tolist() == scen_o.tolist()
+            assert cell.tolist() == (2 * group_o + scen_o).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -725,3 +831,53 @@ class TestColumnarEstimators:
             assert a.kappa == pytest.approx(b.kappa, abs=1e-7)
             assert a.se_kappa == pytest.approx(b.se_kappa, rel=1e-6)
         assert kappa_profile_oracle(mixed) == kappa_profile_oracle(twin)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_nls_kappa_is_the_row_wise_fit_bit_for_bit_on_the_golden_data(self, drop):
+        data = read_csv(str(GOLDEN_CSV))
+        assert _bits(nls_kappa(data, drop_inconsistent=drop)) == _bits(_row_nls_kappa(data, drop_inconsistent=drop))
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("anchor", [Treatment.BROAD, Treatment.PARTIAL])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nls_kappa_is_the_row_wise_fit_bit_for_bit_on_mixtures(self, seed, anchor, drop):
+        arms = {Treatment.BROAD: 150, Treatment.NARROW: 150, Treatment.LOW: 150, Treatment.PARTIAL: 150}
+        data = simulate_dataset(PopulationSpec(counts=arms, seed=seed, composition=MixtureComposition(0.7)))
+        fit = nls_kappa(data, broad_label=anchor, drop_inconsistent=drop)
+        assert _bits(fit) == _bits(_row_nls_kappa(data, broad_label=anchor, drop_inconsistent=drop))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, len(Treatment) - 1), ROW_KEYS), max_size=80),
+        labels=st.permutations(list(Treatment)),
+        drop=st.booleans(),
+        fill=st.lists(st.integers(0, 80), max_size=6),
+    )
+    def test_kappa_cells_are_the_masked_means_bit_for_bit(self, rows, labels, drop, fill):
+        # fill[k] places a consistent row of labels' k-th cell, so most examples fill every cell
+        for k, at in enumerate(fill):
+            g, s = divmod(k, 2)
+            rows.insert(at, (list(Treatment).index(labels[g]), s << N_ROWS | (1 << N_ROWS) - (1 << (at % 17))))
+        data = dataset_from_rows(rows)
+        expected = _masked_kappa_cells(data, labels[:3], drop)
+        try:
+            _, _, means, counts = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
+        except Degenerate as exc:
+            assert str(exc) == expected
+        else:
+            assert means.tobytes() == expected[0].tobytes()
+            assert counts.tobytes() == expected[1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, len(Treatment) - 1), ROW_KEYS), max_size=80), drop=st.booleans())
+    def test_cell_wages_is_the_group_by_over_the_walk(self, rows, drop):
+        data = dataset_from_rows(rows)
+        walked: dict = {}
+        for record, outcome in iter_observations(data, drop):
+            walked.setdefault((record.treatment, outcome.scenario), []).append(outcome.res_wage)
+        # the walk keys cells as it meets them; cell_wages in declaration order
+        order = list(itertools.product(Treatment, Scenario))
+        grouped = cell_wages(data, drop)
+        assert [(key, values.tolist()) for key, values in grouped.items()] == sorted(
+            walked.items(), key=lambda item: order.index(item[0])
+        )

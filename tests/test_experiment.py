@@ -1,11 +1,14 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
+import copy
 import math
+import pickle
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import truncnorm
 
 from bracketlab import experiment
 from bracketlab.agents import Agent, Broad, Narrow, reservation_wage_exact, snap_to_list
@@ -71,6 +74,20 @@ class TestDesignTable:
         assert spec.option_a == Bundle(30, 6.0)
         assert spec.option_b(1.0) == Bundle(45, 7.0)
         assert spec.endowment == Bundle(0, 0.0)
+
+    @pytest.mark.parametrize("enum_type", [Treatment, Scenario])
+    def test_members_hash_by_identity_and_keep_their_values(self, enum_type):
+        assert enum_type.__hash__ is object.__hash__
+        members = list(enum_type)
+        assert [m.value for m in members] == [m.name for m in members]
+        assert [m.name for m in members] == (
+            ["BROAD", "NARROW", "LOW", "PARTIAL", "BEFORE", "AFTER"] if enum_type is Treatment else ["S1", "S2"]
+        )
+        for member in members:
+            assert hash(member) == object.__hash__(member)
+            assert enum_type(member.value) is member and enum_type[member.name] is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member and copy.copy(member) is member
 
     def test_base_wage_constant(self):
         for t in Treatment:
@@ -331,6 +348,36 @@ class TestSimulateDataset:
         # as an upper bound no draw reaches, which leaves every draw where it is
         spec = small_spec(gamma_bounds=(1.9, math.inf))
         assert simulate_dataset(spec) == simulate_dataset(small_spec(gamma_bounds=(1.9, 1e6)))
+
+    @pytest.mark.parametrize("hi", [math.inf, 4.0])
+    def test_a_lower_gamma_bound_far_above_the_location_draws_from_the_tail(self, hi):
+        # lo is 10 sd above the women's location and 10.7 above the men's, where
+        # the CDF rounds to 1.0 at both bounds: only the survival function resolves them
+        spec = PopulationSpec(counts={Treatment.BROAD: 40, Treatment.LOW: 40}, seed=3, gamma_bounds=(3.5, hi))
+        columns, _ = experiment._bulk_draws(spec, 40)
+        male, gamma = columns[0] < spec.male_share, experiment._population(spec, columns).gamma
+        assert np.isfinite(gamma).all() and (gamma > 3.5).all() and len(set(gamma.tolist())) > 1
+        loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
+        z_lo, z_hi = (3.5 - loc) / spec.gamma_scale, (hi - loc) / spec.gamma_scale
+        expected = truncnorm.ppf(columns[4], z_lo, z_hi, loc=loc, scale=spec.gamma_scale)
+        np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=0.0)
+        assert len(simulate_dataset(spec)) == 80
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # a + u (b - a) cancels as u nears 1, in either tail, so u stops short of it
+        u=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=20),
+        loc=st.floats(1.0, 4.0),
+        scale=st.floats(0.05, 1.0),
+        z_lo=st.floats(-6.0, 30.0),  # the survival function underflows past about 37 sd
+        z_width=st.one_of(st.just(math.inf), st.floats(0.01, 20.0)),
+    )
+    def test_truncated_normal_draws_are_scipys(self, u, loc, scale, z_lo, z_width):
+        u, lo, hi = np.array(u), loc + z_lo * scale, loc + (z_lo + z_width) * scale
+        drawn = experiment._truncated_normal(u, np.array([loc]), np.zeros(u.size, np.intp), scale, lo, hi)
+        expected = truncnorm.ppf(u, (lo - loc) / scale, (hi - loc) / scale, loc=loc, scale=scale)
+        assert ((lo <= drawn) & (drawn <= hi)).all()
+        np.testing.assert_allclose(drawn, expected, rtol=1e-9, atol=0.0)
 
 
 def per_subject_reference(spec):
