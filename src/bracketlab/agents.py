@@ -156,6 +156,13 @@ def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray,
     element whose option B is still worse at the top of the bracket has a
     wage above it: +inf. One with B better already at the bottom, or with
     a NaN gap, has no answer: NaN.
+
+    Every bracket starts as [-WAGE_BRACKET, WAGE_BRACKET]. Each end,
+    midpoint and sum of ends met on the way down to ROOT_TOL is an integer
+    multiple of the final width, at most 2 * WAGE_BRACKET in magnitude,
+    and a float holds each such multiple exactly. So all brackets share
+    one width, and lo + width / 2 is 0.5 * (lo + hi) bit for bit. The
+    elements that do not switch halve with the rest and are never read.
     """
     target = model.at_tasks(tasks_a)(money_base)
     utility_b = model.at_tasks(tasks_b)
@@ -163,19 +170,15 @@ def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray,
     def gap(r: np.ndarray) -> np.ndarray:
         return utility_b(money_base + r) - target
 
-    lo = np.full(len(money_base), -WAGE_BRACKET)
-    hi = np.full(len(money_base), WAGE_BRACKET)
-    gap_lo, gap_hi = gap(lo), gap(hi)
+    lo, width = np.full(len(money_base), -WAGE_BRACKET), 2.0 * WAGE_BRACKET
+    gap_lo, gap_hi = gap(lo), gap(lo + width)
     switches = (gap_lo <= 0.0) & (gap_hi >= 0.0)  # also false on NaN
     roots = np.where((gap_lo <= 0.0) & (gap_hi < 0.0), np.inf, np.nan)
-    open_ = switches
-    while open_.any():
-        mid = 0.5 * (lo + hi)
-        below = gap(mid) < 0.0
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-        open_ = switches & (hi - lo > ROOT_TOL)
-    roots[switches] = 0.5 * (lo[switches] + hi[switches])
+    while width > ROOT_TOL:
+        width *= 0.5
+        mid = lo + width
+        lo = np.where(gap(mid) < 0.0, mid, lo)
+    roots[switches] = lo[switches] + 0.5 * width
     return roots
 
 

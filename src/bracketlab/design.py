@@ -147,18 +147,22 @@ RECORDED_WAGE = np.array(_PRICE_LIST.extra_wages + (CENSOR_CODE,))
 """The recorded wage when row i is the first accepted one; row N_ROWS means none is."""
 
 
+SUFFIX_CODE = (1 << N_ROWS) - (1 << np.arange(N_ROWS + 1))
+"""The accept code of the suffix from row i: every row from i on is accepted; row N_ROWS gives code 0."""
+
+
 def _code_tables() -> tuple[np.ndarray, np.ndarray]:
     """Every accept code's first accepted row (its lowest set bit, N_ROWS for code 0) and consistency flag."""
     first_row = np.full(1 << N_ROWS, N_ROWS, np.uint8)
     for row in range(N_ROWS):
         first_row[1 << row :: 1 << row + 1] = row  # the codes whose lowest set bit is row
     consistent = np.zeros(1 << N_ROWS, bool)
-    consistent[(1 << N_ROWS) - (1 << np.arange(N_ROWS + 1))] = True  # the suffixes, code 0 among them
+    consistent[SUFFIX_CODE] = True  # code 0 among them
     return first_row, consistent
 
 
 CODE_FIRST_ROW, CODE_CONSISTENT = _code_tables()
-for _table in (RECORDED_WAGE, CODE_FIRST_ROW, CODE_CONSISTENT):
+for _table in (RECORDED_WAGE, SUFFIX_CODE, CODE_FIRST_ROW, CODE_CONSISTENT):
     _table.flags.writeable = False  # every dataset reads them
 
 _SNAP_SLACK = 1e-7  # absorbs root-finding error when r sits on a grid point

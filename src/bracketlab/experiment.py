@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._normal import ndtr, ndtri
+from ._normal import log_ndtr, ndtr, ndtri
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .agents import Agent, Broad, ConvexKappa, Narrow, NoIndifference, population_wages
 from .design import (
@@ -30,6 +30,7 @@ from .design import (
     CODE_FIRST_ROW,
     N_ROWS,
     RECORDED_WAGE,
+    SUFFIX_CODE,
     Scenario,
     Treatment,
     snap_rows,
@@ -114,8 +115,7 @@ _TREATMENT_CODE = {t: i for i, t in enumerate(Treatment)}
 _SCENARIO_CODE = {s: i for i, s in enumerate(Scenario)}
 _SCENARIOS = tuple(Scenario)
 
-_ROW_INDEX = np.arange(N_ROWS)
-_ROW_BITS = 1 << _ROW_INDEX
+_ROW_BITS = 1 << np.arange(N_ROWS)
 _ROW_SCENARIO = np.arange(len(Scenario))  # the scenario code of each column of a block's accept codes
 _CODE_MASK = (1 << N_ROWS) - 1  # a row key's accept code; the bits above it hold the scenario code
 
@@ -158,13 +158,24 @@ def _outcomes(keys: np.ndarray) -> list[ScenarioOutcome]:
     ]
 
 
+_SCENARIO_NAMES = tuple(s.value for s in Scenario)
+# the choice cells of each value of an accept code's low and high byte (c01 is bit 0),
+# and each row's recorded wage as write_csv renders it
+_LOW_BYTE_CELLS, _HIGH_BYTE_CELLS = (
+    tuple(",".join(f"{b:0{width}b}"[::-1]) for b in range(1 << width))
+    for width in (min(8, N_ROWS - row) for row in range(0, N_ROWS, 8))
+)
+_WAGE_TEXT = tuple(f"{w:.2f}" for w in RECORDED_WAGE.tolist())
+_FIRST_ROW, _CONSISTENT = memoryview(CODE_FIRST_ROW), memoryview(CODE_CONSISTENT)  # Python ints and bools
+
+
 def _outcome_text(key: int) -> str:
-    """The scenario, choice, res_wage, censored and consistent cells of a row key."""
+    """The scenario, choice, res_wage, censored and consistent cells of a row key, from text tables."""
     code = key & _CODE_MASK
-    choices = ",".join(format(code, f"0{N_ROWS}b")[::-1])  # c01 is bit 0
-    wage = RECORDED_WAGE[CODE_FIRST_ROW[code]]
-    censored, consistent = "0" if code else "1", "1" if CODE_CONSISTENT[code] else "0"
-    return f"{_SCENARIOS[key >> N_ROWS].value},{choices},{wage:.2f},{censored},{consistent}"
+    return (
+        f"{_SCENARIO_NAMES[key >> N_ROWS]},{_LOW_BYTE_CELLS[code & 0xFF]},{_HIGH_BYTE_CELLS[code >> 8]},"
+        f"{_WAGE_TEXT[_FIRST_ROW[code]]},{'0' if code else '1'},{'1' if _CONSISTENT[code] else '0'}"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,15 +411,13 @@ def _accept_codes(wages: Sequence[np.ndarray], uniforms: np.ndarray | None, trem
 
     wages holds each scenario's continuous wages and uniforms each
     subject's 2 x N_ROWS tremble draws (None when tremble is 0). Bit i of a
-    code is set iff row i is accepted.
+    code is set iff row i is accepted: the suffix from the wage's row,
+    with the rows whose draw falls below tremble flipped.
     """
-    per_scenario = []
-    for s, r in enumerate(wages):
-        accept = _ROW_INDEX >= snap_rows(r)[:, None]
-        if uniforms is not None:
-            accept ^= uniforms[:, s] < tremble
-        per_scenario.append(accept @ _ROW_BITS)
-    return np.stack(per_scenario, axis=1)
+    codes = SUFFIX_CODE[snap_rows(np.stack(wages, axis=1))]
+    if uniforms is not None:
+        codes ^= (uniforms < tremble) @ _ROW_BITS
+    return codes
 
 
 def simulate_subject(
@@ -659,15 +668,51 @@ def _truncated_normal(
     Where lo lies above a location, the CDF rounds to 1 in the tail, so
     that location's draws invert the survival function instead: the
     normal reflected about the location, with the bounds reflected too.
+    Where lo lies so far above (about 37.5 sd) that its survival value,
+    and so the upper bound's too, underflows (is subnormal or 0), the
+    draws invert it in log space (see _far_tail_inverse): a subnormal
+    a + u (b - a) keeps too few digits.
     """
     loc = locs[index]
     if scale == 0.0:
         return np.minimum(np.maximum(loc, lo), hi)
     sign = np.where(lo > locs, -1.0, 1.0)  # products by 1.0 keep the CDF inversion's bits
-    a = ndtr(sign * (lo - locs) / scale)[index]
-    b = ndtr(sign * (hi - locs) / scale)[index]
-    x = loc + (sign * scale)[index] * ndtri(a + u * (b - a))
+    a = ndtr(sign * (lo - locs) / scale)
+    b = ndtr(sign * (hi - locs) / scale)
+    x = loc + (sign * scale)[index] * ndtri(a[index] + u * (b[index] - a[index]))
+    far = ((sign < 0.0) & (a < _SMALLEST_NORMAL))[index]
+    if far.any():
+        x[far] = loc[far] + scale * _far_tail_inverse(u[far], (lo - loc[far]) / scale, (hi - loc[far]) / scale)
     return np.minimum(np.maximum(x, lo), hi)
+
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_NEWTON_MAX_STEPS = 50
+
+
+def _far_tail_inverse(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The standard normal z in [alpha, beta] with survival Sf(alpha) - u (Sf(alpha) - Sf(beta)), from log_ndtr.
+
+    For an alpha so far in the upper tail that Sf(alpha) underflows.
+    The target log-survival is la + log1p(-u (1 - exp(lb - la))), with la
+    and lb the log-survival values of the bounds (1 - exp by expm1, which
+    keeps the digits of close bounds). Newton's method on log Sf, which is
+    concave and decreasing, starts at alpha: its first step overshoots the
+    root, and every later step moves back towards it without passing it.
+    It stops once every step is below four float epsilons of z.
+    """
+    la, lb = log_ndtr(-alpha), log_ndtr(-beta)
+    target = la + np.log1p(u * np.expm1(lb - la))
+    z = alpha
+    for _ in range(_NEWTON_MAX_STEPS):
+        log_sf = log_ndtr(-z)
+        # Sf(z) / pdf(z): the reciprocal of the slope of -log Sf, about 1 / z out here
+        step = (log_sf - target) * np.exp(log_sf + 0.5 * z * z + _HALF_LOG_2PI)
+        z = z + step
+        if (np.abs(step) <= 4.0 * np.finfo(float).eps * z).all():
+            break
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,10 +802,10 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
+    suffixes = [f"-{j:04d}" for j in range(count)]
     subject_ids, codes = [], []
     for k, (treatment, n) in enumerate(arms):
-        arm = treatment.value
-        subject_ids += [f"{arm}-{j:04d}" for j in range(n)]
+        subject_ids += map(treatment.value.__add__, suffixes[:n])
         codes.append(_accept_codes(wages[2 * k : 2 * k + 2], None if trembles is None else trembles[:n], spec.tremble))
     keys = np.concatenate(codes) | _ROW_SCENARIO << N_ROWS
     treatment = np.repeat([_TREATMENT_CODE[t] for t, _ in arms], [n for _, n in arms])

@@ -1,10 +1,12 @@
 """Framed evaluation, reservation wages, and grid snapping."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bracketlab import agents
 from bracketlab.agents import (
     Agent,
     Broad,
@@ -14,6 +16,7 @@ from bracketlab.agents import (
     Narrow,
     NoIndifference,
     Partial,
+    WAGE_BRACKET,
     evaluate_option,
     population_wages,
     reservation_wage_exact,
@@ -22,6 +25,7 @@ from bracketlab.agents import (
 )
 from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
 from bracketlab.preferences import (
+    ROOT_TOL,
     Bundle,
     CaraMoneyPowerCost,
     LinearMetric,
@@ -305,6 +309,85 @@ class TestPopulationWages:
             population_wages(stack, (Narrow(), Broad()), np.array([0, 0, 1, 0]), 0.0, cells)
         assert exc.value.index == 1
         assert exc.value.spec == narrow
+
+
+def bisect_wages_by_brackets(model, tasks_a, tasks_b, money_base):
+    """_bisect_wages with a lo and a hi per element, each halved only while that element's bracket is open."""
+    target = model.at_tasks(tasks_a)(money_base)
+    utility_b = model.at_tasks(tasks_b)
+
+    def gap(r):
+        return utility_b(money_base + r) - target
+
+    lo = np.full(len(money_base), -WAGE_BRACKET)
+    hi = np.full(len(money_base), WAGE_BRACKET)
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    switches = (gap_lo <= 0.0) & (gap_hi >= 0.0)
+    roots = np.where((gap_lo <= 0.0) & (gap_hi < 0.0), np.inf, np.nan)
+    open_ = switches
+    while open_.any():
+        mid = 0.5 * (lo + hi)
+        below = gap(mid) < 0.0
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+        open_ = switches & (hi - lo > ROOT_TOL)
+    roots[switches] = 0.5 * (lo[switches] + hi[switches])
+    return roots
+
+
+# (alpha, gamma, rho, tasks_a, tasks_b, money_base); a large cost gap puts
+# the wage above the bracket (+inf) or, with tasks_b below tasks_a, gives B
+# the edge already at its bottom (NaN), and CARA's rho = -1000 makes the gap NaN
+BISECTION_MEMBERS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0005, max_value=0.6),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.one_of(st.just(-1000.0), st.floats(min_value=0.001, max_value=0.5), st.floats(min_value=-0.05, max_value=-0.001)),
+        st.sampled_from([0.0, 15.0, 30.0, 45.0, 60.0]),
+        st.sampled_from([0.0, 15.0, 30.0, 45.0, 60.0]),
+        st.floats(min_value=-10.0, max_value=10.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+ABOVE, NONE, INSIDE = (0.6, 3.0, 0.01, 30.0, 45.0, 4.0), (0.6, 3.0, -1000.0, 45.0, 30.0, 4.0), (0.004, 2.0, 0.01, 0.0, 15.0, 4.0)
+
+
+class TestSharedWidthBisection:
+    @settings(max_examples=80, deadline=None)
+    @given(members=BISECTION_MEMBERS, cara=st.booleans())
+    @example(members=[ABOVE, NONE, INSIDE], cara=False)
+    @example(members=[ABOVE, NONE, INSIDE], cara=True)
+    def test_bits_match_a_bracket_per_element(self, members, cara):
+        alpha, gamma, rho, tasks_a, tasks_b, money_base = map(np.array, zip(*members))
+        model = CaraMoneyPowerCost(rho, alpha, gamma) if cara else QuasiLinearPowerCost(alpha, gamma)
+        with np.errstate(invalid="ignore"):  # inf - inf in a NaN gap, as population_wages allows
+            expected = bisect_wages_by_brackets(model, tasks_a, tasks_b, money_base)
+            roots = agents._bisect_wages(model, tasks_a, tasks_b, money_base)
+        assert roots.tobytes() == expected.tobytes()
+
+    def test_the_examples_reach_every_outcome(self):
+        # the explicit examples above hold a wage above the bracket, none, and one inside it
+        alpha, gamma, rho, tasks_a, tasks_b, money_base = map(np.array, zip(ABOVE, NONE, INSIDE))
+        for model in (QuasiLinearPowerCost(alpha, gamma), CaraMoneyPowerCost(rho, alpha, gamma)):
+            with np.errstate(invalid="ignore"):
+                roots = agents._bisect_wages(model, tasks_a, tasks_b, money_base)
+            np.testing.assert_array_equal(roots[:2], [np.inf, np.nan])
+            assert np.isfinite(roots[2])
+
+    def test_every_bracket_end_is_exact(self):
+        # the shared width holds only while every end, midpoint and sum of two
+        # ends on the way down to ROOT_TOL is exact: integer multiples k of the
+        # final width with |k| <= 2**halvings, each a float iff k times the odd
+        # part of the width's numerator fits in 53 bits
+        width, halvings = 2.0 * WAGE_BRACKET, 0
+        while width > ROOT_TOL:
+            width, halvings = 0.5 * width, halvings + 1
+        assert Fraction(width) * 2**halvings == 2 * Fraction(WAGE_BRACKET)
+        odd = Fraction(width).numerator
+        while odd % 2 == 0:
+            odd //= 2
+        assert odd << halvings <= 2**53
 
 
 class TestSnapToList:

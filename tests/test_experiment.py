@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import truncnorm
 
 from bracketlab import experiment
@@ -40,6 +40,7 @@ from bracketlab.experiment import (
     simulate_subject,
     subject_stream,
     write_csv,
+    _accept_codes,
     _canonical_key,
     _draw_subject,
     _outcome_text,
@@ -349,16 +350,18 @@ class TestSimulateDataset:
         spec = small_spec(gamma_bounds=(1.9, math.inf))
         assert simulate_dataset(spec) == simulate_dataset(small_spec(gamma_bounds=(1.9, 1e6)))
 
-    @pytest.mark.parametrize("hi", [math.inf, 4.0])
-    def test_a_lower_gamma_bound_far_above_the_location_draws_from_the_tail(self, hi):
-        # lo is 10 sd above the women's location and 10.7 above the men's, where
-        # the CDF rounds to 1.0 at both bounds: only the survival function resolves them
-        spec = PopulationSpec(counts={Treatment.BROAD: 40, Treatment.LOW: 40}, seed=3, gamma_bounds=(3.5, hi))
+    @pytest.mark.parametrize("lo, hi", [(3.5, math.inf), (3.5, 4.0), (7.6, math.inf), (7.6, 8.0)])
+    def test_a_lower_gamma_bound_far_above_the_location_draws_from_the_tail(self, lo, hi):
+        # lo = 3.5 is 10 sd above the women's location and 10.7 above the men's,
+        # where the CDF rounds to 1.0 at both bounds: only the survival function
+        # resolves them; lo = 7.6 is 37.3 and 38 sd above, where the men's
+        # survival values underflow to 0 as well: only their logs resolve them
+        spec = PopulationSpec(counts={Treatment.BROAD: 40, Treatment.LOW: 40}, seed=3, gamma_bounds=(lo, hi))
         columns, _ = experiment._bulk_draws(spec, 40)
         male, gamma = columns[0] < spec.male_share, experiment._population(spec, columns).gamma
-        assert np.isfinite(gamma).all() and (gamma > 3.5).all() and len(set(gamma.tolist())) > 1
+        assert np.isfinite(gamma).all() and (gamma > lo).all() and len(set(gamma.tolist())) > 1
         loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
-        z_lo, z_hi = (3.5 - loc) / spec.gamma_scale, (hi - loc) / spec.gamma_scale
+        z_lo, z_hi = (lo - loc) / spec.gamma_scale, (hi - loc) / spec.gamma_scale
         expected = truncnorm.ppf(columns[4], z_lo, z_hi, loc=loc, scale=spec.gamma_scale)
         np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=0.0)
         assert len(simulate_dataset(spec)) == 80
@@ -369,15 +372,42 @@ class TestSimulateDataset:
         u=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=20),
         loc=st.floats(1.0, 4.0),
         scale=st.floats(0.05, 1.0),
-        z_lo=st.floats(-6.0, 30.0),  # the survival function underflows past about 37 sd
+        # the survival function turns subnormal at about 37.5 sd and underflows to 0 at 37.7
+        z_lo=st.one_of(st.floats(-6.0, 30.0), st.floats(37.0, 38.0), st.floats(38.0, 60.0)),
         z_width=st.one_of(st.just(math.inf), st.floats(0.01, 20.0)),
     )
+    # both bounds' survival values subnormal, where a CDF inversion keeps too few digits
+    @example(u=[0.1, 0.5, 0.9, 0.999], loc=2.0, scale=0.15, z_lo=37.65, z_width=0.1)
     def test_truncated_normal_draws_are_scipys(self, u, loc, scale, z_lo, z_width):
         u, lo, hi = np.array(u), loc + z_lo * scale, loc + (z_lo + z_width) * scale
         drawn = experiment._truncated_normal(u, np.array([loc]), np.zeros(u.size, np.intp), scale, lo, hi)
         expected = truncnorm.ppf(u, (lo - loc) / scale, (hi - loc) / scale, loc=loc, scale=scale)
         assert ((lo <= drawn) & (drawn <= hi)).all()
         np.testing.assert_allclose(drawn, expected, rtol=1e-9, atol=0.0)
+
+
+def accept_codes_by_rows(wages, uniforms, tremble):
+    """_accept_codes from an accept matrix per scenario: row i accepted iff it is at or past the wage's row."""
+    per_scenario = []
+    for s, r in enumerate(wages):
+        accept = np.arange(N_ROWS) >= experiment.snap_rows(r)[:, None]
+        if uniforms is not None:
+            accept ^= uniforms[:, s] < tremble
+        per_scenario.append(accept @ (1 << np.arange(N_ROWS)))
+    return np.stack(per_scenario, axis=1)
+
+
+@pytest.mark.parametrize("tremble", [0.0, 0.05, 0.5, 1.0])
+def test_accept_codes_are_the_accept_matrix_codes(tremble):
+    rng = np.random.default_rng(7)
+    # every grid wage, either side of each, and wages below, inside and above the grid
+    grid = RECORDED_WAGE[:N_ROWS]
+    s1 = np.concatenate([grid, grid - 1e-6, grid + 1e-6, [-np.inf, -3.0, 4.25, np.inf], rng.uniform(-1.0, 5.0, 200)])
+    wages = [s1, rng.permutation(s1)]
+    uniforms = rng.random((s1.size, 2, N_ROWS)) if tremble else None
+    codes = _accept_codes(wages, uniforms, tremble)
+    assert codes.shape == (s1.size, 2)
+    assert codes.tolist() == accept_codes_by_rows(wages, uniforms, tremble).tolist()
 
 
 def per_subject_reference(spec):
@@ -998,6 +1028,18 @@ class TestMalformedCsv:
         assert len(built) == len(outcome_texts)
 
 
+def outcome_text_by_format(key):
+    """_outcome_text from its definition: the code's bits as a binary string, each field formatted alone."""
+    code = key & 0xFFFF
+    choices = ",".join(format(code, f"0{N_ROWS}b")[::-1])  # c01 is bit 0
+    wage = RECORDED_WAGE[CODE_FIRST_ROW[code]]
+    censored, consistent = "0" if code else "1", "1" if CODE_CONSISTENT[code] else "0"
+    return f"{tuple(Scenario)[key >> N_ROWS].value},{choices},{wage:.2f},{censored},{consistent}"
+
+
+S1_MID_SWITCH = "S1," + ",".join("0" * 8 + "1" * 8) + ",2.25,0,1"
+
+
 class TestRowKeys:
     """Outcome fields derived from a row key against the per-choice definitions."""
 
@@ -1024,9 +1066,34 @@ class TestRowKeys:
             assert [o.res_wage for o in outcomes] == list(wages)
             assert {o.scenario for o in outcomes} == {scenario}
             texts = [_outcome_text(key) for key in keys.tolist()]
+            assert texts == [outcome_text_by_format(key) for key in keys.tolist()]
             parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"]) for text in texts]
             assert parsed == keys.tolist()
             assert [_canonical_key(text) for text in texts] == keys.tolist()
+
+    @pytest.mark.parametrize(
+        "index, cell, message",
+        [
+            (5, "_", "expected 0 or 1, got '_'"),  # int() reads 0_1 as 01
+            (12, " 1", "expected 0 or 1, got ' 1'"),  # and strips spaces
+            (16, "+1", "expected 0 or 1, got '+1'"),  # and reads a sign
+            (3, "-0", "expected 0 or 1, got '-0'"),
+            (18, "_", "expected 0 or 1, got '_'"),  # the censored flag
+            (19, " 1", "expected 0 or 1, got ' 1'"),  # the consistent flag
+            (17, "2.250", None),  # the same wage, spelled otherwise
+        ],
+        ids=["underscore", "space", "plus", "minus", "censored-underscore", "consistent-space", "wage-2.250"],
+    )
+    def test_a_non_canonical_text_is_parsed_in_full(self, index, cell, message):
+        text = _cells(S1_MID_SWITCH, index, cell)
+        assert _canonical_key(text) is None and _canonical_key(S1_MID_SWITCH) is not None
+        cells = ["X", "BROAD", *text.split(","), "male", "30", "5"]
+        if message is None:
+            assert _parse_row(2, cells) == _canonical_key(S1_MID_SWITCH)
+        else:
+            with pytest.raises(DataFormatError) as exc:
+                _parse_row(2, cells)
+            assert str(exc.value) == f"line 2: {message}"
 
     @pytest.mark.parametrize("wage", ["1.0", "1.000", "1"])
     def test_other_wage_spelling_reads_as_its_canonical_twin(self, tmp_path, wage):

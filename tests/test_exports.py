@@ -39,7 +39,9 @@ def test_every_package_export_is_a_submodule_export():
 
 
 # the price list and the reading of a row pattern on it, owned by design
-PRICE_LIST_FACTS = ("N_ROWS", "CENSOR_CODE", "RECORDED_WAGE", "CODE_FIRST_ROW", "CODE_CONSISTENT", "snap_rows")
+PRICE_LIST_FACTS = (
+    "N_ROWS", "CENSOR_CODE", "RECORDED_WAGE", "SUFFIX_CODE", "CODE_FIRST_ROW", "CODE_CONSISTENT", "snap_rows",
+)
 
 
 @pytest.mark.parametrize(
