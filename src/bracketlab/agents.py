@@ -10,13 +10,13 @@ estimator targets; it has no utility-level counterpart here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .design import CENSOR_CODE, N_ROWS, RECORDED_WAGE, Treatment, TreatmentSpec, snap_rows
-from .preferences import ROOT_TOL, Bundle, UtilityModel
+from .preferences import Bundle, UtilityModel
 
 __all__ = [
     "Broad",
@@ -29,7 +29,6 @@ __all__ = [
     "NoIndifference",
     "CENSOR_CODE",
     "WAGE_BRACKET",
-    "evaluate_option",
     "population_wages",
     "reservation_wage_exact",
     "snap_rows",
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 WAGE_BRACKET = 100.0
-"""Reservation wages are searched for on [-WAGE_BRACKET, WAGE_BRACKET]."""
+"""The cut on a frame's wage: above WAGE_BRACKET it is censored (+inf), below -WAGE_BRACKET it has no answer."""
 
 
 class ModeUnsupported(Exception):
@@ -45,7 +44,11 @@ class ModeUnsupported(Exception):
 
 
 class NoIndifference(Exception):
-    """No wage in the search bracket makes the agent indifferent.
+    """A member has no reservation wage.
+
+    In a frame it weighs, no wage from -WAGE_BRACKET up makes it
+    indifferent (option A's utility may be NaN or infinite), or a wage
+    above WAGE_BRACKET enters with a negative weight.
 
     index is the position of the first such member of a population, and
     spec the treatment cell, if known.
@@ -114,12 +117,6 @@ def _counted_endowment(frame: type, endowment: Bundle) -> tuple[int, float]:
     raise ModeUnsupported(f"{frame.__name__} has no utility-level evaluation")
 
 
-def evaluate_option(agent: Agent, presented: Bundle, endowment: Bundle) -> float:
-    """Utility of a presented option as seen through the agent's frame."""
-    tasks, money = _counted_endowment(type(agent.mode), endowment)
-    return agent.model.value(presented.tasks + tasks, presented.money + money)
-
-
 _FRAMES = (Broad, Narrow, Partial)
 
 
@@ -147,48 +144,26 @@ def _frame_problem(frame: type, spec: TreatmentSpec) -> tuple[int, int, float]:
     )
 
 
-def _bisect_wages(model: UtilityModel, tasks_a: np.ndarray, tasks_b: np.ndarray, money_base: np.ndarray) -> np.ndarray:
-    """Extra wage r equating (tasks_a, money_base) and (tasks_b, money_base + r), per element.
+def _frame_wages(model: UtilityModel, problem: tuple[int, int, float], size: int) -> np.ndarray:
+    """The extra wage of a frame problem (see _frame_problem) for each of size members.
 
-    Element i is priced by member i of model (a stack, see preferences)
-    and halves its own bracket until it is narrower than ROOT_TOL, exactly
-    as a lone bisection would, so its bits do not depend on the batch. An
-    element whose option B is still worse at the top of the bracket has a
-    wage above it: +inf. One with B better already at the bottom, or with
-    a NaN gap, has no answer: NaN.
-
-    Every bracket starts as [-WAGE_BRACKET, WAGE_BRACKET]. Each end,
-    midpoint and sum of ends met on the way down to ROOT_TOL is an integer
-    multiple of the final width, at most 2 * WAGE_BRACKET in magnitude,
-    and a float holds each such multiple exactly. So all brackets share
-    one width, and lo + width / 2 is 0.5 * (lo + hi) bit for bit. The
-    elements that do not switch halve with the rest and are never read.
+    Member i of model (a stack, see preferences) prices (tasks_a,
+    money_base) against (tasks_b, money_base + r) as r =
+    money_for(tasks_b, value(tasks_a, money_base)) - money_base: the
+    money that gives option B option A's utility, elementwise, on
+    arrays whatever the model (numpy's pow can miss Python's by an ulp).
+    A wage above WAGE_BRACKET is +inf. One below -WAGE_BRACKET (option B
+    better even then), or one from a NaN or infinite utility of option A,
+    has no answer: NaN.
     """
-    target = model.at_tasks(tasks_a)(money_base)
-    utility_b = model.at_tasks(tasks_b)
-
-    def gap(r: np.ndarray) -> np.ndarray:
-        return utility_b(money_base + r) - target
-
-    lo, width = np.full(len(money_base), -WAGE_BRACKET), 2.0 * WAGE_BRACKET
-    gap_lo, gap_hi = gap(lo), gap(lo + width)
-    switches = (gap_lo <= 0.0) & (gap_hi >= 0.0)  # also false on NaN
-    roots = np.where((gap_lo <= 0.0) & (gap_hi < 0.0), np.inf, np.nan)
-    while width > ROOT_TOL:
-        width *= 0.5
-        mid = lo + width
-        lo = np.where(gap(mid) < 0.0, mid, lo)
-    roots[switches] = lo[switches] + 0.5 * width
-    return roots
+    tasks_a, tasks_b, money_base = (np.full(size, x, dtype=float) for x in problem)
+    target = model.value(tasks_a, money_base)
+    r = model.money_for(tasks_b, np.where(np.isfinite(target), target, np.nan)) - money_base
+    return np.where(r < -WAGE_BRACKET, np.nan, np.where(r > WAGE_BRACKET, np.inf, r))
 
 
 def _no_switch(spec: TreatmentSpec) -> str:
     return f"no switch on [-{WAGE_BRACKET:g}, {WAGE_BRACKET:g}] for {spec.treatment.value} {spec.scenario.value}"
-
-
-def _members(model: UtilityModel, rows: np.ndarray, size: int) -> UtilityModel:
-    """The given rows of a population of size members, as a stack; a scalar parameter is every member's."""
-    return type(model)(**{f.name: np.broadcast_to(getattr(model, f.name), size)[rows] for f in fields(model)})
 
 
 def population_wages(
@@ -202,42 +177,32 @@ def population_wages(
 
     model stacks the population's preferences (see preferences), or is
     one model every member shares; member j brackets with
-    modes[mode_index[j]], and every member has framing_shift. The wages
-    come from two matrices. weights (frame x member) holds each member's
-    weight on each pure frame (see _frame_weights). Each pure frame of
-    each cell poses one problem (see _frame_problem), and roots (distinct
-    problem x member) holds its wage wherever a member needs it, from one
-    array bisection over all of them, and NaN elsewhere. A member needs a
-    frame only at a nonzero weight, so ConvexKappa(0) and ConvexKappa(1)
-    never price the frame they ignore (0 * inf would be NaN). A member's
-    wage then adds its frames in the order 0.0 + w_broad * r_broad +
-    w_narrow * (r_narrow + shift) + w_partial * r_partial, a zero weight
-    adding 0.0 and the shift entering only under BEFORE or AFTER. A frame
+    modes[mode_index[j]], and every member has framing_shift. weights
+    (frame x member) holds each member's weight on each pure frame (see
+    _frame_weights). Each pure frame of each cell poses one problem (see
+    _frame_problem), and each distinct problem is priced once for every
+    member by _frame_wages. A member's wage adds its frames in the order
+    0.0 + w_broad * r_broad + w_narrow * (r_narrow + shift) + w_partial *
+    r_partial, a zero weight adding 0.0 (so ConvexKappa(0) and
+    ConvexKappa(1) never read the frame they ignore, where 0 * inf would
+    be NaN) and the shift entering only under BEFORE or AFTER. A frame
     wage above the bracket is +inf, and so is the member's wage when that
     frame's weight is positive.
 
     Raises NoIndifference for the first cell, in the given order, with a
-    member that has no switch and no wage above the bracket in some
-    frame, or a wage above it in a frame of negative weight (ConvexKappa
-    with kappa outside [0, 1]); its index is the first such member and
-    its spec the cell.
+    member that has no answer in a frame it weighs, or a wage above the
+    bracket in a frame of negative weight (ConvexKappa with kappa outside
+    [0, 1]); its index is the first such member and its spec the cell.
     """
+    size = len(mode_index)
     weights = np.array([_frame_weights(mode) for mode in modes]).reshape(-1, len(_FRAMES))[mode_index].T
-    problems: dict[tuple[int, int, float], int] = {}  # distinct problem -> row
-    slots = [[problems.setdefault(_frame_problem(f, spec), len(problems)) for f in _FRAMES] for spec, _ in cells]
-    needed = np.zeros((len(problems), len(mode_index)), dtype=bool)
-    for (_, n), slot in zip(cells, slots):
-        for f, row in enumerate(slot):  # one at a time: frames of a cell can share a row
-            needed[row, :n] |= weights[f, :n] != 0.0
-    rows, members = np.nonzero(needed)
-    tasks_a, tasks_b, money_base = np.array(list(problems), dtype=float).reshape(-1, 3)[rows].T
-    roots = np.full(needed.shape, np.nan)
-    with np.errstate(invalid="ignore"):
-        roots[needed] = _bisect_wages(_members(model, members, len(mode_index)), tasks_a, tasks_b, money_base)
+    problems = [[_frame_problem(f, spec) for f in _FRAMES] for spec, _ in cells]
+    with np.errstate(invalid="ignore"):  # a NaN target passes through money_for and the comparisons
+        priced = {problem: _frame_wages(model, problem, size) for problem in {p for cell in problems for p in cell}}
 
     out = []
-    for (spec, n), slot in zip(cells, slots):
-        w, r = weights[:, :n], roots[slot, :n]  # r is a copy: cells share rows
+    for (spec, n), cell in zip(cells, problems):
+        w, r = weights[:, :n], np.stack([priced[problem][:n] for problem in cell])
         if spec.treatment in (Treatment.BEFORE, Treatment.AFTER):
             r[1] += framing_shift  # the Narrow row
         used = w != 0.0
@@ -256,7 +221,7 @@ def reservation_wage_exact(agent: Agent, spec: TreatmentSpec) -> float:
     """Continuous extra wage at which the agent switches to option B.
 
     A population of one priced by population_wages; +inf when the wage
-    lies above the search bracket (snap_to_list records it as censored).
+    lies above WAGE_BRACKET (snap_to_list records it as censored).
     """
     (wage,) = population_wages(agent.model, (agent.mode,), np.zeros(1, np.intp), agent.framing_shift, [(spec, 1)])
     return float(wage[0])

@@ -7,8 +7,8 @@ random stream for subject j is derived from (master seed, j) alone, so
 subject j faces the same preference draw in every treatment (common
 random numbers). The simulator seeds and steps every subject's stream
 in array passes, draws each subject index once into columns, reuses
-those draws in every treatment, and solves the reservation wages of all
-(treatment, scenario) cells with one array bisection.
+those draws in every treatment, and prices the reservation wages of all
+(treatment, scenario) cells in closed form (see agents.population_wages).
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ __all__ = [
     "MixtureComposition",
     "KappaComposition",
     "PopulationSpec",
-    "classify_consistency",
     "simulate_subject",
     "simulate_dataset",
     "subject_stream",
@@ -125,12 +124,6 @@ def _accept_code(choices: Sequence[bool]) -> int:
     if len(choices) != N_ROWS:
         raise ValueError(f"expected {N_ROWS} choices, got {len(choices)}")
     return sum(1 << i for i, accepted in enumerate(choices) if accepted)
-
-
-def classify_consistency(choices: tuple[bool, ...]) -> tuple[bool, float]:
-    """Monotonicity flag and recorded wage of one price list's choices, as design reads their accept code."""
-    code = _accept_code(choices)
-    return bool(CODE_CONSISTENT[code]), float(RECORDED_WAGE[CODE_FIRST_ROW[code]])
 
 
 def _check_fields(code: int, res_wage: float, censored: bool, consistent: bool) -> None:
@@ -668,10 +661,14 @@ def _truncated_normal(
     Where lo lies above a location, the CDF rounds to 1 in the tail, so
     that location's draws invert the survival function instead: the
     normal reflected about the location, with the bounds reflected too.
-    Where lo lies so far above (about 37.5 sd) that its survival value,
-    and so the upper bound's too, underflows (is subnormal or 0), the
-    draws invert it in log space (see _far_tail_inverse): a subnormal
-    a + u (b - a) keeps too few digits.
+    Where both bounds lie on one side of a location and a draw's
+    p = a + u (b - a) is below _FAR_TAIL, as it is from about 36.2 sd
+    into that tail, a bound's value that is subnormal or flushed to 0
+    can be off by more than a float's precision of p, and the draw
+    inverts in log space instead (see _far_tail_inverse). Above the
+    location that is the survival function; below it, the CDF: the
+    survival function at the reflected bounds, so that z lies in
+    [-beta, -alpha].
     """
     loc = locs[index]
     if scale == 0.0:
@@ -679,32 +676,38 @@ def _truncated_normal(
     sign = np.where(lo > locs, -1.0, 1.0)  # products by 1.0 keep the CDF inversion's bits
     a = ndtr(sign * (lo - locs) / scale)
     b = ndtr(sign * (hi - locs) / scale)
-    x = loc + (sign * scale)[index] * ndtri(a[index] + u * (b[index] - a[index]))
-    far = ((sign < 0.0) & (a < _SMALLEST_NORMAL))[index]
-    if far.any():
-        x[far] = loc[far] + scale * _far_tail_inverse(u[far], (lo - loc[far]) / scale, (hi - loc[far]) / scale)
+    p = a[index] + u * (b[index] - a[index])
+    x = loc + (sign * scale)[index] * ndtri(p)
+    far = p < _FAR_TAIL
+    upper, lower = far & (lo > locs)[index], far & (hi < locs)[index]
+    if upper.any():
+        x[upper] = loc[upper] + scale * _far_tail_inverse(u[upper], (lo - loc[upper]) / scale, (hi - loc[upper]) / scale)
+    if lower.any():
+        x[lower] = loc[lower] - scale * _far_tail_inverse(u[lower], (loc[lower] - lo) / scale, (loc[lower] - hi) / scale)
     return np.minimum(np.maximum(x, lo), hi)
 
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
+_FAR_TAIL = np.finfo(float).tiny / np.finfo(float).eps  # about 1e-292
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_MAX_STEPS = 50
 
 
 def _far_tail_inverse(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The standard normal z in [alpha, beta] with survival Sf(alpha) - u (Sf(alpha) - Sf(beta)), from log_ndtr.
+    """The standard normal z between alpha and beta with survival Sf(alpha) - u (Sf(alpha) - Sf(beta)), from log_ndtr.
 
-    For an alpha so far in the upper tail that Sf(alpha) underflows.
-    The target log-survival is la + log1p(-u (1 - exp(lb - la))), with la
-    and lb the log-survival values of the bounds (1 - exp by expm1, which
-    keeps the digits of close bounds). Newton's method on log Sf, which is
-    concave and decreasing, starts at alpha: its first step overshoots the
-    root, and every later step moves back towards it without passing it.
-    It stops once every step is below four float epsilons of z.
+    For draws so far in the upper tail that the bounds' survival values
+    lose digits to underflow; either bound may be the larger. The target log-survival is
+    the log of (1 - u) Sf(alpha) + u Sf(beta), from the bounds'
+    log-survival values by logaddexp, which keeps its digits at either
+    end of u. Newton's method on log Sf, which is concave and decreasing,
+    starts at the lower bound: its first step overshoots the root, and
+    every later step moves back towards it without passing it. It stops
+    once every step is below four float epsilons of z.
     """
     la, lb = log_ndtr(-alpha), log_ndtr(-beta)
-    target = la + np.log1p(u * np.expm1(lb - la))
-    z = alpha
+    with np.errstate(divide="ignore"):  # log(0) at u = 0
+        target = np.logaddexp(la + np.log1p(-u), lb + np.log(u))
+    z = np.minimum(alpha, beta)
     for _ in range(_NEWTON_MAX_STEPS):
         log_sf = log_ndtr(-z)
         # Sf(z) / pdf(z): the reciprocal of the slope of -log Sf, about 1 / z out here

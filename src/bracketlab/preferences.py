@@ -4,15 +4,17 @@ A Bundle is a (task count, dollar amount) pair. A utility model ranks
 bundles and finite lotteries over them; the money metric M(b) is the
 payment that makes the decision maker indifferent between receiving b
 and paying M(b), and staying at the zero bundle. ``money_metric`` and
-``certainty_equivalent`` share the scalar bisection ``_bisect_increasing``;
-simulated reservation wages use the array bisection ``agents._bisect_wages``.
-Closed forms appear only in the test suite as oracles.
+``certainty_equivalent`` share the scalar bisection ``_bisect_increasing``.
+Simulated reservation wages invert utility in money instead: the
+simulator's models give ``money_for``, the money at which a task count
+reaches a utility level, in closed form.
 
-``value`` also evaluates elementwise over a money array, and over
-parameter arrays: a model built with array parameters, such as
+``value`` and ``money_for`` also evaluate elementwise over a money or
+utility array, and over parameter arrays: a model built with array
+parameters, such as
 ``QuasiLinearPowerCost(alpha=alphas, gamma=gammas)``, is a stack whose
 member i has the i-th entry of every parameter, and its constructor
-checks every member. The simulator runs its root finding on such stacks.
+checks every member. The simulator prices its wages on such stacks.
 Only scalar models are hashable and comparable: the models are frozen
 dataclasses, so hashing a stack raises TypeError, and == between stacks
 of two or more members raises ValueError.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -146,21 +147,17 @@ class UtilityModel:
     """Base for the model variants; subclasses implement ``value``.
 
     ``value`` must broadcast over a money array and over parameter
-    arrays (a stack, see the module docstring). Only a model with scalar
+    arrays (a stack, see the module docstring), and so must
+    ``money_for`` where a model has it. Only a model with scalar
     parameters is hashable and comparable by value.
     """
 
     def value(self, tasks: float, money: float) -> float:
         raise NotImplementedError
 
-    def at_tasks(self, tasks: float) -> Callable:
-        """u(tasks, .) as a function of money alone.
-
-        Root finding over money evaluates it many times at one task
-        count (or one count per member of a stack, as an array). The
-        power-cost models override it to compute the task term once.
-        """
-        return lambda money: self.value(tasks, money)
+    def money_for(self, tasks: float, utility: float) -> float:
+        """The money m with value(tasks, m) == utility: the inverse of value in money."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,8 @@ class QuasiLinearPowerCost(UtilityModel):
     def value(self, tasks: float, money: float) -> float:
         return money - self.alpha * tasks**self.gamma
 
-    def at_tasks(self, tasks: float) -> Callable:
-        cost = self.alpha * tasks**self.gamma
-        return lambda money: money - cost
+    def money_for(self, tasks: float, utility: float) -> float:
+        return utility + self.alpha * tasks**self.gamma
 
 
 @dataclass(frozen=True)
@@ -203,9 +199,10 @@ class CaraMoneyPowerCost(UtilityModel):
     def value(self, tasks: float, money: float) -> float:
         return (1.0 - _safe_exp(-self.rho * money)) / self.rho - self.alpha * tasks**self.gamma
 
-    def at_tasks(self, tasks: float) -> Callable:
-        cost = self.alpha * tasks**self.gamma
-        return lambda money: (1.0 - _safe_exp(-self.rho * money)) / self.rho - cost
+    def money_for(self, tasks: float, utility: float) -> float:
+        """-log(1 - rho (utility + cost)) / rho, and the infinity on its side past the utility's bound 1 / rho."""
+        with np.errstate(divide="ignore"):  # log(0) past the bound
+            return -np.log(np.maximum(1.0 - self.rho * (utility + self.alpha * tasks**self.gamma), 0.0)) / self.rho
 
 
 @dataclass(frozen=True)
@@ -221,6 +218,9 @@ class LinearMetric(UtilityModel):
 
     def value(self, tasks: float, money: float) -> float:
         return self.lambda_tasks * tasks + self.lambda_money * money
+
+    def money_for(self, tasks: float, utility: float) -> float:
+        return (utility - self.lambda_tasks * tasks) / self.lambda_money
 
 
 @dataclass(frozen=True)

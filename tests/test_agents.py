@@ -17,7 +17,6 @@ from bracketlab.agents import (
     NoIndifference,
     Partial,
     WAGE_BRACKET,
-    evaluate_option,
     population_wages,
     reservation_wage_exact,
     snap_rows,
@@ -40,6 +39,12 @@ QL_LINEAR = QuasiLinearPowerCost(alpha=0.004, gamma=1.0)
 
 def cost(model, tasks):
     return model.alpha * tasks**model.gamma
+
+
+def evaluate_option(agent, presented, endowment):
+    """Utility of a presented option as seen through the agent's frame: one option at a time, as population_wages frames a cell."""
+    tasks, money = agents._counted_endowment(type(agent.mode), endowment)
+    return agent.model.value(presented.tasks + tasks, presented.money + money)
 
 
 class TestEvaluateOption:
@@ -312,12 +317,11 @@ class TestPopulationWages:
 
 
 def bisect_wages_by_brackets(model, tasks_a, tasks_b, money_base):
-    """_bisect_wages with a lo and a hi per element, each halved only while that element's bracket is open."""
-    target = model.at_tasks(tasks_a)(money_base)
-    utility_b = model.at_tasks(tasks_b)
+    """Wages by bisection on [-WAGE_BRACKET, WAGE_BRACKET]: a lo and a hi per element, each halved only while that element's bracket is open."""
+    target = model.value(tasks_a, money_base)
 
     def gap(r):
-        return utility_b(money_base + r) - target
+        return model.value(tasks_b, money_base + r) - target
 
     lo = np.full(len(money_base), -WAGE_BRACKET)
     hi = np.full(len(money_base), WAGE_BRACKET)
@@ -351,35 +355,81 @@ BISECTION_MEMBERS = st.lists(
     max_size=12,
 )
 ABOVE, NONE, INSIDE = (0.6, 3.0, 0.01, 30.0, 45.0, 4.0), (0.6, 3.0, -1000.0, 45.0, 30.0, 4.0), (0.004, 2.0, 0.01, 0.0, 15.0, 4.0)
+FLAT = (0.2, 2.0, -1000.0, 60.0, 60.0, -5.0)  # see one_root_near
 
 
-class TestSharedWidthBisection:
+def member_problems(members, cara):
+    """A stack of the members' models and their problems, one per member: np.full in _frame_wages takes arrays."""
+    alpha, gamma, rho, tasks_a, tasks_b, money_base = map(np.array, zip(*members))
+    model = CaraMoneyPowerCost(rho, alpha, gamma) if cara else QuasiLinearPowerCost(alpha, gamma)
+    return model, (tasks_a, tasks_b, money_base)
+
+
+def wages_both_ways(model, problem):
+    """(bisected, inverted) wages of each member's problem."""
+    with np.errstate(invalid="ignore"):  # inf - inf in the bisection's NaN gap
+        return bisect_wages_by_brackets(model, *problem), agents._frame_wages(model, problem, len(problem[0]))
+
+
+def one_root_near(model, problem, r):
+    """Whether the bisection's gap changes sign within 1e-9 (relative) of r, per member.
+
+    Where utility is flat in money at float precision, every wage on the
+    flat stretch is a root, and the two methods may return different ones:
+    CARA at rho = -1000 and money below zero, where exp(1000 m) underflows,
+    is flat at its bound -1 / 1000 (less the cost), and the bisection
+    returns the bottom of the bracket.
+    """
+    tasks_a, tasks_b, money_base = problem
+    target, delta = model.value(tasks_a, money_base), 1e-9 * np.maximum(1.0, np.abs(r))
+    with np.errstate(invalid="ignore"):  # inf - inf where r is +inf
+        below = model.value(tasks_b, money_base + r - delta) < target
+        return below & (model.value(tasks_b, money_base + r + delta) > target)
+
+
+class TestWageInversion:
     @settings(max_examples=80, deadline=None)
     @given(members=BISECTION_MEMBERS, cara=st.booleans())
     @example(members=[ABOVE, NONE, INSIDE], cara=False)
     @example(members=[ABOVE, NONE, INSIDE], cara=True)
-    def test_bits_match_a_bracket_per_element(self, members, cara):
-        alpha, gamma, rho, tasks_a, tasks_b, money_base = map(np.array, zip(*members))
-        model = CaraMoneyPowerCost(rho, alpha, gamma) if cara else QuasiLinearPowerCost(alpha, gamma)
-        with np.errstate(invalid="ignore"):  # inf - inf in a NaN gap, as population_wages allows
-            expected = bisect_wages_by_brackets(model, tasks_a, tasks_b, money_base)
-            roots = agents._bisect_wages(model, tasks_a, tasks_b, money_base)
-        assert roots.tobytes() == expected.tobytes()
+    @example(members=[FLAT, INSIDE], cara=True)
+    def test_agrees_with_a_bracket_per_element(self, members, cara):
+        model, problem = member_problems(members, cara)
+        bisected, inverted = wages_both_ways(model, problem)
+        finite = np.isfinite(bisected)
+        np.testing.assert_array_equal(inverted[~finite], bisected[~finite])  # +inf and NaN alike
+        compared = finite & one_root_near(model, problem, bisected)
+        assert np.isfinite(inverted[compared]).all()
+        np.testing.assert_allclose(inverted[compared], bisected[compared], rtol=1e-9, atol=1e-9)
+        # the recorded row, but where the wage is within 1e-9 of a snap boundary
+        off_boundary = compared & (snap_rows(bisected - 1e-9) == snap_rows(bisected + 1e-9))
+        np.testing.assert_array_equal(snap_rows(inverted)[off_boundary], snap_rows(bisected)[off_boundary])
 
     def test_the_examples_reach_every_outcome(self):
         # the explicit examples above hold a wage above the bracket, none, and one inside it
-        alpha, gamma, rho, tasks_a, tasks_b, money_base = map(np.array, zip(ABOVE, NONE, INSIDE))
-        for model in (QuasiLinearPowerCost(alpha, gamma), CaraMoneyPowerCost(rho, alpha, gamma)):
-            with np.errstate(invalid="ignore"):
-                roots = agents._bisect_wages(model, tasks_a, tasks_b, money_base)
-            np.testing.assert_array_equal(roots[:2], [np.inf, np.nan])
-            assert np.isfinite(roots[2])
+        for cara in (False, True):
+            model, problem = member_problems([ABOVE, NONE, INSIDE], cara)
+            bisected, inverted = wages_both_ways(model, problem)
+            for wages in (bisected, inverted):
+                np.testing.assert_array_equal(wages[:2], [np.inf, np.nan])
+                assert np.isfinite(wages[2])
+            assert one_root_near(model, problem, bisected).tolist() == [False, False, True]
+
+    def test_a_flat_utility_has_no_one_root(self):
+        # exp(1000 m) is 0 from the bracket's bottom to near zero money, so the
+        # true wage, 0, is one of many: the bisection returns the bottom, the
+        # inverse a wage near -m, where the cost's rounding leaves the log
+        model, problem = member_problems([FLAT], cara=True)
+        bisected, inverted = wages_both_ways(model, problem)
+        assert bisected[0] == pytest.approx(-WAGE_BRACKET) and inverted[0] == pytest.approx(5.0, abs=0.1)
+        assert not one_root_near(model, problem, bisected)[0]
 
     def test_every_bracket_end_is_exact(self):
-        # the shared width holds only while every end, midpoint and sum of two
-        # ends on the way down to ROOT_TOL is exact: integer multiples k of the
-        # final width with |k| <= 2**halvings, each a float iff k times the odd
-        # part of the width's numerator fits in 53 bits
+        # the oracle's brackets all share one width, exactly, only while every
+        # end, midpoint and sum of two ends on the way down to ROOT_TOL is
+        # exact: integer multiples k of the final width with |k| <=
+        # 2**halvings, each a float iff k times the odd part of the width's
+        # numerator fits in 53 bits
         width, halvings = 2.0 * WAGE_BRACKET, 0
         while width > ROOT_TOL:
             width, halvings = 0.5 * width, halvings + 1

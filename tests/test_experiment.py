@@ -33,7 +33,6 @@ from bracketlab.experiment import (
     PopulationSpec,
     ScenarioOutcome,
     SubjectRecord,
-    classify_consistency,
     iter_observations,
     read_csv,
     simulate_dataset,
@@ -140,6 +139,12 @@ def _classify_by_rows(choices):
     """
     consistent = not any(choices[i] and not choices[i + 1] for i in range(len(choices) - 1))
     return consistent, price_list().extra_wages[choices.index(True)] if True in choices else CENSOR_CODE
+
+
+def classify_consistency(choices):
+    """Monotonicity flag and recorded wage of one price list's choices, as design reads their accept code."""
+    code = experiment._accept_code(choices)
+    return bool(CODE_CONSISTENT[code]), float(RECORDED_WAGE[CODE_FIRST_ROW[code]])
 
 
 class TestClassifyConsistency:
@@ -366,6 +371,26 @@ class TestSimulateDataset:
         np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=0.0)
         assert len(simulate_dataset(spec)) == 80
 
+    def test_an_upper_gamma_bound_far_below_the_location_draws_from_the_tail(self):
+        # the mirror image: hi = 4.0 is 40 sd below the women's location and
+        # 39.3 below the men's, where both bounds' CDFs underflow to 0
+        spec = PopulationSpec(counts={Treatment.BROAD: 40}, seed=3, gamma_location=10.0, gamma_bounds=(1.0, 4.0))
+        columns, _ = experiment._bulk_draws(spec, 40)
+        male, gamma = columns[0] < spec.male_share, experiment._population(spec, columns).gamma
+        assert np.isfinite(gamma).all() and (gamma < 4.0).all() and len(set(gamma.tolist())) > 1
+        loc = spec.gamma_location + np.where(male, spec.gamma_male_shift, 0.0)
+        z_lo, z_hi = (1.0 - loc) / spec.gamma_scale, (4.0 - loc) / spec.gamma_scale
+        expected = truncnorm.ppf(columns[4], z_lo, z_hi, loc=loc, scale=spec.gamma_scale)
+        np.testing.assert_allclose(gamma, expected, rtol=1e-12, atol=0.0)
+        assert len(simulate_dataset(spec)) == 40
+
+    def test_a_draw_at_a_far_lower_bound_with_the_location_inside_is_the_bound(self):
+        # lo is 60 sd below the location and hi = inf: at u = 0 the draw's CDF
+        # underflows, but no tail holds both bounds, so the CDF inversion keeps it
+        u, loc = np.array([0.0, 0.5]), np.array([10.0])
+        drawn = experiment._truncated_normal(u, loc, np.zeros(2, np.intp), 0.15, 1.0, math.inf)
+        np.testing.assert_array_equal(drawn, [1.0, 10.0])
+
     @settings(max_examples=60, deadline=None)
     @given(
         # a + u (b - a) cancels as u nears 1, in either tail, so u stops short of it
@@ -378,12 +403,35 @@ class TestSimulateDataset:
     )
     # both bounds' survival values subnormal, where a CDF inversion keeps too few digits
     @example(u=[0.1, 0.5, 0.9, 0.999], loc=2.0, scale=0.15, z_lo=37.65, z_width=0.1)
+    # lo's survival value is a normal float and hi's, 8e-5 of it, is flushed to 0
+    @example(u=[0.5], loc=1.0, scale=1.0, z_lo=37.5, z_width=0.25)
     def test_truncated_normal_draws_are_scipys(self, u, loc, scale, z_lo, z_width):
         u, lo, hi = np.array(u), loc + z_lo * scale, loc + (z_lo + z_width) * scale
         drawn = experiment._truncated_normal(u, np.array([loc]), np.zeros(u.size, np.intp), scale, lo, hi)
         expected = truncnorm.ppf(u, (lo - loc) / scale, (hi - loc) / scale, loc=loc, scale=scale)
         assert ((lo <= drawn) & (drawn <= hi)).all()
         np.testing.assert_allclose(drawn, expected, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # the mirror image of the test above, with a finite lo as PopulationSpec
+        # requires, and u as numpy draws it near 0: 0 or a multiple of 2**-53
+        u=st.lists(st.one_of(st.just(0.0), st.floats(2.0**-53, 0.999)), min_size=1, max_size=20),
+        loc=st.floats(1.0, 4.0),
+        scale=st.floats(0.05, 1.0),
+        # the CDF turns subnormal at about 37.5 sd below and underflows to 0 at 37.7
+        z_hi=st.one_of(st.floats(-30.0, 6.0), st.floats(-38.0, -37.0), st.floats(-60.0, -38.0)),
+        z_width=st.floats(0.01, 40.0),
+    )
+    # both bounds' CDFs subnormal, where a CDF inversion keeps too few digits
+    @example(u=[0.0, 0.1, 0.5, 0.9, 0.999], loc=2.0, scale=0.15, z_hi=-37.65, z_width=0.1)
+    def test_truncated_normal_draws_below_the_location_are_scipys(self, u, loc, scale, z_hi, z_width):
+        u, lo, hi = np.array(u), loc + (z_hi - z_width) * scale, loc + z_hi * scale
+        drawn = experiment._truncated_normal(u, np.array([loc]), np.zeros(u.size, np.intp), scale, lo, hi)
+        expected = truncnorm.ppf(u, (lo - loc) / scale, (hi - loc) / scale, loc=loc, scale=scale)
+        assert ((lo <= drawn) & (drawn <= hi)).all()
+        # loc + scale z rounds to about 1e-16 of loc, which no relative bound meets where it crosses 0
+        np.testing.assert_allclose(drawn, expected, rtol=1e-9, atol=1e-12)
 
 
 def accept_codes_by_rows(wages, uniforms, tremble):

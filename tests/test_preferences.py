@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketlab.agents import Agent, Broad, Narrow
 from bracketlab.preferences import (
@@ -104,9 +105,8 @@ class TestUtility:
         stacked = QuasiLinearPowerCost(alpha=np.array([0.004, 0.002]), gamma=np.array([2.0, 1.7]))
         money = np.array([1.0, 2.0])
         expected = [members[0].value(30, 1.0), members[1].value(30, 2.0)]
-        np.testing.assert_allclose(stacked.value(30, money), expected, rtol=1e-15)
         # numpy's pow on the stack may miss the scalar pow by an ulp
-        np.testing.assert_allclose(stacked.at_tasks(30)(money), expected, rtol=1e-15)
+        np.testing.assert_allclose(stacked.value(30, money), expected, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "model_type,params,message",
@@ -126,6 +126,53 @@ class TestUtility:
             model_type(**{name: np.asarray(value) for name, value in params.items()})
         valid = {name: np.atleast_1d(value)[:1] for name, value in params.items()}
         assert model_type(**valid).value(0, np.zeros(1)).shape == (1,)
+
+
+# each model that inverts in money: its parameters, and the summed sizes of
+# the terms value adds up (t tasks, m money), which bound its rounding error
+# (a subnormal keeps too few digits for any relative bound)
+INVERTIBLE = {
+    QuasiLinearPowerCost: (
+        st.tuples(st.floats(0.0005, 0.6), st.floats(1.0, 3.0)),
+        lambda alpha, gamma, t, m: np.abs(m) + alpha * t**gamma,
+    ),
+    CaraMoneyPowerCost: (
+        st.tuples(st.one_of(st.floats(0.001, 2.0), st.floats(-2.0, -0.001)), st.floats(0.0, 0.6), st.floats(1.0, 3.0)),
+        lambda rho, alpha, gamma, t, m: (1.0 + np.exp(-rho * m)) / np.abs(rho) + alpha * t**gamma,
+    ),
+    LinearMetric: (
+        st.tuples(st.floats(-1.0, 1.0, allow_subnormal=False), st.floats(0.01, 10.0)),
+        lambda lambda_tasks, lambda_money, t, m: np.abs(lambda_tasks * t) + lambda_money * np.abs(m),
+    ),
+}
+
+
+class TestMoneyFor:
+    @settings(max_examples=60, deadline=None)
+    @given(model_type=st.sampled_from(list(INVERTIBLE)), stacked=st.booleans(), data=st.data())
+    def test_value_inverts_money_for(self, model_type, stacked, data):
+        params, term_sizes = INVERTIBLE[model_type]
+        member = st.tuples(params, st.sampled_from([0.0, 15.0, 30.0, 45.0, 60.0]), st.floats(-200.0, 200.0, allow_subnormal=False))
+        members, tasks, utility = zip(*data.draw(st.lists(member, min_size=1, max_size=8)))
+        columns, tasks, utility = [np.array(c) for c in zip(*members)], np.array(tasks), np.array(utility)
+        if stacked:
+            model = model_type(*columns)
+            money = model.money_for(tasks, utility)
+            back = model.value(tasks, money)
+        else:
+            models = [model_type(*p) for p in members]
+            money = np.array([m.money_for(t, u) for m, t, u in zip(models, tasks, utility)])
+            back = np.array([m.value(t, x) for m, t, x in zip(models, tasks, money)])
+        # CARA's money is infinite past its utility's bound 1 / rho, on that bound's side
+        finite = np.isfinite(money)
+        if model_type is CaraMoneyPowerCost:
+            rho = columns[0]
+            assert (money[~finite] == np.where(rho > 0, np.inf, -np.inf)[~finite]).all()
+        else:
+            assert finite.all()
+        with np.errstate(over="ignore"):  # exp(-rho m) where money is infinite
+            scale = term_sizes(*columns, tasks, money)
+        assert (np.abs(back - utility) <= 1e-12 * scale)[finite].all()
 
 
 class TestHashing:
