@@ -197,18 +197,28 @@ def summarize_means(dataset: Dataset, drop_inconsistent: bool = True) -> list[Ce
 
 
 def _rank_setup(x, y):
-    """Sample sizes, pooled midranks and the pooled tie counts."""
+    """Sample sizes, then per distinct pooled value in ascending order: its midrank, its count in x and its pooled count.
+
+    Each sample's values are counted on their own and the counts merged
+    over the union of values, so no observation is ranked one by one.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise EmptySample("both samples must be nonempty")
-    pooled = np.concatenate([x, y])
-    if np.isnan(pooled).any():
+    if np.isnan(x).any() or np.isnan(y).any():
         raise ValueError("samples must not contain NaN")
-    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    # midranks are exact half-integers, so any sum of them is exact
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return x.size, y.size, ranks, counts
+    (x_values, x_counts), (y_values, y_counts) = (np.unique(s, return_counts=True) for s in (x, y))
+    # the union of values: np.union1d and a plain np.unique load numpy.ma on numpy 2.x (about 1.3 MB),
+    # and return_inverse would page in numpy's argsort besides the sort the counts use
+    values = np.unique(np.concatenate([x_values, y_values]), return_counts=True)[0]
+    in_x = np.zeros(values.size, np.int64)
+    in_x[np.searchsorted(values, x_values)] = x_counts
+    counts = in_x.copy()
+    counts[np.searchsorted(values, y_values)] += y_counts
+    # midranks are exact half-integers, so any sum of their multiples is exact
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    return x.size, y.size, midranks, in_x, counts
 
 
 def mwu_test(x, y, continuity: bool = False) -> MwuResult:
@@ -218,9 +228,9 @@ def mwu_test(x, y, continuity: bool = False) -> MwuResult:
     correction shrinks W - E[W] by 0.5 toward zero; it is off by
     default. Zero variance (all values tied) gives z = 0, p = 1.
     """
-    n1, n2, ranks, counts = _rank_setup(x, y)
+    n1, n2, midranks, in_x, counts = _rank_setup(x, y)
     n_total = n1 + n2
-    w = float(ranks[:n1].sum())
+    w = float((in_x * midranks).sum())
     expected = n1 * (n_total + 1) / 2.0
     tie_term = float((counts.astype(float) ** 3 - counts).sum()) / (n_total * (n_total - 1))
     var = n1 * n2 / 12.0 * ((n_total + 1) - tie_term)
@@ -249,21 +259,22 @@ def mwu_exact(x, y) -> float:
     C(66, 33) < 2**63, hence the cap of 66 pooled observations (see
     TooLarge).
     """
-    n1, n2, ranks, _ = _rank_setup(x, y)
+    n1, n2, midranks, in_x, counts = _rank_setup(x, y)
     n_total = n1 + n2
     if n_total > _EXACT_CAP:
         raise TooLarge(f"exact test capped at {_EXACT_CAP} pooled observations, got {n_total}")
-    doubled = (2.0 * ranks).astype(np.int64)
+    doubled = (2.0 * midranks).astype(np.int64)
     k = min(n1, n2)
-    top = int(np.sort(doubled)[-k:].sum())
-    counts = np.zeros((k + 1, top + 1), dtype=np.int64)
-    counts[0, 0] = 1
-    for w in doubled.tolist():
-        counts[1:, w:] += counts[:-1, :-w].copy()
+    pooled = np.repeat(doubled, counts)  # each observation's doubled rank, ascending
+    top = int(pooled[-k:].sum())
+    subsets = np.zeros((k + 1, top + 1), dtype=np.int64)
+    subsets[0, 0] = 1
+    for w in pooled.tolist():
+        subsets[1:, w:] += subsets[:-1, :-w].copy()
     # |W - E[W]| is the same for either sample: compare doubled sums exactly
-    gap = abs(int(doubled[:n1].sum()) - n1 * (n_total + 1))
+    gap = abs(int((in_x * doubled).sum()) - n1 * (n_total + 1))
     far = np.abs(np.arange(top + 1) - k * (n_total + 1)) >= gap
-    return int(counts[k, far].sum()) / math.comb(n_total, k)
+    return int(subsets[k, far].sum()) / math.comb(n_total, k)
 
 
 _SCENARIOS = (Scenario.S1, Scenario.S2)

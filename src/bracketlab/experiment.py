@@ -12,6 +12,7 @@ those draws in every treatment, and prices the reservation wages of all
 """
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -62,7 +63,7 @@ _TEDIOUSNESS_WIDTH = 10  # tediousness is drawn on a 1..10 scale
 _TEDIOUSNESS_CENTER = 5.5  # its midpoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Covariates:
     male: bool
     age: int
@@ -84,7 +85,14 @@ def _check_covariates(male: bool, age: int, tediousness: int) -> None:
         raise ValueError("age must be below 2**63")
 
 
-@dataclass(frozen=True)
+def _check_covariate_columns(male: np.ndarray, age: np.ndarray, tediousness: np.ndarray) -> None:
+    """_check_covariates over bool, int64 and int8 columns; the first rejected subject raises its message."""
+    rejected = np.flatnonzero((tediousness < 1) | (tediousness > 10) | (age < 0))
+    if rejected.size:
+        _check_covariates(*(column[rejected[0]].item() for column in (male, age, tediousness)))
+
+
+@dataclass(frozen=True, slots=True)
 class ScenarioOutcome:
     """One price list worth of behavior from one subject."""
 
@@ -98,7 +106,10 @@ class ScenarioOutcome:
         _check_fields(_accept_code(self.choices), self.res_wage, self.censored, self.consistent)
 
 
-@dataclass(frozen=True)
+_NO_OUTCOMES = "a record needs at least one scenario outcome"
+
+
+@dataclass(frozen=True, slots=True)
 class SubjectRecord:
     subject_id: str
     treatment: Treatment
@@ -107,7 +118,7 @@ class SubjectRecord:
 
     def __post_init__(self) -> None:
         if not self.outcomes:
-            raise ValueError("a record needs at least one scenario outcome")
+            raise ValueError(_NO_OUTCOMES)
 
 
 _TREATMENT_CODE = {t: i for i, t in enumerate(Treatment)}
@@ -149,6 +160,26 @@ def _outcomes(keys: np.ndarray) -> list[ScenarioOutcome]:
         ScenarioOutcome(_SCENARIOS[s], tuple(f), wage, censored, consistent)
         for s, f, wage, censored, consistent in zip((keys >> N_ROWS).tolist(), *columns)
     ]
+
+
+def _gather(objects: list, index: np.ndarray) -> list:
+    """objects[i] for each i in index, gathered by numpy so that no Python int is made per item."""
+    table = np.empty(len(objects), dtype=object)
+    table[:] = objects
+    return table[index].tolist()
+
+
+def _instances(cls: type, n: int, *columns) -> list:
+    """n instances of a slotted dataclass made without __init__, field i of each set from columns[i].
+
+    Every slot is filled by mapping its descriptor's __set__ over its
+    column, so no Python frame runs per object; the caller has checked
+    the columns as __post_init__ would check each object.
+    """
+    objects = list(map(object.__new__, itertools.repeat(cls, n)))
+    for field, column in zip(fields(cls), columns, strict=True):
+        collections.deque(map(vars(cls)[field.name].__set__, objects, column), maxlen=0)  # consume at C speed
+    return objects
 
 
 _SCENARIO_NAMES = tuple(s.value for s in Scenario)
@@ -203,11 +234,15 @@ class Dataset:
     ScenarioOutcome, SubjectRecord or Covariates; Dataset(records)
     derives the columns from the records, keying each distinct outcome
     object once and checking each distinct covariates object as
-    Covariates checks it. records and observations are built
-    from the columns on first use and cached: records builds one
-    ScenarioOutcome per distinct key and one Covariates per distinct
-    value, and every record shares them. Equality and hashing compare
-    the columns' bytes and build neither. No subject repeats a scenario.
+    Covariates checks it. Every way in checks the covariate columns and
+    the row offsets once per column, as Covariates and SubjectRecord
+    check each object. records and observations are built from the
+    columns on first use and cached: records builds one ScenarioOutcome
+    per distinct key, then fills one Covariates per distinct value and
+    one SubjectRecord per subject from the columns (all three classes
+    are slotted), and every record shares the outcomes and covariates.
+    Equality and hashing compare the columns' bytes and build neither.
+    No subject repeats a scenario.
     """
 
     def __init__(
@@ -246,7 +281,11 @@ class Dataset:
     def _fill(self, subject_ids, treatment, covariates, offsets, keys, seed, spec_digest) -> None:
         if len(set(subject_ids)) != len(subject_ids):
             raise ValueError("subject_ids must be unique")
+        covariates = tuple(map(_read_only, map(np.asarray, covariates, (bool, np.int64, np.int8))))
+        _check_covariate_columns(*covariates)
         offsets, keys = np.asarray(offsets, np.intp), np.asarray(keys, np.int32)
+        if not np.diff(offsets).all():
+            raise ValueError(_NO_OUTCOMES)
         subject = np.repeat(np.arange(len(subject_ids)), np.diff(offsets))
         uses = np.bincount(subject * len(_SCENARIOS) + (keys >> N_ROWS))
         repeats = np.flatnonzero(uses > 1)
@@ -258,7 +297,7 @@ class Dataset:
             spec_digest=spec_digest,
             _subject_ids=tuple(subject_ids),
             _treatment=_read_only(np.asarray(treatment, np.int8)),
-            _covariates=tuple(map(_read_only, map(np.asarray, covariates, (bool, np.int64, np.int8)))),
+            _covariates=covariates,
             _offsets=_read_only(offsets),
             _keys=_read_only(keys),
         )
@@ -288,25 +327,37 @@ class Dataset:
 
     @functools.cached_property
     def records(self) -> tuple[SubjectRecord, ...]:
-        """One SubjectRecord per subject, built from the columns on first use."""
-        keys, slots = np.unique(self._keys, return_inverse=True)
-        outcomes = list(map(_outcomes(keys).__getitem__, slots.tolist()))
-        values, people = self._distinct_covariates()
-        people = map([Covariates(*value) for value in values].__getitem__, people)
-        offsets = self._offsets.tolist()
-        arms = tuple(Treatment)
-        return tuple(
-            SubjectRecord(sid, arms[t], tuple(outcomes[lo:hi]), person)
-            for sid, t, person, lo, hi in zip(self._subject_ids, self._treatment.tolist(), people, offsets, offsets[1:])
-        )
+        """One SubjectRecord per subject, filled from the columns on first use.
 
-    def _distinct_covariates(self) -> tuple[list[tuple[bool, int, int]], list[int]]:
-        """Each distinct (male, age, tediousness) value once, and each subject's index into them."""
+        Each distinct row key gets one ScenarioOutcome from its
+        constructor. The Covariates (one per distinct value) and the
+        records are filled from the columns, which _fill checked as
+        Covariates and SubjectRecord check each object, without an
+        __init__ call (see _instances).
+        """
+        keys, slots = np.unique(self._keys, return_inverse=True)
+        outcomes = tuple(_gather(_outcomes(keys), slots))
+        values, people = self._distinct_covariates()
+        offsets = self._offsets.tolist()
+        persons = _instances(Covariates, len(values[0]), *(column.tolist() for column in values))
+        arms = tuple(Treatment)
+        return tuple(_instances(
+            SubjectRecord,
+            len(self),
+            self._subject_ids,
+            map(arms.__getitem__, self._treatment.tolist()),
+            map(outcomes.__getitem__, map(slice, offsets, offsets[1:])),
+            _gather(persons, people),
+        ))
+
+    def _distinct_covariates(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each distinct (male, age, tediousness) value once, as columns sorted by age, tediousness
+        and male, and each subject's index into them."""
         male, age, tediousness = self._covariates
         age_rank = np.unique(age, return_inverse=True)[1]  # below len(self), so packed cannot overflow
         packed = (age_rank * (_TEDIOUSNESS_WIDTH + 1) + tediousness) * 2 + male
         _, first, slots = np.unique(packed, return_index=True, return_inverse=True)
-        return list(zip(*(column[first].tolist() for column in self._covariates))), slots.tolist()
+        return [column[first] for column in self._covariates], slots
 
     @functools.cached_property
     def observations(self) -> Observations:
@@ -855,11 +906,14 @@ def write_csv(dataset: Dataset, path: str) -> None:
     arms = [t.value for t in Treatment]
     # one reference per row, so iterating makes no int per row
     keys, slots = np.unique(dataset._keys, return_inverse=True)
-    row_texts = iter(np.array(list(map(_outcome_text, keys.tolist())), dtype=object)[slots])
+    row_texts = iter(_gather(list(map(_outcome_text, keys.tolist())), slots))
     values, people = dataset._distinct_covariates()
-    tails = [f"{'male' if male else 'female'},{age},{tediousness}\n" for male, age, tediousness in values]
+    tails = [
+        f"{'male' if male else 'female'},{age},{tediousness}\n"
+        for male, age, tediousness in zip(*(column.tolist() for column in values))
+    ]
     counts = np.diff(dataset._offsets).tolist()
-    subjects = zip(dataset._subject_ids, dataset._treatment.tolist(), map(tails.__getitem__, people), counts)
+    subjects = zip(dataset._subject_ids, dataset._treatment.tolist(), _gather(tails, people), counts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         lines = [",".join(CSV_COLUMNS) + "\n"]
         for sid, t, tail, count in subjects:

@@ -95,6 +95,9 @@ class TestSummarizeMeans:
         assert treatments == [Treatment.BROAD, Treatment.BROAD, Treatment.LOW, Treatment.LOW]
 
 
+_WAGE_GRID = price_list().extra_wages + (CENSOR_CODE,)
+
+
 class TestMwu:
     def test_textbook_separated_samples(self):
         res = mwu_test([1, 2, 3], [4, 5, 6])
@@ -156,7 +159,37 @@ class TestMwu:
     @example([4.25] * 5, [4.25] * 3, False)
     @example([4.25] * 5, [4.25] * 3, True)
     def test_matches_rankdata_reference(self, x, y, continuity):
-        assert _rank_setup(x, y)[2].tolist() == rankdata(x + y).tolist()  # mwu_exact's ranks too
+        assert _pooled_rank_setup(x, y)[2].tolist() == rankdata(x + y).tolist()
+        assert mwu_test(x, y, continuity) == _rankdata_mwu(x, y, continuity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(*[st.lists(st.sampled_from(_WAGE_GRID), max_size=40)] * 2),  # heavy ties
+            st.tuples(*[st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40)] * 2),
+            st.tuples(*[st.lists(st.floats(-3, 3).map(lambda v: round(v, 1)), max_size=40)] * 2),
+            st.tuples(*[st.lists(st.floats(allow_infinity=True), max_size=5)] * 2),  # NaN and infinities
+        ),
+        st.booleans(),
+    )
+    @example(([], [1.0]), False)
+    @example(([1.0, float("nan")], [2.0]), False)
+    @example(([2.0], [1.0, float("nan")]), False)
+    @example(([0.0, -0.0], [-0.0, 1.0]), True)
+    def test_value_tables_match_pooled_ranks(self, samples, continuity):
+        x, y = samples
+        try:
+            n1, n2, ranks, pooled_counts = _pooled_rank_setup(x, y)
+        except (EmptySample, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _rank_setup(x, y)
+            assert str(got.value) == str(exc)
+            return
+        got_n1, got_n2, midranks, in_x, counts = _rank_setup(x, y)
+        assert (got_n1, got_n2) == (n1, n2)
+        assert counts.tolist() == pooled_counts.tolist()
+        assert np.repeat(midranks, counts).tolist() == np.sort(ranks).tolist()
+        assert np.repeat(midranks, in_x).tolist() == np.sort(ranks[:n1]).tolist()
         assert mwu_test(x, y, continuity) == _rankdata_mwu(x, y, continuity)
 
     def test_exact_symmetric(self):
@@ -171,9 +204,23 @@ class TestMwu:
         assert mwu_test(x, y).p == pytest.approx(mwu_test(y, x).p, abs=1e-12)
 
 
+def _pooled_rank_setup(x, y):
+    """Sample sizes, each pooled observation's midrank and the pooled tie counts: the oracle for _rank_setup."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size == 0 or y.size == 0:
+        raise EmptySample("both samples must be nonempty")
+    pooled = np.concatenate([x, y])
+    if np.isnan(pooled).any():
+        raise ValueError("samples must not contain NaN")
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return x.size, y.size, ranks, counts
+
+
 def _enumerated_exact(x, y):
     """Exact p by enumerating every relabeling; the reference for mwu_exact."""
-    n1, n2, ranks, _ = _rank_setup(x, y)
+    n1, n2, ranks, _ = _pooled_rank_setup(x, y)
     n_total = n1 + n2
     expected = n1 * (n_total + 1) / 2.0
     w_obs = float(ranks[:n1].sum())
@@ -185,9 +232,6 @@ def _enumerated_exact(x, y):
         if abs(ranks[list(idx)].sum() - expected) >= threshold:
             hits += 1
     return hits / total
-
-
-_WAGE_GRID = price_list().extra_wages + (CENSOR_CODE,)
 
 
 def _pooled_at_most_14(values):

@@ -2,6 +2,8 @@
 import copy
 import math
 import pickle
+import weakref
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1354,6 +1356,7 @@ class TestColumnStorage:
         assert first == second == data
         assert hash(first) == hash(second) == hash(data)
         assert built == []
+        assert not any("records" in vars(dataset) for dataset in (first, second, data))
 
     def test_equal_datasets_with_reordered_outcome_tables(self):
         data = simulate_dataset(small_spec(tremble=0.3))
@@ -1399,28 +1402,162 @@ class TestColumnStorage:
             with pytest.raises(AttributeError):
                 setattr(data, name, ())
 
-    def test_iter_observations_builds_each_record_once(self, tmp_path, monkeypatch):
+    def test_iter_observations_builds_each_record_once(self, tmp_path):
         data = simulate_dataset(small_spec(tremble=0.3))
         write_csv(data, str(tmp_path / "data.csv"))
         again = read_csv(str(tmp_path / "data.csv"))
-        built = []
-        validate = SubjectRecord.__post_init__
-        monkeypatch.setattr(SubjectRecord, "__post_init__", lambda self: built.append(self) or validate(self))
         for dataset in (data, again):
+            records = dataset.records
             for drop_inconsistent in (True, False):
-                list(iter_observations(dataset, drop_inconsistent))
-        assert len(built) == len(data) + len(again)
+                rows = list(iter_observations(dataset, drop_inconsistent))
+                expected = [(r, o) for r in records for o in r.outcomes if o.consistent or not drop_inconsistent]
+                assert len(rows) == len(expected)
+                assert all(r is want_r and o is want_o for (r, o), (want_r, want_o) in zip(rows, expected))
+            assert vars(dataset)["records"] is records  # built once, on the first walk
 
     def test_simulate_read_and_write_build_no_covariates(self, tmp_path, monkeypatch):
         built = []
         validate = Covariates.__post_init__
         monkeypatch.setattr(Covariates, "__post_init__", lambda self: built.append(self) or validate(self))
         data = simulate_dataset(small_spec(tremble=0.3))
+        assert "records" not in vars(data)
         write_csv(data, str(tmp_path / "data.csv"))
         golden = read_csv(str(DATA / "golden_data.csv"))
+        assert "records" not in vars(golden)
         write_csv(golden, str(tmp_path / "golden.csv"))
         assert built == []
         for dataset in (data, golden):
+            assert "records" not in vars(dataset)
             people = [r.covariates for r in dataset.records]
-            assert len(built) == len(set(people)) and built[-1] in people  # one per distinct value
-            built.clear()
+            assert len({id(p) for p in people}) == len(set(people)) > 1  # one Covariates per distinct value
+
+
+def constructed_records(dataset):
+    """Dataset.records built by each object's constructor, whose __post_init__ checks it: the oracle for the fill."""
+    keys, slots = np.unique(dataset._keys, return_inverse=True)
+    outcomes = list(map(_outcomes(keys).__getitem__, slots.tolist()))
+    values, people = dataset._distinct_covariates()
+    people = map([Covariates(*value) for value in zip(*(column.tolist() for column in values))].__getitem__, people)
+    offsets = dataset._offsets.tolist()
+    arms = tuple(Treatment)
+    return tuple(
+        SubjectRecord(sid, arms[t], tuple(outcomes[lo:hi]), person)
+        for sid, t, person, lo, hi in zip(dataset._subject_ids, dataset._treatment.tolist(), people, offsets, offsets[1:])
+    )
+
+
+def _columns(dataset):
+    """What Dataset._from_columns takes, read off a dataset."""
+    return dataset._subject_ids, dataset._treatment, dataset._covariates, dataset._offsets, dataset._keys
+
+
+def _field_types(obj):
+    return [type(getattr(obj, f.name)) for f in fields(obj)]
+
+
+class TestFilledRecords:
+    """Records filled from the columns are the objects the constructors build, made without __init__."""
+
+    @staticmethod
+    def assert_constructed(dataset):
+        assert "records" not in vars(dataset)
+        got, want = dataset.records, constructed_records(dataset)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        for record, expected in zip(got, want, strict=True):
+            assert record.treatment is expected.treatment
+            assert all(o.scenario is e.scenario for o, e in zip(record.outcomes, expected.outcomes, strict=True))
+            for obj, oracle in [(record, expected), (record.covariates, expected.covariates)]:
+                assert _field_types(obj) == _field_types(oracle)
+        # equal outcomes and equal covariates are one object
+        people = [r.covariates for r in got]
+        outcomes = [o for r in got for o in r.outcomes]
+        assert len({id(p) for p in people}) == len(set(people))
+        assert len({id(o) for o in outcomes}) == len(set(outcomes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=record_tuples())
+    def test_record_tuples(self, records):
+        columns = Dataset._from_columns(*_columns(Dataset(records)))
+        self.assert_constructed(columns)
+        assert columns.records == records
+
+    @pytest.mark.parametrize("tremble", [0.0, 0.3])
+    def test_simulated(self, tremble):
+        self.assert_constructed(simulate_dataset(small_spec(seed=11, tremble=tremble)))
+
+    def test_read(self, tmp_path):
+        self.assert_constructed(read_csv(str(DATA / "golden_data.csv")))
+        write_csv(simulate_dataset(small_spec(seed=12, tremble=0.3)), str(tmp_path / "data.csv"))
+        self.assert_constructed(read_csv(str(tmp_path / "data.csv")))
+
+    @pytest.mark.parametrize("scenario", [0, 1], ids=["S1", "S2"])
+    def test_one_row_subjects(self, scenario):
+        data = simulate_dataset(small_spec(tremble=0.3))
+        ids, treatment, covariates, _, keys = _columns(data)
+        one = Dataset._from_columns(ids, treatment, covariates, np.arange(len(data) + 1), keys[scenario::2])
+        self.assert_constructed(one)
+        assert {len(r.outcomes) for r in one.records} == {1}
+
+    def test_empty(self):
+        self.assert_constructed(Dataset._from_columns((), (), ((), (), ()), [0], ()))
+
+    @staticmethod
+    def _objects():
+        """A filled record, outcome and covariates, then the same built by their constructors."""
+        record = simulate_dataset(small_spec(tremble=0.3)).records[0]
+        built = constructed_records(Dataset._from_columns(*_columns(Dataset([record]))))[0]
+        return [record, record.outcomes[0], record.covariates, built, built.outcomes[0], built.covariates]
+
+    def test_pickle_and_copy_round_trips(self):
+        for obj in self._objects():
+            clones = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for clone in clones + [copy.copy(obj), copy.deepcopy(obj)]:
+                assert type(clone) is type(obj)
+                assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
+
+    def test_frozen_without_dict_or_weakrefs(self):
+        for obj in self._objects():
+            name = fields(obj)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(TypeError):
+                weakref.ref(obj)
+
+    @pytest.mark.parametrize(
+        "tediousness, age, empty_subject, message",
+        [
+            (0, 30, False, "tediousness is a 1..10 scale"),
+            (11, 30, False, "tediousness is a 1..10 scale"),
+            (5, -1, False, "age must be nonnegative"),
+            (0, -1, False, "tediousness is a 1..10 scale"),  # one value fails both checks
+            (5, 30, True, "a record needs at least one scenario outcome"),
+            (11, 30, True, "tediousness is a 1..10 scale"),  # the covariates are checked first
+        ],
+        ids=["tediousness-0", "tediousness-11", "negative-age", "both", "no-rows", "tediousness-and-no-rows"],
+    )
+    def test_rejected_columns(self, tediousness, age, empty_subject, message):
+        # the columns are checked where they come in, with the exception and message
+        # of the constructor that would have rejected the object
+        data = simulate_dataset(small_spec(tremble=0.3))
+        ids, treatment, covariates, offsets, keys = _columns(data)
+        male, ages, tediousnesses = (column.copy() for column in covariates)
+        tediousnesses[3], ages[3] = tediousness, age
+        if empty_subject:  # subject 1 loses its rows
+            offsets, keys = np.concatenate([offsets[:2], offsets[2:] - 2]), np.delete(keys, [2, 3])
+        with pytest.raises(ValueError) as want:
+            Covariates(bool(male[3]), age, tediousness)
+            SubjectRecord(ids[1], tuple(Treatment)[0], (), Covariates(True, 30, 5))
+        with pytest.raises(ValueError) as got:
+            Dataset._from_columns(ids, treatment, (male, ages, tediousnesses), offsets, keys)
+        assert str(got.value) == str(want.value) == message
+        assert type(got.value) is type(want.value)
+
+    def test_rejected_value_that_packs_like_a_valid_one(self, tmp_path):
+        # (age rank 0, tediousness 12) and (age rank 1, tediousness 1) share a packed
+        # distinct-value key; the valid value comes first, so only a check of the
+        # whole columns sees the other, before records or write_csv pack them
+        with pytest.raises(ValueError, match=r"^tediousness is a 1\.\.10 scale$"):
+            Dataset._from_columns(("B", "A"), [0, 0], ([True, True], [31, 30], [1, 12]), [0, 1, 2], [0, 0])

@@ -23,6 +23,19 @@ def test_package_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_rank_tests_load_no_numpy_ma():
+    # numpy.ma costs about 1.3 MB of resident memory; numpy 2.x loads it from a
+    # plain np.unique or np.union1d, so the rank-sum setup must avoid both
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from bracketlab.estimation import mwu_exact, mwu_test\n"
+        "mwu_test([1.0, 2.0, 2.0], [2.0, 3.5]); mwu_exact([1.0, 2.0, 2.0], [2.0, 3.5])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 def _scipy_imports(source: str) -> list[str]:
     """The scipy modules a source file imports, at any depth."""
     modules = []
