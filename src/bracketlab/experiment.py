@@ -889,6 +889,8 @@ CSV_COLUMNS = (
 
 
 _WRITE_CHUNK = 1 << 14  # lines, about 2 MB of text
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # every line boundary of str.splitlines
+_NOT_IN_IDS = "," + _LINE_BREAKS  # each would end a subject_id's field or line early
 
 
 class DataFormatError(Exception):
@@ -901,8 +903,15 @@ def write_csv(dataset: Dataset, path: str) -> None:
     Rendered from the dataset's columns: each distinct row key and each
     distinct (male, age, tediousness) value is rendered once per call.
     Rows are written in chunks of _WRITE_CHUNK lines, so the text of the
-    whole file is never held at once.
+    whole file is never held at once. A subject_id may hold no comma and no
+    line boundary of str.splitlines, which read_csv could not read back:
+    write_csv raises ValueError naming the first such subject before it
+    opens the file.
     """
+    ids = "".join(dataset._subject_ids)
+    if any(c in ids for c in _NOT_IN_IDS):
+        sid = next(sid for sid in dataset._subject_ids if any(c in sid for c in _NOT_IN_IDS))
+        raise ValueError(f"subject_id {sid!r} holds a comma or a line break, which a CSV row cannot hold")
     arms = [t.value for t in Treatment]
     # one reference per row, so iterating makes no int per row
     keys, slots = np.unique(dataset._keys, return_inverse=True)
@@ -980,33 +989,245 @@ def _canonical_key(outcome_text: str) -> int | None:
     return key if _outcome_text(key) == outcome_text else None
 
 
+# The columnar reader, _read_columns. A canonical line is subject_id,treatment,outcome text,covariate text\n.
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+_NEWLINE, _COMMA, _ONE = b"\n,1"
+_OUTCOME_WIDTH = len(_outcome_text(0))  # every key's text has this width; checked as each is rendered
+_OUTCOME_WORDS = -(-_OUTCOME_WIDTH // 8)
+_CHOICE_AT = _outcome_text(0).index(",") + 1 + 2 * np.arange(N_ROWS)  # each choice cell's offset in the text
+_SCENARIO_WORDS = [(int.from_bytes(name.encode(), "little"), (1 << 8 * len(name)) - 1) for name in _SCENARIO_NAMES]
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes of a word
+# A row's signature: the length and words of its subject_id, treatment and covariate texts. A text
+# longer than its words sends the file to the loop; it holds no NUL, so its words decode back to it.
+_FIELD_WORDS = (4, 1, 2)
+_FIELD_AT = np.cumsum((0,) + tuple(1 + k for k in _FIELD_WORDS))  # each field's length column
+_HEAD_WORDS = -(-(8 * sum(_FIELD_WORDS[:2]) + 2) // 8)  # a line's words that hold its first two commas
+_PAD = 8 * max(_HEAD_WORDS, _OUTCOME_WORDS, *_FIELD_WORDS)  # bytes a block's last line may read past its end
+_READ_BLOCK = 1 << 18  # characters per block: its temporaries, at most about 2 MB, are freed before the next
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _words_at(words: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
+    """count little-endian words from each byte offset in start, from an overlapping view of a block."""
+    return words[start[:, None] + 8 * np.arange(count)]
+
+
+def _masked(field: np.ndarray, length) -> np.ndarray:
+    """Rows of words with the bytes past each row's length zeroed."""
+    return field & _WORD_MASKS[np.clip(np.subtract.outer(length, 8 * np.arange(field.shape[1])), 0, 8)]
+
+
+def _decoded(words: np.ndarray) -> list[str]:
+    """The text of each row of NUL-padded little-endian words."""
+    return list(map(bytes.decode, np.ascontiguousarray(words).view(f"S{8 * words.shape[1]}").ravel().tolist()))
+
+
+def _distinct_rows(signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first row of each distinct row of a uint64 matrix, and each row's index into them.
+
+    Rows are grouped by a hash of their columns and then compared in full,
+    so the answer is exact: None if two distinct rows share a hash.
+    """
+    hashed = signatures[:, 0].copy()
+    for column in signatures.T[1:]:
+        hashed = hashed * _HASH_MULTIPLIER + column
+    _, first, inverse = np.unique(hashed, return_index=True, return_inverse=True)
+    return (first, inverse) if (signatures[first[inverse]] == signatures).all() else None
+
+
+def _merged(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[str], np.ndarray] | None:
+    """A field's distinct texts and each subject's index into them, from each block's distinct
+    signatures of the field and its subjects' indices into those; None as _distinct_rows gives it."""
+    signatures = np.concatenate([distinct for distinct, _ in blocks])
+    groups = _distinct_rows(signatures)
+    if groups is None:
+        return None
+    first, inverse = groups
+    block_at = np.cumsum([0] + [len(distinct) for distinct, _ in blocks[:-1]])
+    index = np.concatenate([inverse[at + block] for at, (_, block) in zip(block_at, blocks)])
+    return _decoded(signatures[first, 1:]), index
+
+
+def _subject_fields(arm_blocks: list, person_blocks: list) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Each subject's treatment code and covariate columns, each distinct text parsed once; None on a doubt."""
+    merged = list(map(_merged, (arm_blocks, person_blocks)))
+    if None in merged:
+        return None
+    (arm_texts, arm_index), (person_texts, person_index) = merged
+    if any(text.count(",") != 2 for text in person_texts):  # other cell counts: the loop's field count error
+        return None
+    try:
+        arms = np.array([_TREATMENT_CODE[Treatment(t)] for t in arm_texts], np.int8)[arm_index]
+        values = [_parse_covariates(*t.split(",")) for t in person_texts]
+    except ValueError:
+        return None
+    return arms, [np.array(column)[person_index] for column in zip(*values)]
+
+
+def _read_columns(text: str) -> Dataset | None:
+    """The dataset of a text in write_csv's canonical form, read as 8-byte words; None at the first doubt.
+
+    The text must be ASCII with no NUL, contain no line boundary of
+    str.splitlines but \\n, start with the header line, hold a row and end
+    with \\n. It is read in blocks of about _READ_BLOCK characters, each cut
+    after a newline. Fields are read as little-endian words through an
+    overlapping uint64 view of the block's bytes. In a block, np.flatnonzero
+    finds the newlines, and each line's first two commas are found in its
+    first words; they end the subject_id and the treatment, and the outcome
+    text follows at its fixed width, then a comma and the covariate text.
+    A row's key comes from its scenario and choice bytes, and the row is
+    kept only if its outcome words equal those of _outcome_text of that
+    key, rendered once per distinct key. A subject starts where the
+    (length, words) of the subject_id change, and its rows must repeat its
+    treatment and covariate words. Each distinct treatment and covariate
+    text is parsed once, by Treatment and _parse_covariates. Anything else,
+    a field longer than its words, or a ValueError from Dataset._fill
+    returns None. Never raises.
+    """
+    if not (text.isascii() and text.startswith(_HEADER) and text.endswith("\n") and len(text) > len(_HEADER)):
+        return None
+    if any(other in text for other in "\0" + _LINE_BREAKS[1:]):
+        return None
+    key_row = np.full(len(_SCENARIOS) << N_ROWS, -1, np.int32)  # each row key's row in canonical
+    canonical = np.empty((0, _OUTCOME_WORDS), np.uint64)
+    subject_ids: list[str] = []
+    heads, keys = [], []
+    tables: tuple[list, list] = ([], [])  # per block: the distinct treatment and covariate signatures
+    last = np.full(_FIELD_AT[-1], 2**64 - 1, "<u8")  # the previous row's signature; no row has its lengths
+    rows = 0
+    a = len(_HEADER)
+    while a < len(text):
+        b = text.rfind("\n", a, a + _READ_BLOCK) + 1 or text.find("\n", a + _READ_BLOCK) + 1
+        n = b - a
+        raw = text[a : b + _PAD].encode("ascii")
+        raw += bytes(n + _PAD - len(raw))  # past the end of the text
+        body = np.frombuffer(raw, np.uint8, n)
+        words = np.ndarray((n + _PAD - 7,), "<u8", raw, strides=(1,))
+        ends = np.flatnonzero(body == _NEWLINE)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        # each line's first two commas, searched in its first words: they end the subject_id and the treatment
+        is_comma = _words_at(words, starts, _HEAD_WORDS).view(np.uint8) == _COMMA
+        line, commas = np.arange(len(ends)), []
+        for _ in range(2):
+            at = is_comma.argmax(axis=1)
+            if not is_comma[line, at].all():
+                return None
+            is_comma[line, at] = False
+            commas.append(starts + at)
+        cut, arm_end = commas
+        outcome = arm_end + 1
+        tail = outcome + _OUTCOME_WIDTH
+        if not (tail < ends).all() or (body[tail] != _COMMA).any():
+            return None
+
+        # each row's key, kept only if the row spells the key's canonical text
+        outcome_words = _masked(_words_at(words, outcome, _OUTCOME_WORDS), _OUTCOME_WIDTH)
+        scenario = np.zeros(len(ends), np.int64)
+        for code, (word, mask) in enumerate(_SCENARIO_WORDS):
+            scenario[outcome_words[:, 0] & np.uint64(mask) == word] = code
+        row_keys = scenario << N_ROWS | (outcome_words.view(np.uint8)[:, _CHOICE_AT] == _ONE) @ _ROW_BITS
+        unseen = np.sort(row_keys[key_row[row_keys] < 0])
+        fresh = unseen[np.diff(unseen, prepend=-1) != 0]  # not np.unique, which imports numpy.ma on numpy 2.4
+        if fresh.size:
+            texts = list(map(_outcome_text, fresh.tolist()))
+            if set(map(len, texts)) != {_OUTCOME_WIDTH}:
+                return None
+            table = np.zeros((len(texts), 8 * _OUTCOME_WORDS), np.uint8)
+            table[:, :_OUTCOME_WIDTH] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), -1)
+            key_row[fresh] = np.arange(len(canonical), len(canonical) + len(texts))
+            canonical = np.concatenate([canonical, table.view("<u8")])
+        if (outcome_words != canonical[key_row[row_keys]]).any():
+            return None
+
+        # a subject starts where the subject_id changes, and no other field of the row may
+        signatures = np.empty((len(ends) + 1, _FIELD_AT[-1]), "<u8")
+        signatures[0] = last
+        for at, count, start, end in zip(_FIELD_AT, _FIELD_WORDS, (starts, cut + 1, tail + 1), (cut, arm_end, ends)):
+            length = end - start
+            used = -(-int(length.max()) // 8)  # the block's words of this field; its other words are 0
+            if used > count:
+                return None
+            signatures[1:, at] = length
+            signatures[1:, at + 1 : at + 1 + used] = _masked(_words_at(words, start, used), length)
+            signatures[1:, at + 1 + used : at + 1 + count] = 0
+        changed = signatures[1:] != signatures[:-1]
+        new = changed[:, : _FIELD_AT[1]].any(axis=1)
+        if (changed[:, _FIELD_AT[1] :].any(axis=1) & ~new).any():
+            return None
+        last = signatures[-1].copy()
+        subjects = signatures[1:][new]
+        subject_ids += _decoded(subjects[:, 1 : _FIELD_AT[1]])
+        for field, at, end in zip(tables, _FIELD_AT[1:], _FIELD_AT[2:]):
+            groups = _distinct_rows(subjects[:, at:end])
+            if groups is None:
+                return None
+            field.append((subjects[groups[0], at:end], groups[1].astype(np.int32)))
+        heads.append(rows + np.flatnonzero(new))
+        keys.append(row_keys.astype(np.int32))
+        rows += len(ends)
+        a = b
+
+    offsets, keys = np.concatenate(heads + [[rows]]), np.concatenate(keys)
+    fields = _subject_fields(*tables)
+    del heads, tables  # the blocks' outputs go before the dataset's columns are made
+    try:
+        return None if fields is None else Dataset._from_columns(subject_ids, *fields, offsets, keys)
+    except ValueError:
+        return None
+
+
 def read_csv(path: str) -> Dataset:
     """Parse a dataset CSV into a Dataset's columns; inverse of write_csv.
 
     The file must be UTF-8 text; a leading byte-order mark is dropped.
     Blank lines are skipped; error messages name physical line numbers.
-    Adjacent rows with one subject_id form one subject. A row is cut into
-    its subject_id, its treatment cell, its outcome cells (scenario
-    through consistent) and its covariate cells, and each distinct text
-    of a part is parsed once per call. Each distinct outcome text maps
-    to a row key. A new outcome text that is the canonical text of a
-    key, as write_csv renders it, is that key; any other new text goes
-    through the validating _parse_row whole, which rejects a wage or
-    flag that its choices contradict, and returns its key. A row with a
-    canonical or seen outcome text has N_ROWS + 4 outcome cells, so it
-    has exactly the validated field count. Every row then
-    parses its unseen treatment or covariate cells, in _parse_row's order.
-    Each distinct covariate text maps to a row of a table of distinct
-    values, gathered into the covariate columns at the end; an age of
-    2**63 or more is rejected. No ScenarioOutcome, SubjectRecord or
-    Covariates is built for a canonical file.
+    Adjacent rows with one subject_id form one subject.
+
+    A file in the form write_csv writes is read by _read_columns: ASCII
+    text with lines ended by \\n alone and no blank line, every outcome text
+    (scenario through consistent) as write_csv renders it, subject_ids of
+    at most 32 characters and no NUL, and each subject's rows spelling one
+    treatment and one covariate text. It reads the text in blocks of
+    _READ_BLOCK characters (256 KB), comparing fields as 8-byte words, so
+    a block's temporaries stay below about 2 MB whatever the file's size,
+    and its peak memory below the loop's. Any other file, and any such
+    file that fails a check, is read by _read_lines, the per-line loop,
+    which alone raises DataFormatError: every check and every message,
+    with its line number, is the loop's, and both give equal datasets.
+    Neither builds a ScenarioOutcome, SubjectRecord or Covariates for a
+    file in write_csv's form.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             # not the utf-8-sig codec, which counts error offsets from after the mark
-            lines = fh.read().removeprefix("\ufeff").splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from exc
+    dataset = _read_columns(text)
+    if dataset is not None:
+        return dataset
+    lines = text.removeprefix("\ufeff").splitlines()
+    del text  # the loop holds the lines alone
+    return _read_lines(lines)
+
+
+def _read_lines(lines: list[str]) -> Dataset:
+    """The per-line reader of read_csv, over the decoded text's lines (a leading byte-order mark
+    dropped): it validates every row and raises every DataFormatError.
+
+    The rows are cut into a subject_id, a treatment cell, outcome cells
+    (scenario through consistent) and covariate cells, and each distinct
+    text of a part is parsed once per call. Each distinct outcome text maps
+    to a row key. A new outcome text that is the canonical text of a key,
+    as write_csv renders it, is that key; any other new text goes through
+    the validating _parse_row whole, which rejects a wage or flag that its
+    choices contradict, and returns its key. A row with a canonical or seen
+    outcome text has N_ROWS + 4 outcome cells, so it has exactly the
+    validated field count. Every row then parses its unseen treatment or
+    covariate cells, in _parse_row's order. Each distinct covariate text
+    maps to a row of a table of distinct values, gathered into the
+    covariate columns at the end; an age of 2**63 or more is rejected.
+    """
     header_no = next((no for no, ln in enumerate(lines, 1) if ln), None)
     if header_no is None:
         raise DataFormatError("empty file")

@@ -2,8 +2,9 @@
 import copy
 import math
 import pickle
+import tracemalloc
 import weakref
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1561,3 +1562,172 @@ class TestFilledRecords:
         # whole columns sees the other, before records or write_csv pack them
         with pytest.raises(ValueError, match=r"^tediousness is a 1\.\.10 scale$"):
             Dataset._from_columns(("B", "A"), [0, 0], ([True, True], [31, 30], [1, 12]), [0, 1, 2], [0, 0])
+
+
+def read_outcome(read, *args):
+    """What a reader gives: the dataset's subject ids and columns with their dtypes, or its DataFormatError text."""
+    try:
+        dataset = read(*args)
+    except DataFormatError as exc:
+        return str(exc)
+    columns = (*dataset._covariates, dataset._treatment, dataset._offsets, dataset._keys)
+    return [dataset._subject_ids] + [(column.dtype.str, column.tolist()) for column in columns]
+
+
+def read_lines(text):
+    """The per-line loop of read_csv, the reference for its columnar reader."""
+    return experiment._read_lines(text.removeprefix("\ufeff").splitlines())
+
+
+def _with_row(lines, row, respell):
+    """The lines with data row `row` respelled."""
+    return lines[: 1 + row] + [respell(lines[1 + row])] + lines[2 + row :]
+
+
+def _with_cell(lines, row, column, respell):
+    """The lines with one cell of data row `row` respelled."""
+
+    def respelled(line):
+        cells = line.split(",")
+        cells[column] = respell(cells[column])
+        return ",".join(cells)
+
+    return _with_row(lines, row, respelled)
+
+
+def _with_subject_cells(lines, row, respell):
+    """The lines with the cells of every row of data row `row`'s subject respelled, so that the
+    subject's rows still agree."""
+    sid = lines[1 + row].partition(",")[0]
+    return [",".join(respell(line.split(","))) if line.partition(",")[0] == sid else line for line in lines]
+
+
+def _with_ids(lines, respell):
+    return [lines[0]] + [f"{respell(sid)},{rest}" for sid, rest in (line.split(",", 1) for line in lines[1:])]
+
+
+def _joined(lines):
+    return "\n".join(lines) + "\n"
+
+
+ARM, WAGE, CONSISTENT, AGE, FIRST_CHOICE = map(CSV_COLUMNS.index, ("treatment", "res_wage", "consistent", "age", "c01"))
+ARMS = [t.value for t in Treatment]
+# Perturbations of a file that write_csv wrote: each takes its lines and a row index and gives a text
+PERTURBATIONS = {
+    "crlf": lambda lines, row: "\r\n".join(lines) + "\r\n",
+    "bom": lambda lines, row: "\ufeff" + _joined(lines),
+    "leading-blank": lambda lines, row: "\n" + _joined(lines),
+    "interior-blank": lambda lines, row: _joined(lines[: 1 + row] + [""] + lines[1 + row :]),
+    "no-final-newline": lambda lines, row: "\n".join(lines),
+    "header-only": lambda lines, row: _joined(lines[:1]),
+    # "2.50" -> "2.5", "4.25" -> "4.250": the same value
+    "wage-respelled": lambda lines, row: _joined(
+        _with_cell(lines, row, WAGE, lambda w: w[:-1] if w.endswith("0") else w + "0")
+    ),
+    "age-respelled": lambda lines, row: _joined(_with_cell(lines, row, AGE, lambda age: "0" + age)),
+    "extra-cell": lambda lines, row: _joined(_with_subject_cells(lines, row, lambda cells: cells + ["x"])),
+    # the consistent and gender cells joined by an x: the outcome text is canonical up to the x
+    "comma-dropped": lambda lines, row: _joined(
+        _with_subject_cells(lines, row, lambda c: [*c[:CONSISTENT], "x".join(c[CONSISTENT:AGE]), *c[AGE:]])
+    ),
+    "cell-missing": lambda lines, row: _joined(_with_row(lines, row, lambda line: line.rsplit(",", 1)[0])),
+    "id-16": lambda lines, row: _joined(_with_ids(lines, lambda sid: sid.rjust(16, "x"))),
+    "id-17": lambda lines, row: _joined(_with_ids(lines, lambda sid: sid.rjust(17, "x"))),
+    "id-40": lambda lines, row: _joined(_with_ids(lines, lambda sid: sid.rjust(40, "x"))),
+    "non-ascii-id": lambda lines, row: _joined(
+        _with_ids(lines, lambda sid: sid + "\u00e9" if sid == lines[1 + row].partition(",")[0] else sid)
+    ),
+    # the first subject's rows again at the end, or a row again right after itself
+    "duplicate-subject": lambda lines, row: _joined(
+        lines + [line for line in lines[1:] if line.partition(",")[0] == lines[1].partition(",")[0]]
+    ),
+    "repeated-scenario": lambda lines, row: _joined(lines[: 2 + row] + lines[1 + row :]),
+    "bad-cell": lambda lines, row: _joined(_with_cell(lines, row, FIRST_CHOICE, lambda cell: "2")),
+    "long-flag": lambda lines, row: _joined(_with_cell(lines, row, CONSISTENT, lambda flag: flag + "0")),
+    "treatment-changed": lambda lines, row: _joined(
+        _with_cell(lines, row, ARM, lambda arm: ARMS[(ARMS.index(arm) + 1) % len(ARMS)])
+    ),
+}
+COLUMNAR = {"id-16", "id-17"}  # the perturbations that leave a file in write_csv's canonical form
+
+
+class TestColumnarReader:
+    """read_csv reads a canonical file by the columnar reader and anything else by the per-line loop,
+    which is the reference: both give the same columns, dtypes and error messages."""
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+    @settings(max_examples=12, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from(list(Treatment)), st.integers(1, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        tremble=st.sampled_from([0.0, 0.3]),
+        row=st.integers(0, 10**6),
+    )
+    def test_read_csv_is_the_loop(self, tmp_path_factory, perturbation, counts, seed, tremble, row):
+        data = simulate_dataset(PopulationSpec(counts=counts, seed=seed, tremble=tremble, gamma_bounds=(1.8, 2.2)))
+        directory = tmp_path_factory.mktemp("perturbed")
+        write_csv(data, str(directory / "data.csv"))
+        lines = (directory / "data.csv").read_text().splitlines()
+        text = PERTURBATIONS[perturbation](lines, row % (len(lines) - 1))
+        path = directory / "perturbed.csv"
+        path.write_bytes(text.encode("utf-8"))
+        oracle = read_outcome(read_lines, text)
+        assert read_outcome(read_csv, str(path)) == oracle
+        columns = experiment._read_columns(text)
+        if perturbation in COLUMNAR:
+            assert read_outcome(lambda: columns) == oracle
+        else:
+            assert columns is None
+
+    @pytest.mark.parametrize("width", [8, 16, 17])
+    def test_write_csv_output_takes_the_columnar_path(self, tmp_path, monkeypatch, width):
+        # ids of 17 characters share their first 16 with their neighbours'
+        data = simulate_dataset(small_spec(counts={t: 40 for t in Treatment}, tremble=0.3))
+        data = Dataset._from_columns([f"{j:0{width}d}" for j in range(len(data))], *_columns(data)[1:])
+        assert set(data._treatment.tolist()) == set(range(len(Treatment)))
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+
+        def fallback(lines):
+            raise AssertionError("the loop read a canonical file")
+
+        monkeypatch.setattr(experiment, "_read_lines", fallback)
+        assert read_outcome(read_csv, str(path)) == read_outcome(lambda: data)
+
+    def test_golden_data_takes_the_columnar_path(self):
+        text = (DATA / "golden_data.csv").read_text()
+        assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+
+    def test_peak_memory_is_no_higher_than_the_loops(self, tmp_path, monkeypatch):
+        arms = {Treatment.BROAD: 5000, Treatment.NARROW: 5000, Treatment.LOW: 5000}
+        data = simulate_dataset(PopulationSpec(counts=arms, seed=0, composition=MixtureComposition(0.7), tremble=0.05))
+        path = str(tmp_path / "data.csv")
+        write_csv(data, path)
+        peaks = []
+        for reader in (experiment._read_columns, lambda text: None):
+            monkeypatch.setattr(experiment, "_read_columns", reader)
+            tracemalloc.start()
+            try:
+                assert read_csv(path) == data
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+
+UNWRITABLE = {
+    "comma": ",", "LF": "\n", "CR": "\r", "VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+    "NEL": "\x85", "LS": "\u2028", "PS": "\u2029",
+}
+
+
+@pytest.mark.parametrize("char", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_write_csv_refuses_an_id_read_csv_could_not_read_back(tmp_path, char):
+    records = list(read_csv(str(DATA / "golden_data.csv")).records)
+    for i in (1, 3):
+        records[i] = replace(records[i], subject_id=f"S{i}{char}x")
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError) as exc:
+        write_csv(Dataset(records), str(path))
+    assert str(exc.value) == f"subject_id {f'S1{char}x'!r} holds a comma or a line break, which a CSV row cannot hold"
+    assert not path.exists()

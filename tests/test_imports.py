@@ -36,6 +36,18 @@ def test_rank_tests_load_no_numpy_ma():
     assert out.stdout == "[]\n"
 
 
+def test_reading_a_csv_loads_no_numpy_ma():
+    # as above: read_csv's columnar reader must take no plain np.unique
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from bracketlab.experiment import read_csv\n"
+        f"read_csv({str(ROOT / 'tests' / 'data' / 'golden_data.csv')!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 def _scipy_imports(source: str) -> list[str]:
     """The scipy modules a source file imports, at any depth."""
     modules = []
