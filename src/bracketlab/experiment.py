@@ -395,6 +395,11 @@ class KappaComposition:
             raise ValueError("kappa must be finite")
 
 
+def _is_integer(value: object) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Everything simulate_dataset needs, including the master seed.
@@ -424,11 +429,15 @@ class PopulationSpec:
     framing_shift: float = 0.0
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for t, n in self.counts.items():
             if not isinstance(t, Treatment):
                 raise ValueError(f"counts key {t!r} is not a Treatment")
+            if not _is_integer(n):
+                raise ValueError(f"counts must be integers, got {n!r} for {t.value}")
             if n < 0:
                 raise ValueError("counts must be nonnegative")
         for name in ("alpha_location", "alpha_scale", "alpha_tediousness_link",
@@ -444,6 +453,8 @@ class PopulationSpec:
             raise ValueError("tremble is a probability")
         if not 0.0 <= self.male_share <= 1.0:
             raise ValueError("male_share is a probability")
+        if not all(map(_is_integer, self.age_range)):
+            raise ValueError(f"age_range bounds must be integers, got {self.age_range!r}")
         if not 0 <= self.age_range[0] <= self.age_range[1] < 2**63:
             raise ValueError("age_range must be a nonnegative (lo, hi) pair below 2**63")
         if self.rho is not None and (self.rho == 0 or not math.isfinite(self.rho)):
@@ -659,7 +670,7 @@ def _draw_columns(spec: PopulationSpec, outputs: Sequence[np.ndarray]) -> tuple[
     or at least 2**32-wide age range.
     """
     u_male, u_ints, u_normal, *u_rest = outputs
-    lo, hi = map(int, spec.age_range)  # as numpy reads the bounds of integers()
+    lo, hi = map(int, spec.age_range)  # Python ints, so that a numpy bound cannot overflow the width
     width = hi - lo + 1
     if 2 <= width < 2**32:
         age, slow = _bounded(u_ints & _U64_MASK32, lo, width)
@@ -806,14 +817,6 @@ def _member_model(spec: PopulationSpec, alpha: float | np.ndarray, gamma: float 
     return CaraMoneyPowerCost(rho=spec.rho, alpha=alpha, gamma=gamma)
 
 
-def _draw_subject(spec: PopulationSpec, rng: np.random.Generator) -> tuple[Covariates, Agent]:
-    """One subject's covariates and agent: the one-row case of simulate_dataset's draws."""
-    population = _population(spec, [np.array([draw]) for draw in _subject_draws(spec, rng)])
-    model = _member_model(spec, float(population.alpha[0]), float(population.gamma[0]))
-    mode = population.modes[population.mode_index[0]]
-    return Covariates(*(column[0].item() for column in population.covariates)), Agent(model, mode, spec.framing_shift)
-
-
 def population_digest(spec: PopulationSpec) -> str:
     """Short hash of every field: counts sorted by arm name, then the rest in declaration order.
 
@@ -934,20 +937,21 @@ def write_csv(dataset: Dataset, path: str) -> None:
         fh.write("".join(lines))
 
 
-def _parse_row(line_no: int, cells: list[str]) -> int:
-    """A row's key, once every cell of the row has passed its check, in column order."""
+def _parse_row(line_no: int, cells: list[str]) -> tuple[int, int, tuple[bool, int, int]]:
+    """A row's key, treatment code and (male, age, tediousness) value, once every cell of the row has
+    passed its check, in column order."""
     if len(cells) != len(CSV_COLUMNS):
         raise DataFormatError(f"line {line_no}: expected {len(CSV_COLUMNS)} fields, got {len(cells)}")
     try:
-        Treatment(cells[1])
+        treatment = Treatment(cells[1])
         scenario = Scenario(cells[2])
         code = _accept_code([_parse_flag(c) for c in cells[3 : 3 + N_ROWS]])
         res_wage = float(cells[3 + N_ROWS])
         censored = _parse_flag(cells[4 + N_ROWS])
         consistent = _parse_flag(cells[5 + N_ROWS])
-        _parse_covariates(*cells[6 + N_ROWS :])
+        person = _parse_covariates(*cells[6 + N_ROWS :])
         _check_fields(code, res_wage, censored, consistent)
-        return _SCENARIO_CODE[scenario] << N_ROWS | code
+        return _SCENARIO_CODE[scenario] << N_ROWS | code, _TREATMENT_CODE[treatment], person
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: {exc}") from exc
 
@@ -967,26 +971,6 @@ def _parse_flag(cell: str) -> bool:
     if cell == "0":
         return False
     raise ValueError(f"expected 0 or 1, got {cell!r}")
-
-
-_SCENARIO_TEXT = {s.value: i for i, s in enumerate(Scenario)}
-
-
-def _canonical_key(outcome_text: str) -> int | None:
-    """The row key whose canonical text outcome_text is, or None.
-
-    The N_ROWS choice cells are read as a code, the last first; the text
-    is canonical iff it equals the text write_csv renders for that key.
-    """
-    scenario = _SCENARIO_TEXT.get(outcome_text[:2])
-    try:
-        code = int(outcome_text[2 * N_ROWS + 1 : 2 : -2], 2)
-    except ValueError:
-        return None
-    if scenario is None or code < 0:  # int() accepts a sign
-        return None
-    key = scenario << N_ROWS | code
-    return key if _outcome_text(key) == outcome_text else None
 
 
 # The columnar reader, _read_columns. A canonical line is subject_id,treatment,outcome text,covariate text\n.
@@ -1194,8 +1178,10 @@ def read_csv(path: str) -> Dataset:
     file that fails a check, is read by _read_lines, the per-line loop,
     which alone raises DataFormatError: every check and every message,
     with its line number, is the loop's, and both give equal datasets.
-    Neither builds a ScenarioOutcome, SubjectRecord or Covariates for a
-    file in write_csv's form.
+    The loop checks every row whole and caches nothing, at about 7 µs a
+    row, several times the columnar reader's cost. Neither builds a
+    ScenarioOutcome, SubjectRecord or Covariates for a file in
+    write_csv's form.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -1215,18 +1201,9 @@ def _read_lines(lines: list[str]) -> Dataset:
     """The per-line reader of read_csv, over the decoded text's lines (a leading byte-order mark
     dropped): it validates every row and raises every DataFormatError.
 
-    The rows are cut into a subject_id, a treatment cell, outcome cells
-    (scenario through consistent) and covariate cells, and each distinct
-    text of a part is parsed once per call. Each distinct outcome text maps
-    to a row key. A new outcome text that is the canonical text of a key,
-    as write_csv renders it, is that key; any other new text goes through
-    the validating _parse_row whole, which rejects a wage or flag that its
-    choices contradict, and returns its key. A row with a canonical or seen
-    outcome text has N_ROWS + 4 outcome cells, so it has exactly the
-    validated field count. Every row then parses its unseen treatment or
-    covariate cells, in _parse_row's order. Each distinct covariate text
-    maps to a row of a table of distinct values, gathered into the
-    covariate columns at the end; an age of 2**63 or more is rejected.
+    Every non-blank row after the header is checked whole by _parse_row. A
+    subject starts where the subject_id changes, and its later rows must
+    repeat its treatment and covariate values.
     """
     header_no = next((no for no, ln in enumerate(lines, 1) if ln), None)
     if header_no is None:
@@ -1234,50 +1211,24 @@ def _read_lines(lines: list[str]) -> Dataset:
     if lines[header_no - 1].split(",") != list(CSV_COLUMNS):
         raise DataFormatError(f"line {header_no}: bad header, expected {','.join(CSV_COLUMNS)}")
 
-    arm_codes: dict[str, int] = {}
-    row_keys: dict[str, int] = {}
-    people: dict[str, int] = {}  # covariate text -> its row in values
-    values: dict[tuple[bool, int, int], int] = {}  # each distinct value -> its row
-    subject_ids, arms, subject_people, offsets, keys = [], [], [], [], []
-    sid, arm, person = None, None, None
+    subject_ids, arms, people, offsets, keys = [], [], [], [], []
+    sid = None
     for line_no, line in enumerate(lines[header_no:], header_no + 1):
         if not line:
             continue
-        row_sid, _, rest = line.partition(",")
-        treatment_text, _, rest = rest.partition(",")
-        outcome_text = rest.rsplit(",", 3)[0]
-        covariates_text = rest[len(outcome_text) + 1 :]
-        row_arm = arm_codes.get(treatment_text)
-        key = row_keys.get(outcome_text)
-        row_person = people.get(covariates_text)
-        if key is None:
-            key = _canonical_key(outcome_text)
-            if key is None:  # validates the whole row; its unseen parts are read below
-                key = _parse_row(line_no, line.split(","))
-            row_keys[outcome_text] = key
-        if row_arm is None or row_person is None:
-            # the outcome text has N_ROWS + 4 cells, so the row has every field;
-            # the cells are checked in _parse_row's order
-            try:
-                if row_arm is None:
-                    row_arm = arm_codes[treatment_text] = _TREATMENT_CODE[Treatment(treatment_text)]
-                if row_person is None:
-                    value = _parse_covariates(*covariates_text.split(","))
-                    row_person = people[covariates_text] = values.setdefault(value, len(values))
-            except ValueError as exc:
-                raise DataFormatError(f"line {line_no}: {exc}") from exc
-        if row_sid != sid:
-            sid, arm, person = row_sid, row_arm, row_person
+        cells = line.split(",")
+        key, arm, person = _parse_row(line_no, cells)
+        if cells[0] != sid:
+            sid = cells[0]
             subject_ids.append(sid)
             arms.append(arm)
-            subject_people.append(person)
+            people.append(person)
             offsets.append(len(keys))
-        elif row_arm != arm or row_person != person:
+        elif (arm, person) != (arms[-1], people[-1]):
             raise DataFormatError(f"line {line_no}: subject {sid} changes treatment or covariates")
         keys.append(key)
     offsets.append(len(keys))
-    people_index = np.array(subject_people, np.intp)
-    covariates = [np.array(column)[people_index] for column in zip(*values)] if values else ((), (), ())
+    covariates = list(zip(*people)) or ((), (), ())
     try:
         return Dataset._from_columns(subject_ids, arms, covariates, offsets, keys)
     except ValueError as exc:

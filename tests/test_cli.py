@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import records_from_wages
-from bracketlab import cli, theory
+from bracketlab import cli, experiment, theory
 from bracketlab.agents import CENSOR_CODE, ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
@@ -140,9 +140,17 @@ def test_model_failures_exit_one(tmp_path, capsys, monkeypatch, failure):
 # ---------------------------------------------------------------- estimate
 
 
+@pytest.mark.parametrize("crlf", [False, True], ids=["golden_data", "crlf-copy"])
 @pytest.mark.parametrize("stat", ["means", "mwu", "kappa", "tobit"])
-def test_estimate_matches_golden_reports(tmp_path, stat):
-    rc = main(["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path)])
+def test_estimate_matches_golden_reports(tmp_path, stat, crlf):
+    # the columnar reader reads the golden file and declines its CRLF copy, which the per-line loop reads
+    data = golden("golden_data.csv")
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    assert (experiment._read_columns(data.decode("utf-8")) is None) == crlf
+    rc = main(["estimate", stat, "--data", str(path), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / f"{stat}.md").read_bytes() == golden(f"golden_{stat}.md")
     assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")

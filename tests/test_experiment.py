@@ -43,8 +43,6 @@ from bracketlab.experiment import (
     subject_stream,
     write_csv,
     _accept_codes,
-    _canonical_key,
-    _draw_subject,
     _outcome_text,
     _outcomes,
     _parse_row,
@@ -226,6 +224,14 @@ def small_spec(**overrides):
     )
     defaults.update(overrides)
     return PopulationSpec(**defaults)
+
+
+def _draw_subject(spec, rng):
+    """One subject's covariates and agent: the one-row case of simulate_dataset's draws."""
+    population = experiment._population(spec, [np.array([draw]) for draw in _subject_draws(spec, rng)])
+    model = experiment._member_model(spec, float(population.alpha[0]), float(population.gamma[0]))
+    mode = population.modes[population.mode_index[0]]
+    return Covariates(*(column[0].item() for column in population.covariates)), Agent(model, mode, spec.framing_shift)
 
 
 class TestSimulateDataset:
@@ -604,7 +610,9 @@ CRAFTED_OUTPUTS = {
 
 class TestBulkDraws:
     @pytest.mark.parametrize(
-        "age_range", [(18, 70), (30, 30), (5, 6), (0, 2**33), (18.0, 70.5)], ids=lambda r: f"ages{r[0]}-{r[1]}"
+        "age_range",
+        [(18, 70), (30, 30), (5, 6), (0, 2**33), (np.int64(20), np.int32(65))],
+        ids=lambda r: f"ages{r[0]}-{r[1]}",
     )
     @pytest.mark.parametrize(
         "seed", [7, 2**32 + 5, 2**64 + 3, 2**128 + 11], ids=["1word", "2words", "3words", "5words"]
@@ -639,6 +647,36 @@ class TestBulkDraws:
     def test_age_beyond_int64_is_rejected_by_the_spec(self, age_range):
         with pytest.raises(ValueError, match=r"^age_range must be a nonnegative \(lo, hi\) pair below 2\*\*63$"):
             small_spec(age_range=age_range)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(counts={Treatment.BROAD: 2.5}), "counts must be integers, got 2.5 for BROAD"),
+            (dict(counts={Treatment.BROAD: True}), "counts must be integers, got True for BROAD"),
+            (
+                dict(counts={Treatment.BROAD: np.float64(3.0)}),
+                f"counts must be integers, got {np.float64(3.0)!r} for BROAD",
+            ),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(age_range=(18.5, 70)), "age_range bounds must be integers, got (18.5, 70)"),
+            (dict(age_range=(18, 70.0)), "age_range bounds must be integers, got (18, 70.0)"),
+        ],
+        ids=[
+            "count-float", "count-bool", "count-numpy-float", "seed-float", "seed-bool", "age-lo-float", "age-hi-float",
+        ],
+    )
+    def test_non_integer_spec_field_is_rejected(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            small_spec(**overrides)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_fields_are_accepted(self):
+        spec = small_spec(counts={Treatment.BROAD: 6}, age_range=(18, 70))
+        numpy_spec = small_spec(
+            counts={Treatment.BROAD: np.int64(6)}, seed=np.int64(spec.seed), age_range=(np.int64(18), np.int32(70))
+        )
+        assert simulate_dataset(numpy_spec) == simulate_dataset(spec)
 
     def test_largest_int64_age_is_drawn(self):
         lo, hi = 2**63 - 4, 2**63 - 1
@@ -918,6 +956,26 @@ def _cells(text, index, value):
     return ",".join(cells)
 
 
+_SCENARIO_TEXT = {s.value: i for i, s in enumerate(Scenario)}
+
+
+def _canonical_key(outcome_text):
+    """The row key whose canonical text outcome_text is, or None.
+
+    The N_ROWS choice cells are read as a code, the last first; the text
+    is canonical iff it equals the text write_csv renders for that key.
+    """
+    scenario = _SCENARIO_TEXT.get(outcome_text[:2])
+    try:
+        code = int(outcome_text[2 * N_ROWS + 1 : 2 : -2], 2)
+    except ValueError:
+        return None
+    if scenario is None or code < 0:  # int() accepts a sign
+        return None
+    key = scenario << N_ROWS | code
+    return key if _outcome_text(key) == outcome_text else None
+
+
 BAD_ROWS = [
     (f"C,BROAD,S1,{S1_SWITCH[5:]},male,30,5", "expected 25 fields, got 24"),
     (f"C,BROAD,S1,0,{S1_SWITCH[3:]},male,30,5", "expected 25 fields, got 26"),
@@ -1118,7 +1176,7 @@ class TestRowKeys:
             assert {o.scenario for o in outcomes} == {scenario}
             texts = [_outcome_text(key) for key in keys.tolist()]
             assert texts == [outcome_text_by_format(key) for key in keys.tolist()]
-            parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"]) for text in texts]
+            parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"])[0] for text in texts]
             assert parsed == keys.tolist()
             assert [_canonical_key(text) for text in texts] == keys.tolist()
 
@@ -1140,7 +1198,7 @@ class TestRowKeys:
         assert _canonical_key(text) is None and _canonical_key(S1_MID_SWITCH) is not None
         cells = ["X", "BROAD", *text.split(","), "male", "30", "5"]
         if message is None:
-            assert _parse_row(2, cells) == _canonical_key(S1_MID_SWITCH)
+            assert _parse_row(2, cells)[0] == _canonical_key(S1_MID_SWITCH)
         else:
             with pytest.raises(DataFormatError) as exc:
                 _parse_row(2, cells)

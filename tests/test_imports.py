@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted(path for top in ("src", "tests", "demos") for path in (ROOT / top).rglob("*.py"))
+SCANNED = sorted(path for top in ("src", "tests", "demos", "bench") for path in (ROOT / top).rglob("*.py"))
 
 
 def test_package_import_loads_no_scipy():
