@@ -11,6 +11,7 @@ how the summary tables treat the upper bound.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ _NEWTON_TOL = 1e-9
 _EXACT_CAP = 66
 _KAPPA_GRID = (-1.0, 3.0)
 _KAPPA_STEP = 1e-4
+_KAPPA_BLOCK = 256
 
 
 class EmptySample(Exception):
@@ -425,20 +427,20 @@ def nls_kappa(
     )
 
 
-def kappa_profile_oracle(
-    dataset: Dataset,
-    broad_label: Treatment = Treatment.BROAD,
-    narrow_label: Treatment = Treatment.LOW,
-    mid_label: Treatment = Treatment.NARROW,
-) -> float:
-    """Brute-force profile of the kappa objective on a 1e-4 grid over [-1, 3].
+@functools.cache
+def _kappa_blocks() -> np.ndarray:
+    """The profile grid in rows of _KAPPA_BLOCK points, the last row padded with its last point.
 
-    For each grid kappa the cell effects are concentrated out in closed
-    form, so the returned arg-min of the joint least-squares objective is
-    an independent check on nls_kappa.
+    Built on first use, so a program that never runs the oracle does not hold it.
     """
-    *_, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
     kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + _KAPPA_STEP / 2.0, _KAPPA_STEP)
+    blocks = np.pad(kappas, (0, -kappas.size % _KAPPA_BLOCK), mode="edge").reshape(-1, _KAPPA_BLOCK)
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _kappa_profile(kappas: np.ndarray, means: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concentrated least-squares objective at each kappa, elementwise."""
     u = 1.0 - kappas
     v = kappas
     total = np.zeros_like(kappas)
@@ -446,7 +448,60 @@ def kappa_profile_oracle(
         gap = u * means[0, s] + v * means[1, s] - means[2, s]
         n_b, n_n, n_m = counts[0, s], counts[1, s], counts[2, s]
         total += n_m * gap**2 / (1.0 + n_m * (u**2 / n_b + v**2 / n_n))
-    return float(kappas[int(np.argmin(total))])
+    return total
+
+
+def _kappa_block_bounds(means: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A lower bound of the evaluated profile over each row of _kappa_blocks()."""
+    ends = _kappa_blocks()[:, [0, -1]].T
+    m_b, m_n, m_m = means[:, :, None, None]  # scenario, block end, block
+    n_b, n_n, n_m = counts[:, :, None, None]
+    gap = (1.0 - ends) * m_b + ends * m_n - m_m
+    # |gap| is linear in kappa, so least at an end unless it changes sign
+    near = np.where(gap[:, 0] * gap[:, 1] <= 0.0, 0.0, np.abs(gap).min(axis=1))
+    # the denominator is convex in kappa, so greatest at an end
+    wide = (1.0 + n_m * ((1.0 - ends) ** 2 / n_b + ends**2 / n_n)).max(axis=1)
+    reach = 2.0 * np.abs(means[0]) + 3.0 * np.abs(means[1]) + np.abs(means[2]) + 1.0  # at least |gap| + 1 on the grid
+    margin = 1e-12 * float(counts[2] @ reach**2)
+    return (n_m[:, 0] * near**2 / wide).sum(axis=0) - margin
+
+
+def _kappa_profile_argmin(means: np.ndarray, counts: np.ndarray) -> float:
+    """The first grid kappa at which the evaluated profile is least, by branch and bound."""
+    blocks, bounds = _kappa_blocks(), _kappa_block_bounds(means, counts)
+    best = _kappa_profile(blocks[int(np.argmin(bounds))], means, counts).min()
+    kappas = blocks[bounds <= best].ravel()
+    return float(kappas[int(np.argmin(_kappa_profile(kappas, means, counts)))])
+
+
+def kappa_profile_oracle(
+    dataset: Dataset,
+    broad_label: Treatment = Treatment.BROAD,
+    narrow_label: Treatment = Treatment.LOW,
+    mid_label: Treatment = Treatment.NARROW,
+) -> float:
+    """Arg-min of the profiled kappa objective on a 1e-4 grid over [-1, 3].
+
+    For each grid kappa the cell effects are concentrated out in closed
+    form, so the returned arg-min of the joint least-squares objective is
+    an independent check on nls_kappa.
+
+    The grid is cut into blocks of 256 points, and only blocks that may
+    hold the minimum are evaluated. Per scenario the gap between the mid
+    cell and (1 - kappa) * broad + kappa * narrow is linear in kappa, so
+    its magnitude is least at a block end unless it changes sign inside,
+    and the denominator 1 + n_m * ((1 - kappa)^2 / n_b + kappa^2 / n_n) is
+    convex, so greatest at a block end. Their ratio bounds the block from
+    below, less a margin of 1e-12 * n_m * (2|m_b| + 3|m_n| + |m_m| + 1)^2
+    per scenario: on the grid |1 - kappa| <= 2 and |kappa| <= 3, so the
+    margin is over 200 times the rounding error of an evaluated point or
+    of the bound. The block of least bound is evaluated, then every block
+    whose bound does not exceed its minimum; a skipped block's every value
+    exceeds one already found, so the result is the first arg-min over the
+    full grid, ties included, bit for bit.
+    """
+    *_, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
+    return _kappa_profile_argmin(means, counts)
 
 
 def _tobit_loglik(theta, y, X, limit, cens):

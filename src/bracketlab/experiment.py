@@ -817,13 +817,25 @@ def _member_model(spec: PopulationSpec, alpha: float | np.ndarray, gamma: float 
     return CaraMoneyPowerCost(rho=spec.rho, alpha=alpha, gamma=gamma)
 
 
+def _plain(value):
+    """value with numpy scalars as Python ones, in tuples and compositions too."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, (MixtureComposition, KappaComposition)):
+        return type(value)(*(_plain(getattr(value, f.name)) for f in fields(value)))
+    return value
+
+
 def population_digest(spec: PopulationSpec) -> str:
     """Short hash of every field: counts sorted by arm name, then the rest in declaration order.
 
-    A new field, or a reordered one, changes every digest.
+    A new field, or a reordered one, changes every digest. Numpy scalars
+    enter as their Python values, so equal specs digest alike.
     """
-    counts = sorted((t.value, n) for t, n in spec.counts.items())
-    payload = repr((counts,) + tuple(getattr(spec, f.name) for f in fields(spec)[1:]))
+    counts = sorted((t.value, _plain(n)) for t, n in spec.counts.items())
+    payload = repr((counts,) + tuple(_plain(getattr(spec, f.name)) for f in fields(spec)[1:]))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

@@ -3,6 +3,7 @@ import configparser
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bracketlab.config import _POPULATION_KEYS, ConfigError, example_config, parse_config
@@ -142,6 +143,26 @@ def test_population_digest_is_pinned():
         framing_shift=0.25,
     )
     assert population_digest(spec) == "2693a18adc96"
+
+
+def test_population_digest_reads_numpy_scalars_as_their_values():
+    plain = PopulationSpec(counts={Treatment.BROAD: 6}, seed=1)
+    assert population_digest(plain) == "7aafcbbe92f3"
+    twins = [
+        PopulationSpec(counts={Treatment.BROAD: np.int64(6)}, seed=1),
+        PopulationSpec(counts={Treatment.BROAD: 6}, seed=np.int64(1)),
+        PopulationSpec(counts={Treatment.BROAD: 6}, seed=1, gamma_bounds=(np.float64(1.0), np.float64(4.0))),
+        PopulationSpec(counts={Treatment.BROAD: 6}, seed=1, age_range=(np.int32(18), np.int64(70))),
+        PopulationSpec(counts={Treatment.BROAD: 6}, seed=1, composition=MixtureComposition(np.float64(1.0))),
+        PopulationSpec(counts={Treatment.BROAD: 6}, seed=1, tremble=np.float64(0.05)),
+    ]
+    for twin in twins:
+        assert twin == plain
+        assert population_digest(twin) == "7aafcbbe92f3"
+    kappa = dict(counts={Treatment.BROAD: 6}, seed=1, rho=0.01)
+    assert population_digest(PopulationSpec(composition=KappaComposition(np.float32(0.5)), **kappa)) == (
+        population_digest(PopulationSpec(composition=KappaComposition(0.5), **kappa))
+    )
 
 
 NON_DEFAULT = {

@@ -13,7 +13,7 @@ from scipy.stats import norm, rankdata
 from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
 from bracketlab.agents import CENSOR_CODE
 from bracketlab.cli import _tobit_fits
-from bracketlab.design import CODE_CONSISTENT, N_ROWS, Scenario, Treatment, price_list
+from bracketlab.design import CODE_CONSISTENT, N_ROWS, RECORDED_WAGE, Scenario, Treatment, price_list
 from bracketlab.experiment import (
     Covariates,
     Dataset,
@@ -46,7 +46,11 @@ from bracketlab.estimation import (
     summarize_means,
     tobit_right,
     _kappa_arrays,
+    _kappa_block_bounds,
+    _kappa_blocks,
     _kappa_design,
+    _kappa_profile,
+    _kappa_profile_argmin,
     _rank_setup,
 )
 from bracketlab.reports import render_kappa_csv, render_kappa_markdown
@@ -398,6 +402,104 @@ class TestKappa:
         by_obs = kappa_profile_oracle(data)
         assert nls_kappa(data).kappa == pytest.approx(by_obs, abs=2e-4)
         assert 0.5 < by_obs < 0.9
+
+
+def _grid_profile_argmin(means, counts):
+    """The profile oracle's reference: the first arg-min over every point of the grid."""
+    kappas = np.arange(-1.0, 3.0 + 1e-4 / 2.0, 1e-4)
+    u = 1.0 - kappas
+    v = kappas
+    total = np.zeros_like(kappas)
+    for s in range(2):
+        gap = u * means[0, s] + v * means[1, s] - means[2, s]
+        n_b, n_n, n_m = counts[0, s], counts[1, s], counts[2, s]
+        total += n_m * gap**2 / (1.0 + n_m * (u**2 / n_b + v**2 / n_n))
+    return float(kappas[int(np.argmin(total))])
+
+
+def _cells(values):
+    """A (broad, narrow, mid) x (S1, S2) table as float64."""
+    return np.array(values, dtype=float).reshape(3, 2)
+
+
+PROFILE_MEAN = st.one_of(st.sampled_from(RECORDED_WAGE.tolist()), st.floats(0.0, 4.25))
+PROFILE_COUNT = st.one_of(st.integers(1, 100), st.integers(1, 10**7))
+# two scenarios mirrored in broad and narrow: the profile's two wells tie bit for bit
+TIED = ([[3.0, 1.0], [1.0, 3.0], [2.9, 2.9]], [[4, 1], [1, 4], [10**5, 10**5]])
+
+
+class TestKappaProfileOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        means=st.lists(PROFILE_MEAN, min_size=6, max_size=6),
+        counts=st.lists(PROFILE_COUNT, min_size=6, max_size=6),
+    )
+    # mid = narrow, then mid = broad: the minimum sits at kappa 1, then 0
+    @example(means=[[2.89, 2.98], [2.30, 2.77], [2.30, 2.77]], counts=[[100] * 2] * 3)
+    @example(means=[[2.89, 2.98], [2.30, 2.77], [2.89, 2.98]], counts=[[40, 7], [900, 3], [1, 10**7]])
+    # minimisers at kappa 4 and -2, outside the grid: its last point wins, then its first
+    @example(means=[[3.0, 2.5], [2.0, 2.25], [-1.0, 1.5]], counts=[[100] * 2] * 3)
+    @example(means=[[3.0, 2.5], [2.0, 2.25], [5.0, 3.0]], counts=[[100] * 2] * 3)
+    # S2 flat
+    @example(means=[[2.89, 2.5], [2.30, 2.5], [2.6, 2.5]], counts=[[100, 3], [50, 10**7], [20, 1]])
+    @example(means=TIED[0], counts=TIED[1])
+    # each fails a bound taken at the block midpoint, or without the sign-change test
+    @example(means=[[2.707, 1.147], [0.174, 0.07], [3.456, 3.879]],
+             counts=[[17638, 127784], [6388, 3511616], [514014, 1]])
+    @example(means=[[2.175, 4.039], [0.613, 4.032], [1.325, 1.799]],
+             counts=[[622183, 732], [7033, 2], [188188, 5848]])
+    # the least-bound block does not hold the minimum
+    @example(means=[[2.466, 1.269], [2.856, 0.848], [4.004, 1.552]],
+             counts=[[5, 25337], [3090878, 1210], [4809871, 3157]])
+    def test_pruned_grid_is_the_full_grid_bit_for_bit(self, means, counts):
+        means, counts = _cells(means), _cells(counts)
+        assert _kappa_profile_argmin(means, counts) == _grid_profile_argmin(means, counts)
+
+    def test_blocks_tile_the_grid(self):
+        grid = np.arange(-1.0, 3.0 + 1e-4 / 2.0, 1e-4)
+        flat = _kappa_blocks().ravel()
+        assert _kappa_blocks().shape == (157, 256)
+        assert flat[: grid.size].tobytes() == grid.tobytes()
+        assert (flat[grid.size:] == grid[-1]).all()
+
+    def test_ties_go_to_the_first_grid_point(self):
+        means, counts = map(_cells, TIED)
+        total = _kappa_profile(_kappa_blocks().ravel()[:40001], means, counts)
+        first, second = np.flatnonzero(total == total.min())
+        assert second // 256 > first // 256  # in different blocks
+        assert _kappa_profile_argmin(means, counts) == _kappa_blocks().ravel()[first]
+
+    def test_a_flat_profile_keeps_every_block(self):
+        # the profile varies by less than the rounding margin, so nothing is pruned
+        means, counts = _cells([[1.0, 1.0], [1.0 + 1e-8, 1.0], [1.0, 1.0]]), _cells([[1e7] * 2] * 3)
+        bounds = _kappa_block_bounds(means, counts)
+        assert (bounds <= _kappa_profile(_kappa_blocks().ravel(), means, counts).min()).all()
+        assert _kappa_profile_argmin(means, counts) == _grid_profile_argmin(means, counts)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_golden_data_is_the_full_grid(self, drop):
+        data = read_csv(str(GOLDEN_CSV))
+        _, _, means, counts = _kappa_arrays(data, Treatment.BROAD, Treatment.LOW, Treatment.NARROW, drop)
+        assert _kappa_profile_argmin(means, counts) == _grid_profile_argmin(means, counts)
+        if drop:
+            assert kappa_profile_oracle(data) == _grid_profile_argmin(means, counts)
+
+    def test_keep_inconsistent_checks_the_fit_on_the_golden_data(self):
+        data = read_csv(str(GOLDEN_CSV))
+        _, _, means, counts = _kappa_arrays(data, Treatment.BROAD, Treatment.LOW, Treatment.NARROW, False)
+        kept = _kappa_profile_argmin(means, counts)
+        assert kept != kappa_profile_oracle(data)
+        assert nls_kappa(data, drop_inconsistent=False).kappa == pytest.approx(kept, abs=2e-4)
+
+    def test_keep_inconsistent_checks_the_fit_under_trembles(self):
+        arms = {Treatment.BROAD: 400, Treatment.NARROW: 400, Treatment.LOW: 400}
+        spec = PopulationSpec(counts=arms, seed=2, composition=MixtureComposition(0.7), tremble=0.3)
+        data = simulate_dataset(spec)
+        assert not data.observations.consistent.all()
+        _, _, means, counts = _kappa_arrays(data, Treatment.BROAD, Treatment.LOW, Treatment.NARROW, False)
+        kept = _kappa_profile_argmin(means, counts)
+        assert nls_kappa(data, drop_inconsistent=False).kappa == pytest.approx(kept, abs=2e-4)
+        assert kept == _grid_profile_argmin(means, counts)
 
 
 # The reference for tobit_right: its likelihood in (beta, log sigma), a
