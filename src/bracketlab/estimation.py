@@ -49,8 +49,7 @@ _STEP_TOL = 1e-10
 _MAX_ITER = 500
 _NEWTON_TOL = 1e-9
 _EXACT_CAP = 66
-_KAPPA_GRID = (-1.0, 3.0)
-_KAPPA_STEP = 1e-4
+_KAPPA_GRID = (-10_000, 30_000)  # the profile grid's ends, in steps of 1e-4
 _KAPPA_BLOCK = 256
 
 
@@ -433,7 +432,7 @@ def _kappa_blocks() -> np.ndarray:
 
     Built on first use, so a program that never runs the oracle does not hold it.
     """
-    kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + _KAPPA_STEP / 2.0, _KAPPA_STEP)
+    kappas = np.arange(_KAPPA_GRID[0], _KAPPA_GRID[1] + 1) / 1e4  # each point the double nearest i / 10^4
     blocks = np.pad(kappas, (0, -kappas.size % _KAPPA_BLOCK), mode="edge").reshape(-1, _KAPPA_BLOCK)
     blocks.flags.writeable = False
     return blocks
@@ -504,27 +503,44 @@ def kappa_profile_oracle(
     return _kappa_profile_argmin(means, counts)
 
 
-def _tobit_loglik(theta, y, X, limit, cens):
+def _counted_rows(y, X):
+    """The distinct rows of [X, y], in the order np.lexsort gives their bits, and each one's count."""
+    columns = [column.view(np.uint64) for column in (*X.T, y)]
+    order = np.lexsort(columns)
+    columns = [column[order] for column in columns]
+    new = np.zeros(len(y), bool)
+    new[0] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new)
+    *x, y = (column[starts].view(float) for column in columns)
+    return y, np.column_stack(x), np.diff(starts, append=len(order))
+
+
+def _tobit_loglik(theta, y, X, limit, cens, counts):
     """Log-likelihood, gradient and Hessian in theta = (delta, tau) = (beta/sigma, 1/sigma).
 
     An uncensored row adds log tau - log(2 pi)/2 - e^2/2 with e = tau*y - x.delta,
     a censored row log Phi(x.delta - tau*limit); both are concave in theta.
+    Each row enters counts times.
     """
-    tau, n_unc = theta[-1], int((~cens).sum())
+    tau, w = theta[-1], counts[~cens]
+    n_unc = int(w.sum())
     d = np.column_stack([-X[~cens], y[~cens]])
     e = d @ theta
-    ll = n_unc * (math.log(tau) - 0.5 * math.log(2.0 * math.pi)) - 0.5 * float(e @ e)
-    grad, hess = -(d.T @ e), -(d.T @ d)
+    ll = n_unc * (math.log(tau) - 0.5 * math.log(2.0 * math.pi)) - 0.5 * float((w * e) @ e)
+    grad, hess = -(d.T @ (w * e)), -(d.T @ (d * w[:, None]))
     grad[-1] += n_unc / tau
     hess[-1, -1] -= n_unc / tau**2
     if cens.any():
+        w = counts[cens]
         v = np.column_stack([X[cens], np.full(cens.sum(), -limit)])
         a = v @ theta
         log_cdf = log_ndtr(a)
         lam = np.exp(-0.5 * a**2 - 0.5 * math.log(2.0 * math.pi) - log_cdf)
-        ll += float(log_cdf.sum())
-        grad += v.T @ lam
-        hess -= v.T @ (v * (lam * (a + lam))[:, None])
+        ll += float(w @ log_cdf)
+        grad += v.T @ (w * lam)
+        hess -= v.T @ (v * (w * lam * (a + lam))[:, None])
     return ll, grad, hess
 
 
@@ -539,15 +555,19 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     """Right-censored Tobit by Newton's method in (beta/sigma, 1/sigma).
 
     Responses at or above the limit, which must be finite, are censored
-    (y >= nan holds for no row). Starts from least squares on the
-    uncensored rows, after raising NotConverged for a column of X that
-    is zero on every uncensored row and of one sign on the censored rows,
-    along which the likelihood rises without bound. The log-likelihood
-    is concave in these parameters (Olsen 1978, Econometrica 46:1211):
-    steps are halved until it rises, and the fit ends with a full step
-    once the Newton decrement g.(-H)^-1.g is below 1e-9 * max(1, |loglik|).
-    Standard errors map the inverse negative Hessian to (beta, sigma) by
-    the delta method.
+    (y >= nan holds for no row). Rows with equal (x, y) enter once,
+    weighted by their count, in the order np.lexsort gives their bits, so
+    the fit does not depend on the order of the rows. A price list
+    records one of 17 wages, so on arm dummies, as estimate tobit fits
+    them, each arm adds at most 17 rows to a sum. Starts from least
+    squares on the uncensored rows, after raising NotConverged for a
+    column of X that is zero on every uncensored row and of one sign on
+    the censored rows, along which the likelihood rises without bound.
+    The log-likelihood is concave in these parameters (Olsen 1978,
+    Econometrica 46:1211): steps are halved until it rises, and the fit
+    ends with a full step once the Newton decrement g.(-H)^-1.g is below
+    1e-9 * max(1, |loglik|). Standard errors map the inverse negative
+    Hessian to (beta, sigma) by the delta method.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -560,6 +580,7 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
         raise ValueError(f"censoring limit must be finite, got {limit}")
     if np.linalg.matrix_rank(X) < k:
         raise RankDeficient("covariate matrix is rank deficient")
+    y, X, counts = _counted_rows(y, X)
     cens = y >= limit - 1e-9
     if cens.all():
         raise AllCensored("every response sits at the censoring limit")
@@ -572,23 +593,25 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
         column = int(np.argmax(unbounded))
         raise NotConverged(f"Tobit likelihood has no maximum: column {column} of X is nonzero only on censored rows")
 
-    beta0, *_ = np.linalg.lstsq(X[~cens], y[~cens], rcond=None)
+    weight = counts[~cens]
+    root = np.sqrt(weight)
+    beta0, *_ = np.linalg.lstsq(X[~cens] * root[:, None], y[~cens] * root, rcond=None)
     resid0 = y[~cens] - X[~cens] @ beta0
-    sigma0 = max(float(np.sqrt((resid0**2).mean())), 1e-2)
+    sigma0 = max(float(np.sqrt(weight @ resid0**2 / weight.sum())), 1e-2)
     theta = np.append(beta0, 1.0) / sigma0
-    ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens)
+    ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens, counts)
     for iterations in range(1, _MAX_ITER + 1):
         step = _inverse_information(hess) @ grad
         # near the optimum the predicted gain is below the rounding of ll,
         # so the last step is taken whole rather than line-searched
         if grad @ step < _NEWTON_TOL * max(1.0, abs(ll)):
             theta = theta + step
-            ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens)
+            ll, grad, hess = _tobit_loglik(theta, y, X, limit, cens, counts)
             break
         t = 1.0
         while t > 1e-12:
             theta_t = theta + t * step
-            if theta_t[-1] > 0 and (fit_t := _tobit_loglik(theta_t, y, X, limit, cens))[0] > ll:
+            if theta_t[-1] > 0 and (fit_t := _tobit_loglik(theta_t, y, X, limit, cens, counts))[0] > ll:
                 break
             t /= 2.0
         else:
@@ -612,8 +635,8 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
         sigma=float(sigma),
         se_sigma=float(se[k]),
         loglik=float(ll),
-        n_censored=int(cens.sum()),
-        n_uncensored=int((~cens).sum()),
+        n_censored=int(counts[cens].sum()),
+        n_uncensored=int(counts[~cens].sum()),
         iterations=iterations,
     )
 

@@ -901,9 +901,10 @@ CSV_COLUMNS = (
     + tuple(f"c{i:02d}" for i in range(1, N_ROWS + 1))
     + ("res_wage", "censored", "consistent", "gender", "age", "tediousness")
 )
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
-_WRITE_CHUNK = 1 << 14  # lines, about 2 MB of text
+_WRITE_CHUNK = 1 << 12  # lines, about 0.3 MB of text
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # every line boundary of str.splitlines
 _NOT_IN_IDS = "," + _LINE_BREAKS  # each would end a subject_id's field or line early
 
@@ -916,37 +917,37 @@ def write_csv(dataset: Dataset, path: str) -> None:
     """One row per subject x scenario; money as two-decimal strings.
 
     Rendered from the dataset's columns: each distinct row key and each
-    distinct (male, age, tediousness) value is rendered once per call.
-    Rows are written in chunks of _WRITE_CHUNK lines, so the text of the
-    whole file is never held at once. A subject_id may hold no comma and no
-    line boundary of str.splitlines, which read_csv could not read back:
-    write_csv raises ValueError naming the first such subject before it
-    opens the file.
+    distinct (male, age, tediousness) value is rendered once per call, and
+    each subject's subject_id,treatment head once per chunk it has rows
+    in. Rows are joined from these texts and written in chunks of
+    _WRITE_CHUNK lines, each chunk's texts gathered for it alone, so the
+    text of the whole file is never held at once. A subject_id may hold
+    no comma and no line boundary of str.splitlines, which read_csv could
+    not read back: write_csv raises ValueError naming the first such
+    subject before it opens the file.
     """
     ids = "".join(dataset._subject_ids)
     if any(c in ids for c in _NOT_IN_IDS):
         sid = next(sid for sid in dataset._subject_ids if any(c in sid for c in _NOT_IN_IDS))
         raise ValueError(f"subject_id {sid!r} holds a comma or a line break, which a CSV row cannot hold")
     arms = [t.value for t in Treatment]
-    # one reference per row, so iterating makes no int per row
     keys, slots = np.unique(dataset._keys, return_inverse=True)
-    row_texts = iter(_gather(list(map(_outcome_text, keys.tolist())), slots))
+    outcomes = [f"{text}," for text in map(_outcome_text, keys.tolist())]
     values, people = dataset._distinct_covariates()
     tails = [
         f"{'male' if male else 'female'},{age},{tediousness}\n"
         for male, age, tediousness in zip(*(column.tolist() for column in values))
     ]
-    counts = np.diff(dataset._offsets).tolist()
-    subjects = zip(dataset._subject_ids, dataset._treatment.tolist(), _gather(tails, people), counts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        lines = [",".join(CSV_COLUMNS) + "\n"]
-        for sid, t, tail, count in subjects:
-            head = f"{sid},{arms[t]},"
-            lines += [f"{head}{text},{tail}" for text in itertools.islice(row_texts, count)]
-            if len(lines) >= _WRITE_CHUNK:
-                fh.write("".join(lines))
-                lines = []
-        fh.write("".join(lines))
+        fh.write(_HEADER)
+        for a in range(0, len(slots), _WRITE_CHUNK):
+            row = np.arange(a, min(a + _WRITE_CHUNK, len(slots)))
+            subject = np.searchsorted(dataset._offsets, row, side="right") - 1
+            first, last = subject[0], subject[-1] + 1
+            treatment = dataset._treatment[first:last].tolist()
+            heads = [f"{sid},{arms[t]}," for sid, t in zip(dataset._subject_ids[first:last], treatment)]
+            parts = zip(_gather(heads, subject - first), _gather(outcomes, slots[row]), _gather(tails, people[subject]))
+            fh.write("".join(itertools.chain.from_iterable(parts)))  # no string per row
 
 
 def _parse_row(line_no: int, cells: list[str]) -> tuple[int, int, tuple[bool, int, int]]:
@@ -986,7 +987,6 @@ def _parse_flag(cell: str) -> bool:
 
 
 # The columnar reader, _read_columns. A canonical line is subject_id,treatment,outcome text,covariate text\n.
-_HEADER = ",".join(CSV_COLUMNS) + "\n"
 _NEWLINE, _COMMA, _ONE = b"\n,1"
 _OUTCOME_WIDTH = len(_outcome_text(0))  # every key's text has this width; checked as each is rendered
 _OUTCOME_WORDS = -(-_OUTCOME_WIDTH // 8)

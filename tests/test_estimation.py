@@ -52,6 +52,7 @@ from bracketlab.estimation import (
     _kappa_profile,
     _kappa_profile_argmin,
     _rank_setup,
+    _tobit_loglik,
 )
 from bracketlab.reports import render_kappa_csv, render_kappa_markdown
 
@@ -406,7 +407,7 @@ class TestKappa:
 
 def _grid_profile_argmin(means, counts):
     """The profile oracle's reference: the first arg-min over every point of the grid."""
-    kappas = np.arange(-1.0, 3.0 + 1e-4 / 2.0, 1e-4)
+    kappas = (np.arange(40001) - 10000) / 1e4
     u = 1.0 - kappas
     v = kappas
     total = np.zeros_like(kappas)
@@ -425,7 +426,7 @@ def _cells(values):
 PROFILE_MEAN = st.one_of(st.sampled_from(RECORDED_WAGE.tolist()), st.floats(0.0, 4.25))
 PROFILE_COUNT = st.one_of(st.integers(1, 100), st.integers(1, 10**7))
 # two scenarios mirrored in broad and narrow: the profile's two wells tie bit for bit
-TIED = ([[3.0, 1.0], [1.0, 3.0], [2.9, 2.9]], [[4, 1], [1, 4], [10**5, 10**5]])
+TIED = ([[3.0, 1.0], [1.0, 3.0], [2.9, 2.9]], [[3, 1], [1, 3], [10**5, 10**5]])
 
 
 class TestKappaProfileOracle:
@@ -456,11 +457,19 @@ class TestKappaProfileOracle:
         assert _kappa_profile_argmin(means, counts) == _grid_profile_argmin(means, counts)
 
     def test_blocks_tile_the_grid(self):
-        grid = np.arange(-1.0, 3.0 + 1e-4 / 2.0, 1e-4)
+        grid = (np.arange(40001) - 10000) / 1e4
         flat = _kappa_blocks().ravel()
         assert _kappa_blocks().shape == (157, 256)
         assert flat[: grid.size].tobytes() == grid.tobytes()
         assert (flat[grid.size:] == grid[-1]).all()
+
+    @pytest.mark.parametrize("share", [1.0, 0.0])
+    def test_a_mixture_of_one_frame_returns_its_grid_point(self, share):
+        # mid = narrow at share 1 and mid = broad at share 0: the grid holds 1 and 0 exactly
+        arms = {Treatment.BROAD: 500, Treatment.NARROW: 500, Treatment.LOW: 500}
+        spec = PopulationSpec(counts=arms, seed=0, composition=MixtureComposition(share), tremble=0.0,
+                              gamma_bounds=(1.8, 2.2))
+        assert kappa_profile_oracle(simulate_dataset(spec)) == share
 
     def test_ties_go_to_the_first_grid_point(self):
         means, counts = map(_cells, TIED)
@@ -706,6 +715,45 @@ class TestTobit:
                 assert ll(beta, fit.sigma) <= best
         assert ll(fit.beta, fit.sigma + 1e-4) <= best and ll(fit.beta, fit.sigma - 1e-4) <= best
 
+    @settings(max_examples=60, deadline=None)
+    @given(_tobit_arms(), st.randoms(use_true_random=False))
+    def test_row_order_does_not_change_a_bit(self, arms, rng):
+        y, X = _arm_design(arms)
+        order = list(range(len(y)))
+        rng.shuffle(order)
+        assert _bits(tobit_right(y[order], X[order])) == _bits(tobit_right(y, X))
+
+    def test_row_order_does_not_change_a_bit_on_golden_data(self, monkeypatch):
+        designs = []
+        monkeypatch.setattr("bracketlab.cli.tobit_right", lambda y, X, limit: designs.append((y, X)))
+        _tobit_fits(read_csv(str(GOLDEN_CSV)), True, CENSOR_CODE)
+        for y, X in designs:
+            order = np.random.default_rng(5).permutation(len(y))
+            assert _bits(tobit_right(y[order], X[order])) == _bits(tobit_right(y, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tobit_arms(), st.sampled_from([2, 3]))
+    def test_repeated_rows_scale_the_likelihood_alone(self, arms, repeat):
+        y, X = _arm_design(arms)
+        once, again = tobit_right(y, X), tobit_right(np.tile(y, repeat), np.tile(X, (repeat, 1)))
+        assert again.beta == pytest.approx(once.beta, rel=1e-9, abs=1e-12)
+        assert again.sigma == pytest.approx(once.sigma, rel=1e-9)
+        assert again.loglik == pytest.approx(repeat * once.loglik, rel=1e-9)
+        assert (again.n_censored, again.n_uncensored) == (repeat * once.n_censored, repeat * once.n_uncensored)
+
+    def test_likelihood_sums_over_distinct_rows_on_golden_data(self, monkeypatch):
+        rows = []
+
+        def recording(theta, y, *args):
+            rows.append(len(y))
+            return _tobit_loglik(theta, y, *args)
+
+        monkeypatch.setattr("bracketlab.estimation._tobit_loglik", recording)
+        fits = _tobit_fits(read_csv(str(GOLDEN_CSV)), True, CENSOR_CODE)
+        arms = max(len(names) for _, names, _ in fits)
+        assert all(fit.n_censored + fit.n_uncensored > arms * len(_WAGE_GRID) for _, _, fit in fits)
+        assert rows and max(rows) <= arms * len(_WAGE_GRID)
+
     def test_all_censored(self):
         with pytest.raises(AllCensored):
             tobit_right([4.25, 4.25], np.ones((2, 1)))
@@ -836,7 +884,7 @@ def _row_nls_kappa(dataset, broad_label=Treatment.BROAD, narrow_label=Treatment.
 
 
 def _bits(fit):
-    """Every KappaFit field, floats as their exact hex."""
+    """Every field of a fit, floats as their exact hex."""
     def exact(value):
         if isinstance(value, tuple):
             return tuple(map(exact, value))

@@ -1706,6 +1706,19 @@ PERTURBATIONS = {
         _with_cell(lines, row, ARM, lambda arm: ARMS[(ARMS.index(arm) + 1) % len(ARMS)])
     ),
 }
+
+
+def _split_subjects(text):
+    """The physical line numbers that start a block of _read_columns and repeat the line before's
+    subject_id: where a block end cuts a subject's rows apart."""
+    lines, a = text.splitlines(), len(experiment._HEADER)
+    while a < len(text):
+        a = text.rfind("\n", a, a + experiment._READ_BLOCK) + 1 or text.find("\n", a + experiment._READ_BLOCK) + 1
+        no = text.count("\n", 0, a) + 1
+        if no <= len(lines) and lines[no - 1].split(",")[0] == lines[no - 2].split(",")[0]:
+            yield no
+
+
 COLUMNAR = {"id-16", "id-17"}  # the perturbations that leave a file in write_csv's canonical form
 
 
@@ -1755,6 +1768,26 @@ class TestColumnarReader:
     def test_golden_data_takes_the_columnar_path(self):
         text = (DATA / "golden_data.csv").read_text()
         assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+
+    def test_subjects_cut_by_a_block_end_read_as_the_loop_reads_them(self, tmp_path, monkeypatch):
+        # blocks of about two lines, so that cuts fall between a subject's two rows
+        monkeypatch.setattr(experiment, "_READ_BLOCK", 150)
+        path = tmp_path / "data.csv"
+        write_csv(simulate_dataset(small_spec(counts={t: 20 for t in Treatment}, tremble=0.3)), str(path))
+        for text in (path.read_text(), (DATA / "golden_data.csv").read_text()):
+            assert any(_split_subjects(text))
+            assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+
+        # the first row of a block changes its subject's tediousness, which only the carried last row shows
+        lines = path.read_text().splitlines()
+        no = next(no for no in _split_subjects(path.read_text()) if len(lines[no - 1].split(",")[-1]) == 1)
+        cells = lines[no - 1].split(",")
+        cells[-1] = str(int(cells[-1]) % 9 + 1)  # one digit stays one digit, so the cuts stay where they are
+        lines[no - 1] = ",".join(cells)
+        path.write_text(_joined(lines))
+        assert experiment._read_columns(path.read_text()) is None
+        message = f"line {no}: subject {cells[0]} changes treatment or covariates"
+        assert read_outcome(read_csv, str(path)) == read_outcome(read_lines, path.read_text()) == message
 
     def test_peak_memory_is_no_higher_than_the_loops(self, tmp_path, monkeypatch):
         arms = {Treatment.BROAD: 5000, Treatment.NARROW: 5000, Treatment.LOW: 5000}
