@@ -291,8 +291,10 @@ def _kappa_arrays(
     """Responses and their cells in record order, by default consistent scenarios only, and each cell's mean and count.
 
     A row's cell is 2 * group + scenario, for groups broad, narrow and
-    mid. One stable sort by cell lays out each cell's responses in
-    record order, so a cell's mean has the bits of its masked mean.
+    mid. A cell's mean is its weighted bincount over its count, with the
+    bits of y[cell == c].mean(): every recorded wage is a multiple of 1/4
+    and at most 4.25 (RECORDED_WAGE), so every partial sum is exact in any
+    order. A price list given as input must keep to that grid.
     """
     labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
     if len(labels) != 3:
@@ -315,9 +317,7 @@ def _kappa_arrays(
             f"{(broad_label, narrow_label, mid_label)[g].value} in {_SCENARIOS[s].value}; "
             "kappa needs all three treatments in both scenarios"
         )
-    # int8 keys get numpy's radix sort
-    by_cell = np.split(y[np.argsort(cell, kind="stable")], np.cumsum(counts)[:-1])
-    means = np.array([part.mean() for part in by_cell]).reshape(3, 2)
+    means = (np.bincount(cell, weights=y, minlength=6) / counts).reshape(3, 2)
     if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
         raise Degenerate(
             "broad and narrow cell means coincide in both scenarios; "
@@ -332,15 +332,15 @@ def _kappa_fitted(theta: np.ndarray) -> np.ndarray:
     return np.concatenate([b, n, (1.0 - kappa) * b + kappa * n])
 
 
-def _kappa_design(theta: np.ndarray, cell: np.ndarray):
-    """Fitted values and Jacobian per row, gathered from per-cell tables."""
+def _kappa_jac(theta: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Jacobian of the fitted values per row, gathered from a per-cell table."""
     b, n, kappa = theta[0:2], theta[2:4], theta[4]
     jac = np.zeros((6, 5))
     jac[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
     jac[[4, 5], [0, 1]] = 1.0 - kappa
     jac[[4, 5], [2, 3]] = kappa
     jac[[4, 5], 4] = n - b
-    return np.take(_kappa_fitted(theta), cell), np.take(jac, cell, axis=0)
+    return np.take(jac, cell, axis=0)
 
 
 def nls_kappa(
@@ -357,7 +357,8 @@ def nls_kappa(
     combination of the broad-anchor and narrow-anchor cells, jointly
     with the four cell effects, on consistent observations (on all of
     them with drop_inconsistent=False). Starts at the saturated cell
-    means with kappa = 0.5.
+    means with kappa = 0.5. Each line-search trial's residual is computed
+    once, and the accepted one carries into the next iteration and the rss.
 
     The estimand is the mixture share: under MixtureComposition the
     recorded cell means obey the model. Under KappaComposition each
@@ -370,31 +371,27 @@ def nls_kappa(
     """
     y, cell, means, _ = _kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
     theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
-
-    def rss_at(t):
-        r = y - np.take(_kappa_fitted(t), cell)
-        return float(r @ r)
-
-    rss = rss_at(theta)
-    converged = False
-    iterations = 0
+    resid = y - np.take(_kappa_fitted(theta), cell)
+    rss = float(resid @ resid)
     for iterations in range(1, _MAX_ITER + 1):
-        fitted, jac = _kappa_design(theta, cell)
-        resid = y - fitted
+        jac = _kappa_jac(theta, cell)
         score = jac.T @ resid  # half the gradient of the rss
         if float(np.linalg.norm(2.0 * score)) < _GRAD_TOL:
             converged = True
             break
         step, *_ = np.linalg.lstsq(jac.T @ jac, score, rcond=None)
         lam = 1.0
-        # the last trial is at the step taken, so its rss is the new rss
-        while (rss_trial := rss_at(theta + lam * step)) > rss and lam > 1e-12:
+        while True:
+            trial = y - np.take(_kappa_fitted(theta + lam * step), cell)
+            rss_trial = float(trial @ trial)
+            if not (rss_trial > rss and lam > 1e-12):
+                break
             lam /= 2.0
+        # the last trial is at the step taken, so its residual is the new one
         taken = lam * step
-        theta, rss = theta + taken, rss_trial
+        theta, resid, rss = theta + taken, trial, rss_trial
         if float(np.linalg.norm(taken)) < _STEP_TOL:
-            fitted, jac = _kappa_design(theta, cell)
-            resid = y - fitted
+            jac = _kappa_jac(theta, cell)
             converged = float(np.linalg.norm(2.0 * (jac.T @ resid))) < _GRAD_TOL
             break
     else:
@@ -405,7 +402,7 @@ def nls_kappa(
     meat = jac.T @ (jac * (resid**2)[:, None])
     robust = bread @ meat @ bread
     dof = max(y.size - 5, 1)
-    model_cov = (resid @ resid / dof) * bread
+    model_cov = (rss / dof) * bread
     se_r = np.sqrt(np.maximum(np.diag(robust), 0.0))
     se_m = np.sqrt(np.maximum(np.diag(model_cov), 0.0))
     return KappaFit(
@@ -417,8 +414,8 @@ def nls_kappa(
         se_kappa=float(se_r[4]),
         se_kappa_model=float(se_m[4]),
         iterations=iterations,
-        converged=bool(converged),
-        rss=float(resid @ resid),
+        converged=converged,
+        rss=rss,
         n_obs=int(y.size),
         broad=broad_label,
         narrow=narrow_label,

@@ -48,7 +48,8 @@ from bracketlab.estimation import (
     _kappa_arrays,
     _kappa_block_bounds,
     _kappa_blocks,
-    _kappa_design,
+    _kappa_fitted,
+    _kappa_jac,
     _kappa_profile,
     _kappa_profile_argmin,
     _rank_setup,
@@ -982,9 +983,9 @@ class TestColumnarEstimators:
         group = np.array([g for g, _ in codes])
         scen = np.array([s for _, s in codes])
         fitted, jac = _row_kappa_design(theta, group, scen)
-        gathered = _kappa_design(theta, 2 * group + scen)
-        assert gathered[0].tobytes() == fitted.tobytes()
-        assert gathered[1].tobytes() == jac.tobytes()
+        cell = 2 * group + scen
+        assert np.take(_kappa_fitted(theta), cell).tobytes() == fitted.tobytes()
+        assert _kappa_jac(theta, cell).tobytes() == jac.tobytes()
 
     def test_interleaved_rows_match_grouped_twin(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -1031,12 +1032,27 @@ class TestColumnarEstimators:
         data = read_csv(str(GOLDEN_CSV))
         assert _bits(nls_kappa(data, drop_inconsistent=drop)) == _bits(_row_nls_kappa(data, drop_inconsistent=drop))
 
+    @pytest.mark.parametrize("source", ["simulated", "read", "records"])
+    @pytest.mark.parametrize("tremble", [0.0, 0.05, 0.3])
     @pytest.mark.parametrize("drop", [True, False])
     @pytest.mark.parametrize("anchor", [Treatment.BROAD, Treatment.PARTIAL])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_nls_kappa_is_the_row_wise_fit_bit_for_bit_on_mixtures(self, seed, anchor, drop):
+    def test_nls_kappa_is_the_row_wise_fit_bit_for_bit_on_mixtures(self, tmp_path, seed, anchor, drop, tremble,
+                                                                   source):
         arms = {Treatment.BROAD: 150, Treatment.NARROW: 150, Treatment.LOW: 150, Treatment.PARTIAL: 150}
-        data = simulate_dataset(PopulationSpec(counts=arms, seed=seed, composition=MixtureComposition(0.7)))
+        data = simulate_dataset(PopulationSpec(counts=arms, seed=seed, composition=MixtureComposition(0.7),
+                                               tremble=tremble))
+        if source == "read":
+            write_csv(data, str(tmp_path / "data.csv"))
+            data = read_csv(str(tmp_path / "data.csv"))
+        elif source == "records":
+            data = Dataset(data.records)
+        # _kappa_arrays' bincount means keep the masked means' bits only because every recorded
+        # wage is a multiple of 1/4 (and small), so each partial sum is exact in any order
+        quarters = 4 * data.observations.res_wage
+        assert (quarters == np.floor(quarters)).all() and quarters.max() <= 17
+        y, cell, means, _ = _kappa_arrays(data, anchor, Treatment.LOW, Treatment.NARROW, drop)
+        assert [float.hex(m) for m in means.ravel()] == [float.hex(y[cell == c].mean()) for c in range(6)]
         fit = nls_kappa(data, broad_label=anchor, drop_inconsistent=drop)
         assert _bits(fit) == _bits(_row_nls_kappa(data, broad_label=anchor, drop_inconsistent=drop))
 

@@ -852,6 +852,29 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             Dataset((record, record))
 
+    def test_a_far_apart_duplicate_id_is_rejected_by_every_way_in(self, tmp_path):
+        data = simulate_dataset(small_spec(counts={t: 200 for t in (Treatment.BROAD, Treatment.NARROW, Treatment.LOW)}))
+        records = data.records
+        again = SubjectRecord(records[0].subject_id, records[-1].treatment, records[-1].outcomes,
+                              records[-1].covariates)
+        with pytest.raises(ValueError, match="^subject_ids must be unique$"):
+            Dataset(records[:-1] + (again,))
+        ids = list(data._subject_ids)
+        ids[-1] = ids[0]
+        with pytest.raises(ValueError, match="^subject_ids must be unique$"):
+            Dataset._from_columns(ids, data._treatment, data._covariates, data._offsets, data._keys)
+        # the first subject's rows again after the last: the columnar reader declines the file
+        # and the loop raises
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        first = [line for line in lines[1:] if line.partition(",")[0] == ids[0]]
+        path.write_text("".join(lines + first))
+        assert experiment._read_columns(path.read_text()) is None
+        with pytest.raises(DataFormatError) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == "subject_ids must be unique"
+
     def test_repeated_scenario_rejected(self):
         record = simulate_subject(
             subject_stream(0, 0), Agent(QL, Broad()), Treatment.BROAD, Covariates(True, 30, 5),
