@@ -16,9 +16,9 @@ normal tail below -20, within 2e-15 relative error of scipy's on
 
 Each function takes a float or an array of floats and returns a numpy
 float64 of the same shape (a numpy scalar for a scalar), NaN for NaN.
-ndtr runs on Python floats one element at a time for inputs of up to
-_ELEMENTWISE_MAX elements, the scalars and pairs its callers pass, and on
-arrays above that; both give the same bits.
+ndtr runs on Python floats one element at a time: its callers pass
+scalars and arrays of a few elements, where numpy's fixed cost per call
+would outweigh the work.
 """
 import math
 
@@ -94,9 +94,6 @@ _NDTRI_Q2 = (  # leading coefficient 1
 )
 _LOG_NDTR_ASYMPTOTIC = -20.0  # log_ndtr's series takes over at and below this
 _SERIES_TERMS = 12  # the series' terms are below 2**-53 of its sum from the 9th on at -20
-# up to this many elements ndtr runs per element on floats: the array
-# kernel's fixed cost is some 40 numpy calls on near-empty arrays
-_ELEMENTWISE_MAX = 32
 
 
 def _polevl(x, coefficients):
@@ -166,20 +163,8 @@ def _put(out, mask, function, x):
         out[mask] = function(x[mask])
 
 
-def _ndtr_far(x):
-    """ndtr(a) for x = a sqrt(1/2) with |x| >= sqrt(1/2), through Cephes erfc(|x|)."""
-    z = np.abs(x)
-    erfc = np.zeros_like(z)  # erfc underflows to 0 for z^2 > MAXLOG
-    large = (z >= 1.0) & (z * z <= _MAXLOG)
-    _put(erfc, z < 1.0, lambda z: 1.0 - _erf_small(z), z)
-    _put(erfc, large & (z < 8.0), lambda z: _erfc_large(z, _each(math.exp, -z * z), _ERFC_P, _ERFC_Q), z)
-    _put(erfc, large & (z >= 8.0), lambda z: _erfc_large(z, _each(math.exp, -z * z), _ERFC_R, _ERFC_S), z)
-    y = 0.5 * erfc
-    return np.where(x > 0, 1.0 - y, y)
-
-
 def _ndtr_scalar(a):
-    """ndtr on a float, with the bits of the array kernel below."""
+    """ndtr on a float."""
     if math.isnan(a):
         return a
     x = a * _SQRT1_2
@@ -198,14 +183,7 @@ def _ndtr_scalar(a):
 
 
 def _ndtr(a):
-    if a.size <= _ELEMENTWISE_MAX:
-        return _each(_ndtr_scalar, a)
-    x = a * _SQRT1_2
-    z = np.abs(x)
-    y = np.full_like(x, np.nan)  # NaN stays NaN
-    _put(y, z < _SQRT1_2, lambda x: 0.5 + 0.5 * _erf_small(x), x)
-    _put(y, z >= _SQRT1_2, _ndtr_far, x)
-    return y
+    return _each(_ndtr_scalar, a)
 
 
 def _minus_ndtri_tail(y):

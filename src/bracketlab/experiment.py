@@ -284,13 +284,18 @@ class Dataset:
         covariates = tuple(map(_read_only, map(np.asarray, covariates, (bool, np.int64, np.int8))))
         _check_covariate_columns(*covariates)
         offsets, keys = np.asarray(offsets, np.intp), np.asarray(keys, np.int32)
-        if not np.diff(offsets).all():
+        counts = np.diff(offsets)
+        if not counts.all():
             raise ValueError(_NO_OUTCOMES)
-        subject = np.repeat(np.arange(len(subject_ids)), np.diff(offsets))
-        uses = np.bincount(subject * len(_SCENARIOS) + (keys >> N_ROWS))
-        repeats = np.flatnonzero(uses > 1)
-        if repeats.size:
-            j, s = divmod(int(repeats[0]), len(_SCENARIOS))
+        # of two scenarios, a subject repeats one iff it has more than two rows or two rows of one scenario
+        repeats = counts > len(_SCENARIOS)
+        pair = counts == 2
+        first = offsets[:-1][pair]
+        repeats[pair] = (keys[first] ^ keys[first + 1]) >> N_ROWS == 0
+        if repeats.any():
+            j = int(repeats.argmax())
+            uses = np.bincount(keys[offsets[j] : offsets[j + 1]] >> N_ROWS)
+            s = int(np.flatnonzero(uses > 1)[0])
             raise ValueError(f"subject {subject_ids[j]} repeats scenario {_SCENARIOS[s].value}")
         self.__dict__.update(
             seed=seed,
@@ -1000,6 +1005,7 @@ _FIELD_AT = np.cumsum((0,) + tuple(1 + k for k in _FIELD_WORDS))  # each field's
 _HEAD_WORDS = -(-(8 * sum(_FIELD_WORDS[:2]) + 2) // 8)  # a line's words that hold its first two commas
 _PAD = 8 * max(_HEAD_WORDS, _OUTCOME_WORDS, *_FIELD_WORDS)  # bytes a block's last line may read past its end
 _READ_BLOCK = 1 << 18  # characters per block: its temporaries, at most about 2 MB, are freed before the next
+_DECODE_ROWS = 1 << 12  # rows _decoded turns into bytes objects at once
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -1009,13 +1015,20 @@ def _words_at(words: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
 
 
 def _masked(field: np.ndarray, length) -> np.ndarray:
-    """Rows of words with the bytes past each row's length zeroed."""
-    return field & _WORD_MASKS[np.clip(np.subtract.outer(length, 8 * np.arange(field.shape[1])), 0, 8)]
+    """field, rows of words, with the bytes past each row's length zeroed in place."""
+    shift = np.subtract.outer(length, 8 * np.arange(field.shape[1]))
+    field &= _WORD_MASKS[np.clip(shift, 0, 8, out=shift)]
+    return field
 
 
 def _decoded(words: np.ndarray) -> list[str]:
-    """The text of each row of NUL-padded little-endian words."""
-    return list(map(bytes.decode, np.ascontiguousarray(words).view(f"S{8 * words.shape[1]}").ravel().tolist()))
+    """The text of each row of NUL-padded little-endian words (a contiguous last axis), viewed in place
+    as strings and decoded _DECODE_ROWS at a time, so that only that many bytes objects exist at once."""
+    texts = [None] * len(words)
+    strings = words.view(f"S{8 * words.shape[1]}")[:, 0]
+    for a in range(0, len(texts), _DECODE_ROWS):
+        texts[a : a + _DECODE_ROWS] = map(bytes.decode, strings[a : a + _DECODE_ROWS].tolist())
+    return texts
 
 
 def _distinct_rows(signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1031,25 +1044,17 @@ def _distinct_rows(signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     return (first, inverse) if (signatures[first[inverse]] == signatures).all() else None
 
 
-def _merged(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[str], np.ndarray] | None:
-    """A field's distinct texts and each subject's index into them, from each block's distinct
-    signatures of the field and its subjects' indices into those; None as _distinct_rows gives it."""
-    signatures = np.concatenate([distinct for distinct, _ in blocks])
-    groups = _distinct_rows(signatures)
-    if groups is None:
-        return None
-    first, inverse = groups
-    block_at = np.cumsum([0] + [len(distinct) for distinct, _ in blocks[:-1]])
-    index = np.concatenate([inverse[at + block] for at, (_, block) in zip(block_at, blocks)])
-    return _decoded(signatures[first, 1:]), index
-
-
-def _subject_fields(arm_blocks: list, person_blocks: list) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """Each subject's treatment code and covariate columns, each distinct text parsed once; None on a doubt."""
-    merged = list(map(_merged, (arm_blocks, person_blocks)))
-    if None in merged:
-        return None
-    (arm_texts, arm_index), (person_texts, person_index) = merged
+def _subject_columns(subjects: np.ndarray) -> tuple[list[str], np.ndarray, list[np.ndarray]] | None:
+    """Each subject's id, treatment code and covariate columns from the subjects' signatures, each
+    distinct treatment and covariate text parsed once; None on a doubt."""
+    fields = []
+    for at, end in zip(_FIELD_AT[1:], _FIELD_AT[2:]):
+        groups = _distinct_rows(subjects[:, at:end])
+        if groups is None:
+            return None
+        first, index = groups
+        fields.append((_decoded(subjects[first, at + 1 : end]), index))
+    (arm_texts, arm_index), (person_texts, person_index) = fields
     if any(text.count(",") != 2 for text in person_texts):  # other cell counts: the loop's field count error
         return None
     try:
@@ -1057,7 +1062,8 @@ def _subject_fields(arm_blocks: list, person_blocks: list) -> tuple[np.ndarray, 
         values = [_parse_covariates(*t.split(",")) for t in person_texts]
     except ValueError:
         return None
-    return arms, [np.array(column)[person_index] for column in zip(*values)]
+    people = [np.array(column)[person_index] for column in zip(*values)]
+    return _decoded(subjects[:, 1 : _FIELD_AT[1]]), arms, people
 
 
 def _read_columns(text: str) -> Dataset | None:
@@ -1079,18 +1085,26 @@ def _read_columns(text: str) -> Dataset | None:
     text is parsed once, by Treatment and _parse_covariates. Anything else,
     a field longer than its words, or a ValueError from Dataset._fill
     returns None. Never raises.
+
+    No block's output outlives the block: each writes its slice of arrays
+    sized from the line count (each row's key, and each subject's first row
+    and signature), and the subjects are grouped and decoded after the last
+    block. glibc's mmap threshold rises to the largest block freed, the
+    text, so smaller arrays come from the heap, where a freed one stays
+    resident below a longer-lived one: outputs kept per block would leave
+    such holes between the blocks' temporaries.
     """
     if not (text.isascii() and text.startswith(_HEADER) and text.endswith("\n") and len(text) > len(_HEADER)):
         return None
     if any(other in text for other in "\0" + _LINE_BREAKS[1:]):
         return None
+    rows = text.count("\n", len(_HEADER))
+    keys = np.empty(rows, np.int32)
+    offsets = np.empty(rows + 1, np.intp)  # each subject's first row; at most one subject per row
+    subjects = np.empty((rows, _FIELD_AT[-1]), "<u8")  # each subject's signature
     key_row = np.full(len(_SCENARIOS) << N_ROWS, -1, np.int32)  # each row key's row in canonical
     canonical = np.empty((0, _OUTCOME_WORDS), np.uint64)
-    subject_ids: list[str] = []
-    heads, keys = [], []
-    tables: tuple[list, list] = ([], [])  # per block: the distinct treatment and covariate signatures
-    last = np.full(_FIELD_AT[-1], 2**64 - 1, "<u8")  # the previous row's signature; no row has its lengths
-    rows = 0
+    row = subject = 0
     a = len(_HEADER)
     while a < len(text):
         b = text.rfind("\n", a, a + _READ_BLOCK) + 1 or text.find("\n", a + _READ_BLOCK) + 1
@@ -1111,6 +1125,7 @@ def _read_columns(text: str) -> Dataset | None:
             is_comma[line, at] = False
             commas.append(starts + at)
         cut, arm_end = commas
+        del is_comma  # each temporary goes once used, so that a block's peak stays low
         outcome = arm_end + 1
         tail = outcome + _OUTCOME_WIDTH
         if not (tail < ends).all() or (body[tail] != _COMMA).any():
@@ -1121,7 +1136,8 @@ def _read_columns(text: str) -> Dataset | None:
         scenario = np.zeros(len(ends), np.int64)
         for code, (word, mask) in enumerate(_SCENARIO_WORDS):
             scenario[outcome_words[:, 0] & np.uint64(mask) == word] = code
-        row_keys = scenario << N_ROWS | (outcome_words.view(np.uint8)[:, _CHOICE_AT] == _ONE) @ _ROW_BITS
+        choices = outcome_words.view(np.uint8)[:, _CHOICE_AT] == _ONE
+        row_keys = scenario << N_ROWS | np.packbits(choices, bitorder="little").view("<u2")
         unseen = np.sort(row_keys[key_row[row_keys] < 0])
         fresh = unseen[np.diff(unseen, prepend=-1) != 0]  # not np.unique, which imports numpy.ma on numpy 2.4
         if fresh.size:
@@ -1134,10 +1150,13 @@ def _read_columns(text: str) -> Dataset | None:
             canonical = np.concatenate([canonical, table.view("<u8")])
         if (outcome_words != canonical[key_row[row_keys]]).any():
             return None
+        keys[row : row + len(ends)] = row_keys
+        del outcome_words, choices
 
-        # a subject starts where the subject_id changes, and no other field of the row may
+        # a subject starts where the subject_id changes, and no other field of the row may; the last row
+        # spells the last subject's signature
         signatures = np.empty((len(ends) + 1, _FIELD_AT[-1]), "<u8")
-        signatures[0] = last
+        signatures[0] = subjects[subject - 1] if subject else 2**64 - 1  # no row has these lengths
         for at, count, start, end in zip(_FIELD_AT, _FIELD_WORDS, (starts, cut + 1, tail + 1), (cut, arm_end, ends)):
             length = end - start
             used = -(-int(length.max()) // 8)  # the block's words of this field; its other words are 0
@@ -1150,24 +1169,19 @@ def _read_columns(text: str) -> Dataset | None:
         new = changed[:, : _FIELD_AT[1]].any(axis=1)
         if (changed[:, _FIELD_AT[1] :].any(axis=1) & ~new).any():
             return None
-        last = signatures[-1].copy()
-        subjects = signatures[1:][new]
-        subject_ids += _decoded(subjects[:, 1 : _FIELD_AT[1]])
-        for field, at, end in zip(tables, _FIELD_AT[1:], _FIELD_AT[2:]):
-            groups = _distinct_rows(subjects[:, at:end])
-            if groups is None:
-                return None
-            field.append((subjects[groups[0], at:end], groups[1].astype(np.int32)))
-        heads.append(rows + np.flatnonzero(new))
-        keys.append(row_keys.astype(np.int32))
-        rows += len(ends)
+        heads = np.flatnonzero(new)
+        offsets[subject : subject + len(heads)] = row + heads
+        subjects[subject : subject + len(heads)] = signatures[1 + heads]
+        subject += len(heads)
+        row += len(ends)
         a = b
 
-    offsets, keys = np.concatenate(heads + [[rows]]), np.concatenate(keys)
-    fields = _subject_fields(*tables)
-    del heads, tables  # the blocks' outputs go before the dataset's columns are made
+    del key_row, canonical  # the loop's tables go before the subjects are grouped
+    offsets[subject] = rows
+    columns = _subject_columns(subjects[:subject])
+    del subjects  # before the dataset's columns are checked
     try:
-        return None if fields is None else Dataset._from_columns(subject_ids, *fields, offsets, keys)
+        return None if columns is None else Dataset._from_columns(*columns, offsets[: subject + 1], keys)
     except ValueError:
         return None
 
@@ -1186,7 +1200,8 @@ def read_csv(path: str) -> Dataset:
     treatment and one covariate text. It reads the text in blocks of
     _READ_BLOCK characters (256 KB), comparing fields as 8-byte words, so
     a block's temporaries stay below about 2 MB whatever the file's size,
-    and its peak memory below the loop's. Any other file, and any such
+    and its peak memory below the loop's; no block's output outlives the
+    block, so none pins a hole in the heap. Any other file, and any such
     file that fails a check, is read by _read_lines, the per-line loop,
     which alone raises DataFormatError: every check and every message,
     with its line number, is the loop's, and both give equal datasets.

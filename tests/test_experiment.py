@@ -875,14 +875,43 @@ class TestRecordValidation:
             read_csv(str(path))
         assert str(exc.value) == "subject_ids must be unique"
 
-    def test_repeated_scenario_rejected(self):
+    @pytest.mark.parametrize(
+        "scenarios, repeated",
+        [("S1 S2 S1", "S1"), ("S2 S2", "S2"), ("S2 S2 S1 S1", "S1"), ("S1 S1 S2", "S1"), ("S2 S1 S2", "S2")],
+        ids=["S1-S2-S1", "S2-S2", "S2-S2-S1-S1", "S1-S1-S2", "S2-S1-S2"],
+    )
+    def test_repeated_scenario_rejected(self, tmp_path, scenarios, repeated):
+        # one-row and two-row subjects around the first that repeats a scenario, and a later one
         record = simulate_subject(
             subject_stream(0, 0), Agent(QL, Broad()), Treatment.BROAD, Covariates(True, 30, 5),
             subject_id="X-0000",
         )
-        repeat = SubjectRecord("X-0000", Treatment.BROAD, record.outcomes + record.outcomes[:1], record.covariates)
-        with pytest.raises(ValueError, match="^subject X-0000 repeats scenario S1$"):
-            Dataset((repeat,))
+        outcome = {o.scenario.value: o for o in record.outcomes}
+        rows = ["S2", "S1 S2", "S1", scenarios, "S2 S1", "S2", "S1 S1"]
+        records = [
+            SubjectRecord(f"X-{j:04d}", Treatment.BROAD, tuple(outcome[s] for s in row.split()), record.covariates)
+            for j, row in enumerate(rows)
+        ]
+        message = f"subject X-0003 repeats scenario {repeated}"
+        assert len(Dataset(records[:3] + records[4:6])) == 5
+        with pytest.raises(ValueError) as exc:
+            Dataset(records)
+        assert str(exc.value) == message
+        keys = [experiment._SCENARIO_CODE[o.scenario] << N_ROWS | experiment._accept_code(o.choices)
+                for r in records for o in r.outcomes]
+        offsets = np.cumsum([0] + [len(r.outcomes) for r in records])
+        with pytest.raises(ValueError) as exc:
+            Dataset._from_columns([r.subject_id for r in records], [0] * len(records),
+                                  [[True] * len(records), [30] * len(records), [5] * len(records)], offsets, keys)
+        assert str(exc.value) == message
+        # a canonical file: the columnar reader declines it and read_csv raises the loop's error
+        text = _joined([HEADER] + [
+            f"{r.subject_id},BROAD,{experiment._outcome_text(key)},male,30,5"
+            for r, a, b in zip(records, offsets, offsets[1:]) for key in keys[a:b]
+        ])
+        (tmp_path / "data.csv").write_text(text)
+        assert experiment._read_columns(text) is None
+        assert read_outcome(read_csv, str(tmp_path / "data.csv")) == read_outcome(read_lines, text) == message
 
 
 class TestCsvRoundTrip:
@@ -1079,8 +1108,12 @@ class TestMalformedCsv:
         [
             ([f"C,LOW,{S1_SWITCH},male,30,5"] * 3, "subject C repeats scenario S1"),
             ([VALID_ROWS[3]], "subject B repeats scenario S2"),
+            ([f"C,LOW,{S2_CENSORED},male,30,5"] * 2, "subject C repeats scenario S2"),
+            ([f"C,LOW,{S},male,30,5" for S in (S1_SWITCH, S2_CENSORED, S1_SWITCH)], "subject C repeats scenario S1"),
+            ([f"C,LOW,{S},male,30,5" for S in (S2_CENSORED, S2_CENSORED, S1_SWITCH, S1_SWITCH)],
+             "subject C repeats scenario S1"),
         ],
-        ids=["three-rows-of-S1", "adjacent-S2-row"],
+        ids=["three-rows-of-S1", "adjacent-S2-row", "two-rows-of-S2", "S1-S2-S1", "S2-S2-S1-S1"],
     )
     def test_subject_repeating_a_scenario(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
@@ -1775,7 +1808,8 @@ class TestColumnarReader:
 
     @pytest.mark.parametrize("width", [8, 16, 17])
     def test_write_csv_output_takes_the_columnar_path(self, tmp_path, monkeypatch, width):
-        # ids of 17 characters share their first 16 with their neighbours'
+        # ids of 17 characters share their first 16 with their neighbours'; the ids are decoded 7 at a time
+        monkeypatch.setattr(experiment, "_DECODE_ROWS", 7)
         data = simulate_dataset(small_spec(counts={t: 40 for t in Treatment}, tremble=0.3))
         data = Dataset._from_columns([f"{j:0{width}d}" for j in range(len(data))], *_columns(data)[1:])
         assert set(data._treatment.tolist()) == set(range(len(Treatment)))
@@ -1796,10 +1830,21 @@ class TestColumnarReader:
         # blocks of about two lines, so that cuts fall between a subject's two rows
         monkeypatch.setattr(experiment, "_READ_BLOCK", 150)
         path = tmp_path / "data.csv"
-        write_csv(simulate_dataset(small_spec(counts={t: 20 for t in Treatment}, tremble=0.3)), str(path))
+        data = simulate_dataset(small_spec(counts={t: 20 for t in Treatment}, tremble=0.3))
+        write_csv(data, str(path))
         for text in (path.read_text(), (DATA / "golden_data.csv").read_text()):
             assert any(_split_subjects(text))
             assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+
+        # as many subjects as rows, where the reader's per-subject arrays fill up, and a single row
+        ids, treatment, covariates, offsets, keys = _columns(data)
+        for n in (len(data), 1):
+            one_row = Dataset._from_columns(ids[:n], treatment[:n], [c[:n] for c in covariates], np.arange(n + 1),
+                                            keys[offsets[:n]])
+            write_csv(one_row, str(tmp_path / "one_row.csv"))
+            text = (tmp_path / "one_row.csv").read_text()
+            assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+            assert read_outcome(read_lines, text) == read_outcome(lambda: one_row)
 
         # the first row of a block changes its subject's tediousness, which only the carried last row shows
         lines = path.read_text().splitlines()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
-from bracketlab import _normal, experiment
+from bracketlab import experiment
 from bracketlab._normal import log_ndtr, ndtr, ndtri
 from bracketlab.design import Treatment
 from bracketlab.experiment import KappaComposition, MixtureComposition, PopulationSpec, simulate_dataset, write_csv
@@ -97,12 +97,12 @@ class TestAgainstScipy:
         edges = np.array([np.inf, -np.inf, np.nan])
         assert np.array_equal(log_ndtr(edges), special.log_ndtr(edges), equal_nan=True)
 
-    def test_ndtr_per_element_is_bitwise_scipys(self):
-        # arrays of at most _ELEMENTWISE_MAX elements take ndtr's per-element kernel
+    def test_ndtr_on_floats_and_shaped_arrays_is_bitwise_scipys(self):
+        # the calls its callers make: one float at a time, and arrays of any shape
         x = np.concatenate([_ndtr_points()[::10], NDTR_EDGES])
-        chunks = np.array_split(x, -(-x.size // _normal._ELEMENTWISE_MAX))
-        assert max(map(len, chunks)) <= _normal._ELEMENTWISE_MAX < x.size
-        assert _same(np.concatenate([ndtr(c) for c in chunks]), special.ndtr(x))
+        assert _same([ndtr(v) for v in x.tolist()], special.ndtr(x))
+        grid = x[: 6 * (x.size // 6)].reshape(2, 3, -1)
+        assert _same(ndtr(grid), special.ndtr(grid))
 
 
 # every kind of double: finite, +-0, +-inf, NaN and subnormals; for ndtri
@@ -121,8 +121,7 @@ FUNCTIONS = {"ndtr": ndtr, "ndtri": ndtri, "log_ndtr": log_ndtr}
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_an_array_gives_what_its_elements_give_one_at_a_time(name, data):
-    # sizes on both sides of _ELEMENTWISE_MAX, where ndtr switches kernel
-    x = data.draw(hnp.arrays(np.float64, st.integers(0, 3 * _normal._ELEMENTWISE_MAX), elements=ARGUMENTS[name]))
+    x = data.draw(hnp.arrays(np.float64, st.integers(0, 96), elements=ARGUMENTS[name]))
     function = FUNCTIONS[name]
     with np.errstate(invalid="ignore"):
         one_at_a_time = [function(v) for v in x.tolist()]
