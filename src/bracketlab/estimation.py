@@ -20,7 +20,7 @@ import numpy as np
 
 from ._normal import log_ndtr, ndtr, ndtri
 from .design import CENSOR_CODE, Scenario, Treatment
-from .experiment import Dataset
+from .experiment import _SCENARIOS, Dataset, _distinct_rows
 
 __all__ = [
     "CellSummary",
@@ -278,9 +278,6 @@ def mwu_exact(x, y) -> float:
     return int(subsets[k, far].sum()) / math.comb(n_total, k)
 
 
-_SCENARIOS = (Scenario.S1, Scenario.S2)
-
-
 def _kappa_arrays(
     dataset: Dataset,
     broad_label: Treatment,
@@ -500,20 +497,6 @@ def kappa_profile_oracle(
     return _kappa_profile_argmin(means, counts)
 
 
-def _counted_rows(y, X):
-    """The distinct rows of [X, y], in the order np.lexsort gives their bits, and each one's count."""
-    columns = [column.view(np.uint64) for column in (*X.T, y)]
-    order = np.lexsort(columns)
-    columns = [column[order] for column in columns]
-    new = np.zeros(len(y), bool)
-    new[0] = True
-    for column in columns:
-        new[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(new)
-    *x, y = (column[starts].view(float) for column in columns)
-    return y, np.column_stack(x), np.diff(starts, append=len(order))
-
-
 def _tobit_loglik(theta, y, X, limit, cens, counts):
     """Log-likelihood, gradient and Hessian in theta = (delta, tau) = (beta/sigma, 1/sigma).
 
@@ -551,20 +534,21 @@ def _inverse_information(hess):
 def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
     """Right-censored Tobit by Newton's method in (beta/sigma, 1/sigma).
 
-    Responses at or above the limit, which must be finite, are censored
-    (y >= nan holds for no row). Rows with equal (x, y) enter once,
-    weighted by their count, in the order np.lexsort gives their bits, so
-    the fit does not depend on the order of the rows. A price list
-    records one of 17 wages, so on arm dummies, as estimate tobit fits
-    them, each arm adds at most 17 rows to a sum. Starts from least
-    squares on the uncensored rows, after raising NotConverged for a
-    column of X that is zero on every uncensored row and of one sign on
-    the censored rows, along which the likelihood rises without bound.
-    The log-likelihood is concave in these parameters (Olsen 1978,
-    Econometrica 46:1211): steps are halved until it rises, and the fit
-    ends with a full step once the Newton decrement g.(-H)^-1.g is below
-    1e-9 * max(1, |loglik|). Standard errors map the inverse negative
-    Hessian to (beta, sigma) by the delta method.
+    Responses at or above the limit, which must be finite, are censored,
+    +inf included. A NaN or -inf response, or a NaN or infinite entry of
+    X, raises ValueError. Rows with equal (x, y) enter once, weighted by
+    their count, in the order np.lexsort gives their bits (see
+    experiment._distinct_rows), so the fit does not depend on the order of
+    the rows. A price list records one of 17 wages, so on arm dummies, as
+    estimate tobit fits them, each arm adds at most 17 rows to a sum.
+    Starts from least squares on the uncensored rows, after raising
+    NotConverged for a column of X that is zero on every uncensored row
+    and of one sign on the censored rows, along which the likelihood rises
+    without bound. The log-likelihood is concave in these parameters
+    (Olsen 1978, Econometrica 46:1211): steps are halved until it rises,
+    and the fit ends with a full step once the Newton decrement
+    g.(-H)^-1.g is below 1e-9 * max(1, |loglik|). Standard errors map the
+    inverse negative Hessian to (beta, sigma) by the delta method.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -575,9 +559,14 @@ def tobit_right(y, X, limit: float = CENSOR_CODE) -> TobitFit:
         raise ValueError("y and X have mismatched lengths")
     if not math.isfinite(limit):
         raise ValueError(f"censoring limit must be finite, got {limit}")
+    if np.isnan(y).any() or (y == -math.inf).any():
+        raise ValueError("responses must not be NaN or -inf")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     if np.linalg.matrix_rank(X) < k:
         raise RankDeficient("covariate matrix is rank deficient")
-    y, X, counts = _counted_rows(y, X)
+    first, inverse = _distinct_rows([column.view(np.uint64) for column in (*X.T, y)])
+    y, X, counts = y[first], X[first], np.bincount(inverse)
     cens = y >= limit - 1e-9
     if cens.all():
         raise AllCensored("every response sits at the censoring limit")

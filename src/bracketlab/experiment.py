@@ -77,8 +77,8 @@ def _check_covariates(male: bool, age: int, tediousness: int) -> None:
     """Reject what a Dataset's bool male, int64 age and int8 tediousness columns cannot hold, non-integers included."""
     if not isinstance(male, (bool, np.bool_)):
         raise TypeError(f"male must be a bool, got {male!r}")
-    if not 1 <= operator.index(tediousness) <= 10:
-        raise ValueError("tediousness is a 1..10 scale")
+    if not 1 <= operator.index(tediousness) <= _TEDIOUSNESS_WIDTH:
+        raise ValueError(f"tediousness is a 1..{_TEDIOUSNESS_WIDTH} scale")
     if operator.index(age) < 0:
         raise ValueError("age must be nonnegative")
     if age >= 2**63:
@@ -87,7 +87,7 @@ def _check_covariates(male: bool, age: int, tediousness: int) -> None:
 
 def _check_covariate_columns(male: np.ndarray, age: np.ndarray, tediousness: np.ndarray) -> None:
     """_check_covariates over bool, int64 and int8 columns; the first rejected subject raises its message."""
-    rejected = np.flatnonzero((tediousness < 1) | (tediousness > 10) | (age < 0))
+    rejected = np.flatnonzero((tediousness < 1) | (tediousness > _TEDIOUSNESS_WIDTH) | (age < 0))
     if rejected.size:
         _check_covariates(*(column[rejected[0]].item() for column in (male, age, tediousness)))
 
@@ -167,6 +167,24 @@ def _gather(objects: list, index: np.ndarray) -> list:
     table = np.empty(len(objects), dtype=object)
     table[:] = objects
     return table[index].tolist()
+
+
+def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of equal-length columns, and each row's index into them.
+
+    Exact: the rows are put in np.lexsort order (the last column primary),
+    and a group starts where a row differs from the one before. The groups
+    come in that order, each with its first occurrence, as the sort is stable.
+    """
+    order = np.lexsort(columns)
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for column in columns:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _instances(cls: type, n: int, *columns) -> list:
@@ -357,11 +375,9 @@ class Dataset:
 
     def _distinct_covariates(self) -> tuple[list[np.ndarray], np.ndarray]:
         """Each distinct (male, age, tediousness) value once, as columns sorted by age, tediousness
-        and male, and each subject's index into them."""
+        and male (_distinct_rows on (male, tediousness, age)), and each subject's index into them."""
         male, age, tediousness = self._covariates
-        age_rank = np.unique(age, return_inverse=True)[1]  # below len(self), so packed cannot overflow
-        packed = (age_rank * (_TEDIOUSNESS_WIDTH + 1) + tediousness) * 2 + male
-        _, first, slots = np.unique(packed, return_index=True, return_inverse=True)
+        first, slots = _distinct_rows((male, tediousness, age))
         return [column[first] for column in self._covariates], slots
 
     @functools.cached_property
@@ -1006,7 +1022,6 @@ _HEAD_WORDS = -(-(8 * sum(_FIELD_WORDS[:2]) + 2) // 8)  # a line's words that ho
 _PAD = 8 * max(_HEAD_WORDS, _OUTCOME_WORDS, *_FIELD_WORDS)  # bytes a block's last line may read past its end
 _READ_BLOCK = 1 << 18  # characters per block: its temporaries, at most about 2 MB, are freed before the next
 _DECODE_ROWS = 1 << 12  # rows _decoded turns into bytes objects at once
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _words_at(words: np.ndarray, start: np.ndarray, count: int) -> np.ndarray:
@@ -1031,29 +1046,18 @@ def _decoded(words: np.ndarray) -> list[str]:
     return texts
 
 
-def _distinct_rows(signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The first row of each distinct row of a uint64 matrix, and each row's index into them.
-
-    Rows are grouped by a hash of their columns and then compared in full,
-    so the answer is exact: None if two distinct rows share a hash.
-    """
-    hashed = signatures[:, 0].copy()
-    for column in signatures.T[1:]:
-        hashed = hashed * _HASH_MULTIPLIER + column
-    _, first, inverse = np.unique(hashed, return_index=True, return_inverse=True)
-    return (first, inverse) if (signatures[first[inverse]] == signatures).all() else None
-
-
 def _subject_columns(subjects: np.ndarray) -> tuple[list[str], np.ndarray, list[np.ndarray]] | None:
     """Each subject's id, treatment code and covariate columns from the subjects' signatures, each
-    distinct treatment and covariate text parsed once; None on a doubt."""
+    distinct treatment and covariate text parsed once; None if one fails to parse.
+
+    Texts are grouped by their words alone: a field holds no NUL and its
+    words are zeroed past its length, so its words fix its text.
+    """
     fields = []
     for at, end in zip(_FIELD_AT[1:], _FIELD_AT[2:]):
-        groups = _distinct_rows(subjects[:, at:end])
-        if groups is None:
-            return None
-        first, index = groups
-        fields.append((_decoded(subjects[first, at + 1 : end]), index))
+        words = subjects[:, at + 1 : end]
+        first, index = _distinct_rows(list(words.T))
+        fields.append((_decoded(words[first]), index))
     (arm_texts, arm_index), (person_texts, person_index) = fields
     if any(text.count(",") != 2 for text in person_texts):  # other cell counts: the loop's field count error
         return None

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -592,7 +593,78 @@ def _tobit_arms():
     )
 
 
+def _counted_rows(y, X):
+    """The distinct rows of [X, y], in the order np.lexsort gives their bits, and each one's count: the
+    collapse tobit_right made before it grouped with experiment._distinct_rows (the oracle)."""
+    columns = [column.view(np.uint64) for column in (*X.T, y)]
+    order = np.lexsort(columns)
+    columns = [column[order] for column in columns]
+    new = np.zeros(len(y), bool)
+    new[0] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new)
+    *x, y = (column[starts].view(float) for column in columns)
+    return y, np.column_stack(x), np.diff(starts, append=len(order))
+
+
+def _collapsed_rows(y, X):
+    """The (y, X, counts) that tobit_right hands its likelihood, or None if it raises before the first call."""
+    seen = []
+
+    def recording(theta, y, X, limit, cens, counts):
+        seen.append((y, X, counts))
+        return _tobit_loglik(theta, y, X, limit, cens, counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("bracketlab.estimation._tobit_loglik", recording)
+        try:
+            tobit_right(y, X)
+        except (AllCensored, NotConverged):
+            pass
+    return seen[0] if seen else None
+
+
+def _assert_collapse_is_counted_rows(y, X):
+    got, want = _collapsed_rows(y, X), _counted_rows(y, X)
+    assert got is not None
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# one finite design, and the one cell that each case makes non-finite
+_FINITE_Y = np.array([1.0, 2.0, 2.5, 3.0, 3.5, 1.5])
+_FINITE_X = np.column_stack([np.ones(6), [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
+NON_FINITE = {
+    "nan-y": (None, math.nan),
+    "minus-inf-y": (None, -math.inf),
+    "plus-inf-y": (None, math.inf),
+    "nan-X": (0, math.nan),
+    "inf-X": (0, math.inf),
+    "nan-X-second-column": (1, math.nan),
+}
+
+
 class TestTobit:
+    @pytest.mark.parametrize("column, value", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_non_finite_input_is_rejected_before_numpy_sees_it(self, column, value):
+        y, X = _FINITE_Y.copy(), _FINITE_X.copy()
+        if column is None:
+            y[2] = value
+        else:
+            X[2, column] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the likelihood must not warn first
+            if value == math.inf and column is None:
+                # a response above the limit is censored, however far
+                fit = tobit_right(y, X)
+                y[2] = CENSOR_CODE
+                assert (fit.n_censored, fit.n_uncensored) == (1, 5)
+                assert fit.beta == pytest.approx(tobit_right(y, X).beta, rel=1e-9)
+                return
+            with pytest.raises(ValueError, match="NaN or -inf" if column is None else "X must be finite"):
+                tobit_right(y, X)
+
     @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
     def test_non_finite_limit_is_rejected(self, limit):
         # y >= nan holds for no row: a NaN limit would fit an uncensored model
@@ -754,6 +826,22 @@ class TestTobit:
         arms = max(len(names) for _, names, _ in fits)
         assert all(fit.n_censored + fit.n_uncensored > arms * len(_WAGE_GRID) for _, _, fit in fits)
         assert rows and max(rows) <= arms * len(_WAGE_GRID)
+
+    def test_collapse_is_the_counted_rows_on_golden_data(self, monkeypatch):
+        designs = []
+        monkeypatch.setattr("bracketlab.cli.tobit_right", lambda y, X, limit: designs.append((y, X)))
+        _tobit_fits(read_csv(str(GOLDEN_CSV)), True, CENSOR_CODE)
+        assert len(designs) == 2
+        for y, X in designs:
+            _assert_collapse_is_counted_rows(y, X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tobit_arms(), st.randoms(use_true_random=False))
+    def test_collapse_is_the_counted_rows(self, arms, rng):
+        y, X = _arm_design(arms)
+        order = list(range(len(y)))
+        rng.shuffle(order)
+        _assert_collapse_is_counted_rows(y[order], X[order])
 
     def test_all_censored(self):
         with pytest.raises(AllCensored):

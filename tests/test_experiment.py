@@ -43,6 +43,7 @@ from bracketlab.experiment import (
     subject_stream,
     write_csv,
     _accept_codes,
+    _distinct_rows,
     _outcome_text,
     _outcomes,
     _parse_row,
@@ -1561,6 +1562,75 @@ def constructed_records(dataset):
     )
 
 
+def packed_distinct_covariates(dataset):
+    """Dataset._distinct_covariates by packing each subject's age rank, tediousness and male into one
+    int64 and taking np.unique of the packed keys (the oracle)."""
+    male, age, tediousness = dataset._covariates
+    age_rank = np.unique(age, return_inverse=True)[1]  # below len(dataset), so packed cannot overflow
+    packed = (age_rank * (experiment._TEDIOUSNESS_WIDTH + 1) + tediousness) * 2 + male
+    _, first, slots = np.unique(packed, return_index=True, return_inverse=True)
+    return [column[first] for column in dataset._covariates], slots
+
+
+# a few values of each dtype, its extremes among them, so that rows repeat
+ALPHABETS = {
+    np.bool_: [False, True],
+    np.int8: [-128, 0, 1, 127],
+    np.int64: [-(2**63), -1, 0, 2**63 - 1],
+    np.uint64: [0, 1, 2**63, 2**64 - 1],
+}
+
+
+@st.composite
+def small_alphabet_columns(draw):
+    """1-4 columns of one length, 0-30, each of a dtype drawn from ALPHABETS and valued in its alphabet."""
+    n = draw(st.integers(0, 30))
+    dtypes = draw(st.lists(st.sampled_from(list(ALPHABETS)), min_size=1, max_size=4))
+    return [np.array(draw(st.lists(st.sampled_from(ALPHABETS[t]), min_size=n, max_size=n)), t) for t in dtypes]
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(small_alphabet_columns())
+    @example([np.array([], np.int8), np.array([], np.uint64)])
+    @example([np.array([True]), np.array([2**64 - 1], np.uint64)])
+    def test_groups_in_lexsort_order_by_first_occurrence(self, columns):
+        first, inverse = _distinct_rows(columns)
+        rows = list(zip(*(column.tolist() for column in columns))) if columns[0].size else []
+        # the last column primary, as np.lexsort orders; the first index of each distinct row
+        distinct = sorted(set(rows), key=lambda row: row[::-1])
+        assert first.tolist() == [rows.index(row) for row in distinct]
+        assert inverse.tolist() == [distinct.index(row) for row in rows]
+        for column in columns:
+            assert (column[first][inverse] == column).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.sampled_from([0, 1, 17, 18, 2**63 - 1]), st.integers(1, 10)),
+            min_size=0,
+            max_size=30,
+        )
+    )
+    def test_distinct_covariates_are_the_packed_oracles(self, people):
+        data = simulate_dataset(small_spec(counts={Treatment.BROAD: 30}, tremble=0.3))
+        ids, treatment, _, offsets, keys = _columns(data)
+        n = len(people)
+        covariates = list(zip(*people)) or ((), (), ())
+        dataset = Dataset._from_columns(ids[:n], treatment[:n], covariates, offsets[: n + 1], keys[: offsets[n]])
+        (values, slots), (want_values, want_slots) = dataset._distinct_covariates(), packed_distinct_covariates(dataset)
+        assert [(v.dtype, v.tolist()) for v in values] == [(v.dtype, v.tolist()) for v in want_values]
+        assert (slots.dtype, slots.tolist()) == (want_slots.dtype, want_slots.tolist())
+
+    @pytest.mark.parametrize("path", ["golden", "simulated"])
+    def test_distinct_covariates_are_the_packed_oracles_on_data(self, path):
+        dataset = read_csv(str(DATA / "golden_data.csv")) if path == "golden" else simulate_dataset(small_spec())
+        values, slots = dataset._distinct_covariates()
+        want_values, want_slots = packed_distinct_covariates(dataset)
+        assert [v.tobytes() for v in values] == [v.tobytes() for v in want_values]
+        assert slots.tobytes() == want_slots.tobytes()
+
+
 def _columns(dataset):
     """What Dataset._from_columns takes, read off a dataset."""
     return dataset._subject_ids, dataset._treatment, dataset._covariates, dataset._offsets, dataset._keys
@@ -1671,9 +1741,9 @@ class TestFilledRecords:
         assert type(got.value) is type(want.value)
 
     def test_rejected_value_that_packs_like_a_valid_one(self, tmp_path):
-        # (age rank 0, tediousness 12) and (age rank 1, tediousness 1) share a packed
-        # distinct-value key; the valid value comes first, so only a check of the
-        # whole columns sees the other, before records or write_csv pack them
+        # (age rank 0, tediousness 12) and (age rank 1, tediousness 1) share a key under
+        # packed_distinct_covariates; the valid value comes first, so only a check of the
+        # whole columns sees the other, before records or write_csv group them
         with pytest.raises(ValueError, match=r"^tediousness is a 1\.\.10 scale$"):
             Dataset._from_columns(("B", "A"), [0, 0], ([True, True], [31, 30], [1, 12]), [0, 1, 2], [0, 0])
 
@@ -1821,6 +1891,20 @@ class TestColumnarReader:
 
         monkeypatch.setattr(experiment, "_read_lines", fallback)
         assert read_outcome(read_csv, str(path)) == read_outcome(lambda: data)
+
+    def test_covariate_texts_that_share_their_first_word(self, tmp_path):
+        # "female,18,1" and "female,18,10" share their first 8 bytes and differ in length; so do
+        # "male,18,1" and "male,18,10", whose second words are "1" and "10"
+        people = [(False, 18, 1), (False, 18, 10), (True, 18, 1), (True, 18, 10), (False, 181, 1), (False, 1, 8)]
+        data = simulate_dataset(small_spec(counts={Treatment.BROAD: 2 * len(people)}, tremble=0.3))
+        ids, treatment, _, offsets, keys = _columns(data)
+        people = people + people[::-1]
+        data = Dataset._from_columns(ids, treatment, list(zip(*people)), offsets, keys)
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+        text = path.read_text()
+        assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+        assert read_outcome(read_lines, text) == read_outcome(lambda: data)
 
     def test_golden_data_takes_the_columnar_path(self):
         text = (DATA / "golden_data.csv").read_text()
