@@ -329,15 +329,24 @@ def _kappa_fitted(theta: np.ndarray) -> np.ndarray:
     return np.concatenate([b, n, (1.0 - kappa) * b + kappa * n])
 
 
+# the per-cell Jacobian's entries that do not depend on theta: the four cell effects' own rows
+_KAPPA_JAC_BASE = np.zeros((6, 5))
+_KAPPA_JAC_BASE[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+
+
 def _kappa_jac(theta: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """Jacobian of the fitted values per row, gathered from a per-cell table."""
     b, n, kappa = theta[0:2], theta[2:4], theta[4]
-    jac = np.zeros((6, 5))
-    jac[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
-    jac[[4, 5], [0, 1]] = 1.0 - kappa
-    jac[[4, 5], [2, 3]] = kappa
-    jac[[4, 5], 4] = n - b
+    jac = _KAPPA_JAC_BASE.copy()
+    jac[4, 0] = jac[5, 1] = 1.0 - kappa
+    jac[4, 2] = jac[5, 3] = kappa
+    jac[4:, 4] = n - b
     return np.take(jac, cell, axis=0)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-d float array, as np.linalg.norm computes it: the root of v @ v."""
+    return math.sqrt(v.dot(v))
 
 
 def nls_kappa(
@@ -373,7 +382,7 @@ def nls_kappa(
     for iterations in range(1, _MAX_ITER + 1):
         jac = _kappa_jac(theta, cell)
         score = jac.T @ resid  # half the gradient of the rss
-        if float(np.linalg.norm(2.0 * score)) < _GRAD_TOL:
+        if _norm(2.0 * score) < _GRAD_TOL:
             converged = True
             break
         step, *_ = np.linalg.lstsq(jac.T @ jac, score, rcond=None)
@@ -387,9 +396,9 @@ def nls_kappa(
         # the last trial is at the step taken, so its residual is the new one
         taken = lam * step
         theta, resid, rss = theta + taken, trial, rss_trial
-        if float(np.linalg.norm(taken)) < _STEP_TOL:
+        if _norm(taken) < _STEP_TOL:
             jac = _kappa_jac(theta, cell)
-            converged = float(np.linalg.norm(2.0 * (jac.T @ resid))) < _GRAD_TOL
+            converged = _norm(2.0 * (jac.T @ resid)) < _GRAD_TOL
             break
     else:
         raise NotConverged(f"Gauss-Newton did not converge in {_MAX_ITER} iterations")

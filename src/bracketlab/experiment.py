@@ -353,23 +353,30 @@ class Dataset:
         """One SubjectRecord per subject, filled from the columns on first use.
 
         Each distinct row key gets one ScenarioOutcome from its
-        constructor. The Covariates (one per distinct value) and the
-        records are filled from the columns, which _fill checked as
-        Covariates and SubjectRecord check each object, without an
-        __init__ call (see _instances).
+        constructor. When every subject has two rows, as in every
+        simulated dataset, each subject's outcome pair is zipped from the
+        even and odd rows; otherwise each is a slice of the rows. The
+        Covariates (one per distinct value) and the records are filled
+        from the columns, which _fill checked as Covariates and
+        SubjectRecord check each object, without an __init__ call (see
+        _instances).
         """
         keys, slots = np.unique(self._keys, return_inverse=True)
-        outcomes = tuple(_gather(_outcomes(keys), slots))
+        outcomes = _gather(_outcomes(keys), slots)
+        if len(outcomes) == 2 * len(self):
+            # each subject has one or two rows, so here every subject has two: rows 2i and 2i + 1
+            pairs = zip(outcomes[0::2], outcomes[1::2])
+        else:
+            offsets = self._offsets.tolist()
+            pairs = map(tuple(outcomes).__getitem__, map(slice, offsets, offsets[1:]))
         values, people = self._distinct_covariates()
-        offsets = self._offsets.tolist()
         persons = _instances(Covariates, len(values[0]), *(column.tolist() for column in values))
-        arms = tuple(Treatment)
         return tuple(_instances(
             SubjectRecord,
             len(self),
             self._subject_ids,
-            map(arms.__getitem__, self._treatment.tolist()),
-            map(outcomes.__getitem__, map(slice, offsets, offsets[1:])),
+            _gather(list(Treatment), self._treatment),
+            pairs,
             _gather(persons, people),
         ))
 
@@ -860,6 +867,19 @@ def population_digest(spec: PopulationSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+# the first two and the last two digits of the subject-id suffixes -0000 to -9999
+_ID_HIGH = tuple(f"-{i:02d}" for i in range(100))
+_ID_LOW = tuple(f"{i:02d}" for i in range(100))
+
+
+def _id_suffixes(count: int) -> list[str]:
+    """f"-{j:04d}" for j in range(count): joined from _ID_HIGH and _ID_LOW below 10,000, formatted from there up."""
+    suffixes = [high + low for high in _ID_HIGH[: -(-count // 100)] for low in _ID_LOW]
+    del suffixes[count:]
+    suffixes += (f"-{j:04d}" for j in range(10_000, count))
+    return suffixes
+
+
 def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     """Simulate every subject in the population specification.
 
@@ -873,11 +893,13 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     path (see _draw_columns) are redrawn one at a time from their own
     streams. The subjects' parameters stay in columns, and every cell's
     reservation wages come from one call to population_wages. workers is
-    kept for compatibility: it must be at least 1 and has no effect on
-    the output or the speed.
+    kept for compatibility: it must be an integer (not a bool) of at
+    least 1 and has no effect on the output or the speed.
     """
+    if not _is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise ValueError(f"workers must be at least 1, got {workers}")
     digest = population_digest(spec)
     count = max(spec.counts.values(), default=0)
     if not count:
@@ -892,7 +914,7 @@ def simulate_dataset(spec: PopulationSpec, workers: int = 1) -> Dataset:
     except NoIndifference as exc:
         subject = f"{exc.spec.treatment.value}-{exc.index:04d}"
         raise NoIndifference(f"{exc}, subject {subject}", exc.index, exc.spec) from None
-    suffixes = [f"-{j:04d}" for j in range(count)]
+    suffixes = _id_suffixes(count)
     subject_ids, codes = [], []
     for k, (treatment, n) in enumerate(arms):
         subject_ids += map(treatment.value.__add__, suffixes[:n])

@@ -239,8 +239,24 @@ class TestSimulateDataset:
     def test_deterministic(self):
         assert simulate_dataset(small_spec()) == simulate_dataset(small_spec())
 
-    def test_worker_invariant(self):
-        assert simulate_dataset(small_spec(), workers=1) == simulate_dataset(small_spec(), workers=4)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        counts=st.dictionaries(st.sampled_from(Treatment), st.integers(0, 6), max_size=3),
+        seed=st.integers(0, 2**32),
+        composition=st.one_of(
+            st.floats(0.0, 1.0).map(MixtureComposition), st.floats(0.0, 1.5).map(KappaComposition)
+        ),
+        tremble=st.sampled_from([0.0, 0.3]),
+        workers=st.integers(1, 4),
+    )
+    @example(
+        counts=small_spec().counts, seed=7, composition=MixtureComposition(0.5), tremble=0.1, workers=4
+    )
+    def test_worker_invariant(self, counts, seed, composition, tremble, workers):
+        spec = small_spec(counts=counts, seed=seed, composition=composition, tremble=tremble)
+        data, serial = simulate_dataset(spec, workers=workers), simulate_dataset(spec, workers=1)
+        assert data == serial
+        assert (data.seed, data.spec_digest) == (serial.seed, serial.spec_digest)
 
     def test_counts_and_ids(self):
         data = simulate_dataset(small_spec())
@@ -248,6 +264,14 @@ class TestSimulateDataset:
         assert data.records[0].subject_id == "BROAD-0000"
         treatments = [r.treatment for r in data.records]
         assert treatments == sorted(treatments, key=lambda t: list(Treatment).index(t))
+
+    @pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 9_999, 10_000, 10_001])
+    def test_id_suffixes_are_the_formatted_ones(self, count):
+        assert experiment._id_suffixes(count) == [f"-{j:04d}" for j in range(count)]
+
+    def test_ids_past_the_suffix_tables(self):
+        data = simulate_dataset(small_spec(counts={Treatment.BROAD: 10_001}))
+        assert [r.subject_id for r in data.records[-3:]] == ["BROAD-9998", "BROAD-9999", "BROAD-10000"]
 
     def test_empty_counts(self):
         assert len(simulate_dataset(small_spec(counts={}))) == 0
@@ -343,6 +367,10 @@ class TestSimulateDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_dataset(small_spec(), workers=0)
+        with pytest.raises(ValueError, match=r"^workers must be an integer, got 1\.5$"):
+            simulate_dataset(small_spec(), workers=1.5)
+        with pytest.raises(ValueError, match=r"^workers must be an integer, got True$"):
+            simulate_dataset(small_spec(), workers=True)
         with pytest.raises(ValueError):
             small_spec(tremble=1.5)
         with pytest.raises(ValueError):
