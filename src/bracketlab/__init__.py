@@ -17,201 +17,25 @@ Three layers, usable separately:
 The `bracketlab` console script exposes all three as subcommands.
 """
 
-from .preferences import (
-    Bundle,
-    CaraMoneyPowerCost,
-    CrraMoney,
-    LinearMetric,
-    Lottery,
-    NonMonotoneModel,
-    QuasiLinearPowerCost,
-    ROOT_TOL,
-    UtilityModel,
-    ZERO_BUNDLE,
-    certainty_equivalent,
-    expected_utility,
-    money_metric,
-    utility,
-)
-from .design import (
-    BASE_WAGE,
-    CENSOR_CODE,
-    PriceList,
-    Scenario,
-    Treatment,
-    TreatmentSpec,
-    price_list,
-    treatment_spec,
-)
-from .agents import (
-    Agent,
-    BracketingMode,
-    Broad,
-    ConvexKappa,
-    ModeUnsupported,
-    Narrow,
-    NoIndifference,
-    Partial,
-    reservation_wage_exact,
-    snap_to_list,
-)
-from .experiment import (
-    CSV_COLUMNS,
-    Covariates,
-    DataFormatError,
-    Dataset,
-    KappaComposition,
-    MixtureComposition,
-    PopulationSpec,
-    ScenarioOutcome,
-    SubjectRecord,
-    iter_observations,
-    population_digest,
-    read_csv,
-    simulate_dataset,
-    simulate_subject,
-    write_csv,
-)
-from .estimation import (
-    AllCensored,
-    CellSummary,
-    Degenerate,
-    EmptySample,
-    InvalidParams,
-    KappaFit,
-    MwuResult,
-    NotConverged,
-    RankDeficient,
-    TobitFit,
-    TooLarge,
-    cell_wages,
-    kappa_profile_oracle,
-    mwu_exact,
-    mwu_test,
-    nls_kappa,
-    power_two_sample,
-    summarize_means,
-    tobit_right,
-)
-from .theory import (
-    ChoiceTrace,
-    ChosenNotInMenu,
-    MenuPair,
-    TieDetected,
-    VerifyRow,
-    Violation,
-    ViolationReport,
-    ZooEntry,
-    additivity_residual,
-    cara_shift_invariance,
-    epsilon_menu_pair,
-    maximizer_choices,
-    mixture_linearity,
-    model_zoo,
-    trace_pair,
-    unidentifiability_probe,
-    verify_rows,
-    warp_scan,
-)
-from .config import ConfigError, RunConfig, example_config, parse_config
+from . import preferences, design, agents, experiment, estimation, theory, config
+from .preferences import *
+from .design import *
+from .agents import *
+from .experiment import *
+from .estimation import *
+from .theory import *
+from .config import *
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in the __all__ of the module that defines it
 __all__ = [
     "__version__",
-    # preferences
-    "Bundle",
-    "ZERO_BUNDLE",
-    "Lottery",
-    "UtilityModel",
-    "QuasiLinearPowerCost",
-    "CaraMoneyPowerCost",
-    "LinearMetric",
-    "CrraMoney",
-    "NonMonotoneModel",
-    "ROOT_TOL",
-    "utility",
-    "expected_utility",
-    "money_metric",
-    "certainty_equivalent",
-    # design
-    "Treatment",
-    "Scenario",
-    "TreatmentSpec",
-    "PriceList",
-    "treatment_spec",
-    "price_list",
-    "BASE_WAGE",
-    # agents
-    "Agent",
-    "BracketingMode",
-    "Broad",
-    "Narrow",
-    "Partial",
-    "ConvexKappa",
-    "ModeUnsupported",
-    "NoIndifference",
-    "CENSOR_CODE",
-    "reservation_wage_exact",
-    "snap_to_list",
-    # experiment
-    "Covariates",
-    "ScenarioOutcome",
-    "SubjectRecord",
-    "Dataset",
-    "MixtureComposition",
-    "KappaComposition",
-    "PopulationSpec",
-    "simulate_subject",
-    "simulate_dataset",
-    "iter_observations",
-    "population_digest",
-    "read_csv",
-    "write_csv",
-    "CSV_COLUMNS",
-    "DataFormatError",
-    # estimation
-    "CellSummary",
-    "MwuResult",
-    "KappaFit",
-    "TobitFit",
-    "cell_wages",
-    "summarize_means",
-    "mwu_test",
-    "mwu_exact",
-    "nls_kappa",
-    "kappa_profile_oracle",
-    "tobit_right",
-    "power_two_sample",
-    "EmptySample",
-    "TooLarge",
-    "Degenerate",
-    "NotConverged",
-    "AllCensored",
-    "RankDeficient",
-    "InvalidParams",
-    # theory
-    "MenuPair",
-    "ChoiceTrace",
-    "Violation",
-    "ViolationReport",
-    "TieDetected",
-    "ChosenNotInMenu",
-    "additivity_residual",
-    "trace_pair",
-    "unidentifiability_probe",
-    "epsilon_menu_pair",
-    "cara_shift_invariance",
-    "mixture_linearity",
-    "warp_scan",
-    "maximizer_choices",
-    "ZooEntry",
-    "model_zoo",
-    "VerifyRow",
-    "verify_rows",
-    # config
-    "ConfigError",
-    "RunConfig",
-    "parse_config",
-    "example_config",
+    *preferences.__all__,
+    *design.__all__,
+    *agents.__all__,
+    *experiment.__all__,
+    *estimation.__all__,
+    *theory.__all__,
+    *config.__all__,
 ]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CENSOR_CODE, N_ROWS, RECORDED_WAGE, Treatment, TreatmentSpec, snap_rows
+from .design import N_ROWS, RECORDED_WAGE, Treatment, TreatmentSpec, snap_rows
 from .preferences import Bundle, UtilityModel
 
 __all__ = [
@@ -27,11 +27,9 @@ __all__ = [
     "Agent",
     "ModeUnsupported",
     "NoIndifference",
-    "CENSOR_CODE",
     "WAGE_BRACKET",
     "population_wages",
     "reservation_wage_exact",
-    "snap_rows",
     "snap_to_list",
 ]
 

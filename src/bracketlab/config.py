@@ -64,8 +64,9 @@ def parse_config(
 ) -> RunConfig:
     """Read a run configuration, validating keys and the required seed.
 
-    require_seed=False is for estimator-only consumers; a missing seed
-    then falls back to 0 instead of failing.
+    require_seed=False is for estimator-only consumers; a missing
+    [population] section or seed is then accepted, the seed falling back
+    to 0.
     """
     parser = configparser.ConfigParser()
     try:
@@ -82,7 +83,7 @@ def parse_config(
         for key in parser.options(section):
             if key not in known[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if not parser.has_section("population"):
+    if require_seed and not parser.has_section("population"):
         raise ConfigError("missing required section [population]")
 
     counts = {}

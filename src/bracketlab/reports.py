@@ -18,7 +18,6 @@ from .theory import VerifyRow
 
 __all__ = [
     "MwuRow",
-    "VerifyRow",
     "render_means_markdown",
     "render_means_csv",
     "render_mwu_markdown",

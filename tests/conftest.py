@@ -1,8 +1,7 @@
 """Builders for hand-constructed datasets with exact cell means."""
 import math
 
-from bracketlab.agents import CENSOR_CODE
-from bracketlab.design import Scenario, Treatment, price_list
+from bracketlab.design import CENSOR_CODE, Scenario, Treatment, price_list
 from bracketlab.experiment import Covariates, Dataset, ScenarioOutcome, SubjectRecord
 
 WAGES = price_list().extra_wages

@@ -10,7 +10,6 @@ from bracketlab import agents
 from bracketlab.agents import (
     Agent,
     Broad,
-    CENSOR_CODE,
     ConvexKappa,
     ModeUnsupported,
     Narrow,
@@ -22,7 +21,7 @@ from bracketlab.agents import (
     snap_rows,
     snap_to_list,
 )
-from bracketlab.design import Scenario, Treatment, price_list, treatment_spec
+from bracketlab.design import CENSOR_CODE, Scenario, Treatment, price_list, treatment_spec
 from bracketlab.preferences import (
     ROOT_TOL,
     Bundle,

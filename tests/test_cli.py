@@ -6,11 +6,11 @@ import pytest
 
 from conftest import records_from_wages
 from bracketlab import cli, experiment, theory
-from bracketlab.agents import CENSOR_CODE, ModeUnsupported, NoIndifference
+from bracketlab.agents import ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
 from bracketlab.estimation import nls_kappa
-from bracketlab.design import Treatment
+from bracketlab.design import CENSOR_CODE, Treatment
 from bracketlab.experiment import (
     CSV_COLUMNS,
     Dataset,
@@ -265,6 +265,16 @@ def test_estimator_config_values_are_defaults_not_errors(tmp_path):
         argv = ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
         assert main(argv) == 0
         assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")
+
+
+def test_estimators_only_config_applies_to_estimate(tmp_path):
+    # [population] is required only by simulate
+    config = tmp_path / "est.ini"
+    config.write_text("[estimators]\ncontinuity = true\n", encoding="utf-8")
+    rc = main(["estimate", "mwu", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
+    assert rc == 0
+    header, *rows = (tmp_path / "mwu.csv").read_text(encoding="utf-8").splitlines()
+    assert header.endswith(",continuity") and rows and {row.rsplit(",", 1)[1] for row in rows} == {"1"}
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])

@@ -60,6 +60,13 @@ def test_seed_override_and_optional_seed(tmp_path):
     assert parse_config(write(tmp_path, MINIMAL), seed_override=9).population.seed == 9
 
 
+def test_estimators_only_config_needs_population_for_a_seed(tmp_path):
+    path = write(tmp_path, "[estimators]\ncontinuity = true\n")
+    with pytest.raises(ConfigError, match=r"missing required section \[population\]"):
+        parse_config(path)
+    assert parse_config(path, require_seed=False).continuity
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "[population]\nseed = 1\nbroa = 10\n")
     with pytest.raises(ConfigError, match="broa"):

@@ -12,9 +12,8 @@ from scipy.special import ndtr
 from scipy.stats import norm, rankdata
 
 from conftest import dataset_from_cell_means, records_from_wages, wages_with_mean
-from bracketlab.agents import CENSOR_CODE
 from bracketlab.cli import _tobit_fits
-from bracketlab.design import CODE_CONSISTENT, N_ROWS, RECORDED_WAGE, Scenario, Treatment, price_list
+from bracketlab.design import CENSOR_CODE, CODE_CONSISTENT, N_ROWS, RECORDED_WAGE, Scenario, Treatment, price_list
 from bracketlab.experiment import (
     Covariates,
     Dataset,

@@ -31,11 +31,25 @@ def test_cli_shares_the_theory_suites():
     assert cli.SUITES is theory.SUITES
 
 
-def test_every_package_export_is_a_submodule_export():
-    # the package re-exports its modules' public names, so each one is
-    # declared public where it lives
-    declared = {n for m in MODULES[1:] for n in getattr(importlib.import_module(m), "__all__", ())}
-    assert [n for n in bracketlab.__all__ if n != "__version__" and n not in declared] == []
+LAYERS = ("preferences", "design", "agents", "experiment", "estimation", "theory", "config")
+
+
+def test_package_exports_are_the_layers_exports():
+    # the package re-exports its layers' public names, so each one is
+    # declared public where it lives, and only there
+    layers = [importlib.import_module(f"bracketlab.{m}") for m in LAYERS]
+    expected = ["__version__"] + [n for layer in layers for n in layer.__all__]
+    assert bracketlab.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert [n for layer in layers for n in layer.__all__ if getattr(bracketlab, n) is not getattr(layer, n)] == []
+
+
+def test_no_name_is_declared_public_twice():
+    owners = {}
+    for name in MODULES[1:]:
+        for n in getattr(importlib.import_module(name), "__all__", ()):
+            owners.setdefault(n, []).append(name)
+    assert {n: names for n, names in owners.items() if len(names) > 1} == {}
 
 
 # the price list and the reading of a row pattern on it, owned by design

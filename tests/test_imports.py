@@ -103,7 +103,8 @@ def _unused_imports(source: str) -> list[str]:
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported |= {elt.value for elt in node.value.elts}
+            # a starred entry such as *a.__all__ uses a, which the scan of Names has seen
+            exported |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used | exported]
 
 
@@ -121,3 +122,14 @@ def test_scan_flags_an_unused_import():
         "sys.exit(tau)\n"
     )
     assert _unused_imports(source) == ["os (line 2)"]
+
+
+def test_scan_reads_a_starred_all():
+    # the package __init__ star-imports each layer and re-exports it as *layer.__all__
+    source = (
+        "import os\n"
+        "from . import a\n"
+        "from .a import *\n"
+        "__all__ = [*a.__all__]\n"
+    )
+    assert _unused_imports(source) == ["os (line 1)"]
