@@ -1,7 +1,11 @@
 """Design table, subject simulation, dataset determinism, CSV round-trips."""
 import copy
 import math
+import mmap
+import os
 import pickle
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
@@ -899,7 +903,7 @@ class TestRecordValidation:
         lines = path.read_text().splitlines(keepends=True)
         first = [line for line in lines[1:] if line.partition(",")[0] == ids[0]]
         path.write_text("".join(lines + first))
-        assert experiment._read_columns(path.read_text()) is None
+        assert experiment._read_columns(path.read_bytes()) is None
         with pytest.raises(DataFormatError) as exc:
             read_csv(str(path))
         assert str(exc.value) == "subject_ids must be unique"
@@ -939,7 +943,7 @@ class TestRecordValidation:
             for r, a, b in zip(records, offsets, offsets[1:]) for key in keys[a:b]
         ])
         (tmp_path / "data.csv").write_text(text)
-        assert experiment._read_columns(text) is None
+        assert experiment._read_columns(text.encode()) is None
         assert read_outcome(read_csv, str(tmp_path / "data.csv")) == read_outcome(read_lines, text) == message
 
 
@@ -1898,7 +1902,7 @@ class TestColumnarReader:
         path.write_bytes(text.encode("utf-8"))
         oracle = read_outcome(read_lines, text)
         assert read_outcome(read_csv, str(path)) == oracle
-        columns = experiment._read_columns(text)
+        columns = experiment._read_columns(text.encode("utf-8"))
         if perturbation in COLUMNAR:
             assert read_outcome(lambda: columns) == oracle
         else:
@@ -1931,12 +1935,12 @@ class TestColumnarReader:
         path = tmp_path / "data.csv"
         write_csv(data, str(path))
         text = path.read_text()
-        assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+        assert read_outcome(experiment._read_columns, text.encode()) == read_outcome(read_lines, text)
         assert read_outcome(read_lines, text) == read_outcome(lambda: data)
 
     def test_golden_data_takes_the_columnar_path(self):
         text = (DATA / "golden_data.csv").read_text()
-        assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+        assert read_outcome(experiment._read_columns, text.encode()) == read_outcome(read_lines, text)
 
     def test_subjects_cut_by_a_block_end_read_as_the_loop_reads_them(self, tmp_path, monkeypatch):
         # blocks of about two lines, so that cuts fall between a subject's two rows
@@ -1946,7 +1950,7 @@ class TestColumnarReader:
         write_csv(data, str(path))
         for text in (path.read_text(), (DATA / "golden_data.csv").read_text()):
             assert any(_split_subjects(text))
-            assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+            assert read_outcome(experiment._read_columns, text.encode()) == read_outcome(read_lines, text)
 
         # as many subjects as rows, where the reader's per-subject arrays fill up, and a single row
         ids, treatment, covariates, offsets, keys = _columns(data)
@@ -1955,7 +1959,7 @@ class TestColumnarReader:
                                             keys[offsets[:n]])
             write_csv(one_row, str(tmp_path / "one_row.csv"))
             text = (tmp_path / "one_row.csv").read_text()
-            assert read_outcome(experiment._read_columns, text) == read_outcome(read_lines, text)
+            assert read_outcome(experiment._read_columns, text.encode()) == read_outcome(read_lines, text)
             assert read_outcome(read_lines, text) == read_outcome(lambda: one_row)
 
         # the first row of a block changes its subject's tediousness, which only the carried last row shows
@@ -1965,7 +1969,7 @@ class TestColumnarReader:
         cells[-1] = str(int(cells[-1]) % 9 + 1)  # one digit stays one digit, so the cuts stay where they are
         lines[no - 1] = ",".join(cells)
         path.write_text(_joined(lines))
-        assert experiment._read_columns(path.read_text()) is None
+        assert experiment._read_columns(path.read_bytes()) is None
         message = f"line {no}: subject {cells[0]} changes treatment or covariates"
         assert read_outcome(read_csv, str(path)) == read_outcome(read_lines, path.read_text()) == message
 
@@ -1984,6 +1988,78 @@ class TestColumnarReader:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_a_pipe_is_read_whole_into_the_same_parser(self, tmp_path, monkeypatch):
+        # a pipe cannot be mapped: read_csv reads it whole and hands its bytes to the parser that
+        # a regular file reaches as a read-only map
+        handed = []
+        read_columns = experiment._read_columns
+        monkeypatch.setattr(experiment, "_read_columns", lambda data: handed.append(type(data)) or read_columns(data))
+        golden = DATA / "golden_data.csv"
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(golden.read_bytes(),))
+        writer.start()
+        try:
+            from_pipe = read_outcome(read_csv, str(fifo))
+        finally:
+            if writer.is_alive():  # should read_csv fail before it opens the pipe, the writer's open returns
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert from_pipe == read_outcome(read_csv, str(golden))
+        assert handed == [bytes, mmap.mmap]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_the_map_is_gone_once_read_csv_returns_or_raises(self, tmp_path, monkeypatch):
+        path = os.path.realpath(tmp_path / "data.csv")
+
+        def mapped():
+            with open("/proc/self/maps") as fh:
+                return any(line.rstrip("\n").endswith(" " + path) for line in fh)
+
+        seen = []
+        read_columns = experiment._read_columns
+        monkeypatch.setattr(experiment, "_read_columns", lambda data: seen.append(mapped()) or read_columns(data))
+        golden = (DATA / "golden_data.csv").read_bytes()
+        files = {
+            "canonical": (golden, None),
+            "crlf": (golden.replace(b"\n", b"\r\n"), None),
+            "bad-treatment": (golden.replace(b",BROAD,", b",BRAOD,", 1), "line 2: "),
+            "not-utf-8": (golden + b"\xff\n", "not UTF-8 text: "),
+        }
+        for name, (data, error) in files.items():
+            Path(path).write_bytes(data)
+            try:
+                dataset = read_csv(path)
+            except DataFormatError as exc:  # its traceback still holds read_csv's frame
+                assert seen.pop() and not mapped(), name
+                assert error is not None and str(exc).startswith(error), name
+            else:
+                assert seen.pop() and not mapped(), name
+                assert error is None and dataset == read_csv(str(DATA / "golden_data.csv")), name
+
+    def test_an_unmappable_file_costs_its_size_in_traced_memory(self, tmp_path, monkeypatch):
+        arms = {Treatment.BROAD: 5000, Treatment.NARROW: 5000, Treatment.LOW: 5000}
+        data = simulate_dataset(PopulationSpec(counts=arms, seed=0, composition=MixtureComposition(0.7), tremble=0.05))
+        path = tmp_path / "data.csv"
+        write_csv(data, str(path))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert read_csv(str(path)) == data
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def unmappable(*args, **kwargs):
+            raise OSError("no map")
+
+        mapped = peak()
+        monkeypatch.setattr(mmap, "mmap", unmappable)
+        assert peak() - mapped >= 0.9 * path.stat().st_size
 
 
 UNWRITABLE = {
