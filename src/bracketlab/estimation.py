@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import log_ndtr, ndtr, ndtri
-from .design import CENSOR_CODE, Scenario, Treatment
-from .experiment import _SCENARIOS, Dataset, _distinct_rows
+from .design import CENSOR_CODE, CODE_FIRST_ROW, RECORDED_WAGE, Scenario, Treatment
+from .experiment import _CODE_MASK, _SCENARIOS, _TREATMENT_CODE, Dataset, _distinct_rows
 
 __all__ = [
     "CellSummary",
@@ -178,23 +178,36 @@ def cell_wages(dataset: Dataset, drop_inconsistent: bool = True) -> dict[tuple[T
     return {key: part for key, part in zip(itertools.product(Treatment, Scenario), parts) if part.size}
 
 
+def _levels(dataset: Dataset, drop_inconsistent: bool) -> np.ndarray:
+    """Rows counted by (treatment, scenario, level) from the dataset's level counts, by default of consistent rows only."""
+    table = dataset._level_counts
+    return table[..., 1] if drop_inconsistent else table.sum(axis=-1)
+
+
 def summarize_means(dataset: Dataset, drop_inconsistent: bool = True) -> list[CellSummary]:
     """Mean, spread, censoring share, and N per treatment x scenario.
 
     Cells with no observations after filtering are omitted; censored
-    responses enter the mean at CENSOR_CODE.
+    responses enter the mean at CENSOR_CODE. Every figure is read from
+    the dataset's level counts (Dataset._level_counts), with no row
+    gathered. n, the mean and the censored share have the bits of
+    np.mean over the cell's rows: every recorded wage is a multiple of
+    1/4 and at most 4.25, so the sum is exact. The sd sums each level's
+    squared deviation times its count, where np.std(ddof=1) sums over
+    rows, and may differ from it in the last bit; at n = 1 it is 0.0.
     """
-    return [
-        CellSummary(
-            treatment=treatment,
-            scenario=scenario,
-            mean=float(arr.mean()),
-            sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            share_censored=float((arr >= CENSOR_CODE - 1e-9).mean()),
-            n=int(arr.size),
-        )
-        for (treatment, scenario), arr in cell_wages(dataset, drop_inconsistent).items()
-    ]
+    levels = _levels(dataset, drop_inconsistent).reshape(len(Treatment) * len(Scenario), -1)
+    summaries = []
+    for (treatment, scenario), counts in zip(itertools.product(Treatment, Scenario), levels):
+        n = int(counts.sum())
+        if not n:
+            continue
+        mean = float(counts @ RECORDED_WAGE) / n
+        deviation = RECORDED_WAGE - mean
+        # fsum rounds the sum once, so no BLAS kernel moves it; at n = 1 every counted deviation is 0.0
+        sd = math.sqrt(math.fsum((counts * (deviation * deviation)).tolist()) / max(n - 1, 1))
+        summaries.append(CellSummary(treatment, scenario, mean, sd, int(counts[-1]) / n, n))
+    return summaries
 
 
 def _rank_setup(x, y):
@@ -278,6 +291,43 @@ def mwu_exact(x, y) -> float:
     return int(subsets[k, far].sum()) / math.comb(n_total, k)
 
 
+def _kappa_cells(
+    dataset: Dataset,
+    broad_label: Treatment,
+    narrow_label: Treatment,
+    mid_label: Treatment,
+    drop_inconsistent: bool = True,
+):
+    """Each cell's mean and count, read from the dataset's level counts, by default of consistent rows only.
+
+    Cells are indexed (group, scenario), for groups broad, narrow and
+    mid. A cell's mean is its counts times RECORDED_WAGE over its count,
+    with the bits of the mean over its rows: every recorded wage is a
+    multiple of 1/4 and at most 4.25, so every partial sum is exact in
+    any order. A price list given as input must keep to that grid.
+    """
+    labels = (broad_label, narrow_label, mid_label)
+    if len(set(labels)) != 3:
+        raise ValueError("the three treatment labels must be distinct")
+    levels = _levels(dataset, drop_inconsistent)[[_TREATMENT_CODE[t] for t in labels]]
+    counts = levels.sum(axis=-1)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        g, s = divmod(int(empty[0]), 2)
+        raise Degenerate(
+            f"no {'consistent ' if drop_inconsistent else ''}observations for "
+            f"{labels[g].value} in {_SCENARIOS[s].value}; "
+            "kappa needs all three treatments in both scenarios"
+        )
+    means = levels @ RECORDED_WAGE / counts
+    if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
+        raise Degenerate(
+            "broad and narrow cell means coincide in both scenarios; "
+            "the bracketing weight is unidentified on this data"
+        )
+    return means, counts.astype(float)
+
+
 def _kappa_arrays(
     dataset: Dataset,
     broad_label: Treatment,
@@ -285,17 +335,14 @@ def _kappa_arrays(
     mid_label: Treatment,
     drop_inconsistent: bool = True,
 ):
-    """Responses and their cells in record order, by default consistent scenarios only, and each cell's mean and count.
+    """The rows' levels and cells in record order, by default of consistent rows only, and _kappa_cells' means and counts.
 
-    A row's cell is 2 * group + scenario, for groups broad, narrow and
-    mid. A cell's mean is its weighted bincount over its count, with the
-    bits of y[cell == c].mean(): every recorded wage is a multiple of 1/4
-    and at most 4.25 (RECORDED_WAGE), so every partial sum is exact in any
-    order. A price list given as input must keep to that grid.
+    A row's cell is 2 * group + scenario, and its recorded wage
+    RECORDED_WAGE[level]. _kappa_cells runs first, so a Degenerate
+    dataset raises before any row is gathered.
     """
+    means, counts = _kappa_cells(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
     labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
-    if len(labels) != 3:
-        raise ValueError("the three treatment labels must be distinct")
     obs = dataset.observations
     # the other treatments get a negative cell whatever the scenario
     cell_of = np.array([2 * labels.get(t, -1) for t in Treatment], dtype=np.int8)
@@ -304,29 +351,19 @@ def _kappa_arrays(
     if drop_inconsistent:
         keep &= obs.consistent
     rows = np.flatnonzero(keep)
-    y, cell = obs.res_wage[rows], cell[rows]
-    counts = np.bincount(cell, minlength=6)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        g, s = divmod(int(empty[0]), 2)
-        raise Degenerate(
-            f"no {'consistent ' if drop_inconsistent else ''}observations for "
-            f"{(broad_label, narrow_label, mid_label)[g].value} in {_SCENARIOS[s].value}; "
-            "kappa needs all three treatments in both scenarios"
-        )
-    means = (np.bincount(cell, weights=y, minlength=6) / counts).reshape(3, 2)
-    if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
-        raise Degenerate(
-            "broad and narrow cell means coincide in both scenarios; "
-            "the bracketing weight is unidentified on this data"
-        )
-    return y, cell.astype(np.intp), means, counts.reshape(3, 2).astype(float)
+    level = CODE_FIRST_ROW[dataset._keys[rows] & _CODE_MASK]
+    return level.astype(np.intp), cell[rows].astype(np.intp), means, counts
 
 
 def _kappa_fitted(theta: np.ndarray) -> np.ndarray:
     """Fitted value per cell, indexed by 2 * group + scenario."""
     b, n, kappa = theta[0:2], theta[2:4], theta[4]
     return np.concatenate([b, n, (1.0 - kappa) * b + kappa * n])
+
+
+def _kappa_residuals(theta: np.ndarray) -> np.ndarray:
+    """RECORDED_WAGE[level] minus the fitted value of cell, at index level * 6 + cell."""
+    return np.subtract.outer(RECORDED_WAGE, _kappa_fitted(theta)).ravel()
 
 
 # the per-cell Jacobian's entries that do not depend on theta: the four cell effects' own rows
@@ -363,8 +400,13 @@ def nls_kappa(
     combination of the broad-anchor and narrow-anchor cells, jointly
     with the four cell effects, on consistent observations (on all of
     them with drop_inconsistent=False). Starts at the saturated cell
-    means with kappa = 0.5. Each line-search trial's residual is computed
-    once, and the accepted one carries into the next iteration and the rss.
+    means with kappa = 0.5; they, n_obs and both Degenerate checks come
+    from the dataset's level counts (Dataset._level_counts). The fit
+    itself runs over the rows in record order. Each line-search trial's
+    residuals are computed once, for the 17 levels x 6 cells, as
+    RECORDED_WAGE minus the fitted cell values (the subtraction y -
+    fitted[cell] makes per row), and gathered by each row's level * 6 +
+    cell; the accepted trial carries into the next iteration and the rss.
 
     The estimand is the mixture share: under MixtureComposition the
     recorded cell means obey the model. Under KappaComposition each
@@ -375,9 +417,11 @@ def nls_kappa(
     seed 3 and no trembles it gives 0.632 at kappa 0.7, 0.235 at 0.3
     and 1.547 at 1.4.
     """
-    y, cell, means, _ = _kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
+    level, cell, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
+    n_obs = int(counts.sum())
+    code = level * 6 + cell
     theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
-    resid = y - np.take(_kappa_fitted(theta), cell)
+    resid = np.take(_kappa_residuals(theta), code)
     rss = float(resid @ resid)
     for iterations in range(1, _MAX_ITER + 1):
         jac = _kappa_jac(theta, cell)
@@ -388,7 +432,7 @@ def nls_kappa(
         step, *_ = np.linalg.lstsq(jac.T @ jac, score, rcond=None)
         lam = 1.0
         while True:
-            trial = y - np.take(_kappa_fitted(theta + lam * step), cell)
+            trial = np.take(_kappa_residuals(theta + lam * step), code)
             rss_trial = float(trial @ trial)
             if not (rss_trial > rss and lam > 1e-12):
                 break
@@ -407,7 +451,7 @@ def nls_kappa(
     bread = np.linalg.inv(jac.T @ jac)
     meat = jac.T @ (jac * (resid**2)[:, None])
     robust = bread @ meat @ bread
-    dof = max(y.size - 5, 1)
+    dof = max(n_obs - 5, 1)
     model_cov = (rss / dof) * bread
     se_r = np.sqrt(np.maximum(np.diag(robust), 0.0))
     se_m = np.sqrt(np.maximum(np.diag(model_cov), 0.0))
@@ -422,7 +466,7 @@ def nls_kappa(
         iterations=iterations,
         converged=converged,
         rss=rss,
-        n_obs=int(y.size),
+        n_obs=n_obs,
         broad=broad_label,
         narrow=narrow_label,
         mid=mid_label,
@@ -502,8 +546,7 @@ def kappa_profile_oracle(
     exceeds one already found, so the result is the first arg-min over the
     full grid, ties included, bit for bit.
     """
-    *_, means, counts = _kappa_arrays(dataset, broad_label, narrow_label, mid_label)
-    return _kappa_profile_argmin(means, counts)
+    return _kappa_profile_argmin(*_kappa_cells(dataset, broad_label, narrow_label, mid_label))
 
 
 def _tobit_loglik(theta, y, X, limit, cens, counts):

@@ -256,13 +256,16 @@ class Dataset:
     object once and checking each distinct covariates object as
     Covariates checks it. Every way in checks the covariate columns and
     the row offsets once per column, as Covariates and SubjectRecord
-    check each object. records and observations are built from the
-    columns on first use and cached: records builds one ScenarioOutcome
-    per distinct key, then fills one Covariates per distinct value and
-    one SubjectRecord per subject from the columns (all three classes
-    are slotted), and every record shares the outcomes and covariates.
-    Equality and hashing compare the columns' bytes and build neither.
-    No subject repeats a scenario.
+    check each object. records, observations and the private
+    _level_counts table are built from the columns on first use and
+    cached: records builds one ScenarioOutcome per distinct key, then
+    fills one Covariates per distinct value and one SubjectRecord per
+    subject from the columns (all three classes are slotted), and every
+    record shares the outcomes and covariates. _level_counts counts the
+    scenario rows by (treatment, scenario, level, consistent); the cell
+    summaries and the kappa estimators read it instead of the rows.
+    Equality and hashing compare the columns' bytes and build no cache,
+    and repr prints the records. No subject repeats a scenario.
     """
 
     def __init__(
@@ -401,6 +404,25 @@ class Dataset:
         scenario = (self._keys >> N_ROWS).astype(np.int8)
         columns = [treatment, scenario, RECORDED_WAGE[CODE_FIRST_ROW[codes]], CODE_CONSISTENT[codes]]
         return Observations(*map(_read_only, columns))
+
+    @functools.cached_property
+    def _level_counts(self) -> np.ndarray:
+        """Scenario rows counted by (treatment, scenario, level, consistent), built on first use.
+
+        A row's level is its first accepted price-list row, or N_ROWS when
+        it accepts none, so its recorded wage is RECORDED_WAGE[level]. The
+        read-only int64 array has shape (len(Treatment), len(Scenario),
+        N_ROWS + 1, 2) and comes from one np.bincount over the row keys'
+        levels and the observations columns; like them it is cached
+        outside equality, hashing and repr.
+        """
+        obs = self.observations
+        shape = (len(Treatment), len(_SCENARIOS), N_ROWS + 1, 2)
+        level = CODE_FIRST_ROW[self._keys & _CODE_MASK]
+        # every index fits int16: the table has 408 bins
+        cell = obs.treatment.astype(np.int16) * shape[1] + obs.scenario
+        index = (cell * shape[2] + level) * shape[3] + obs.consistent
+        return _read_only(np.bincount(index, minlength=math.prod(shape)).reshape(shape))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from bracketlab.experiment import (
 )
 from bracketlab.estimation import (
     AllCensored,
+    CellSummary,
     Degenerate,
     EmptySample,
     InvalidParams,
@@ -1048,7 +1049,7 @@ class TestColumnarEstimators:
 
         y_o, group_o, scen_o = _row_kappa_arrays(data, labels[:3], drop)
         try:
-            y, cell, _, _ = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
+            level, cell, _, _ = _kappa_arrays(data, *labels[:3], drop_inconsistent=drop)
         except Degenerate:
             cells = set(zip(group_o.tolist(), scen_o.tolist()))
             assert len(cells) < 6 or all(
@@ -1057,7 +1058,7 @@ class TestColumnarEstimators:
                 for s in range(2)
             )
         else:
-            assert y.tolist() == y_o.tolist()
+            assert RECORDED_WAGE[level].tolist() == y_o.tolist()
             assert cell.tolist() == (2 * group_o + scen_o).tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -1134,11 +1135,12 @@ class TestColumnarEstimators:
             data = read_csv(str(tmp_path / "data.csv"))
         elif source == "records":
             data = Dataset(data.records)
-        # _kappa_arrays' bincount means keep the masked means' bits only because every recorded
+        # _kappa_arrays' table means keep the masked means' bits only because every recorded
         # wage is a multiple of 1/4 (and small), so each partial sum is exact in any order
         quarters = 4 * data.observations.res_wage
         assert (quarters == np.floor(quarters)).all() and quarters.max() <= 17
-        y, cell, means, _ = _kappa_arrays(data, anchor, Treatment.LOW, Treatment.NARROW, drop)
+        level, cell, means, _ = _kappa_arrays(data, anchor, Treatment.LOW, Treatment.NARROW, drop)
+        y = RECORDED_WAGE[level]
         assert [float.hex(m) for m in means.ravel()] == [float.hex(y[cell == c].mean()) for c in range(6)]
         fit = nls_kappa(data, broad_label=anchor, drop_inconsistent=drop)
         assert _bits(fit) == _bits(_row_nls_kappa(data, broad_label=anchor, drop_inconsistent=drop))
@@ -1178,3 +1180,185 @@ class TestColumnarEstimators:
         assert [(key, values.tolist()) for key, values in grouped.items()] == sorted(
             walked.items(), key=lambda item: order.index(item[0])
         )
+
+
+# ------------------------------------------ the level-count table's readers
+
+
+def _row_summaries(dataset, drop_inconsistent):
+    """summarize_means by np.mean and np.std over each cell's rows from cell_wages (the reference)."""
+    return [
+        CellSummary(
+            treatment=treatment,
+            scenario=scenario,
+            mean=float(arr.mean()),
+            sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            share_censored=float((arr >= CENSOR_CODE - 1e-9).mean()),
+            n=int(arr.size),
+        )
+        for (treatment, scenario), arr in cell_wages(dataset, drop_inconsistent).items()
+    ]
+
+
+def _assert_summaries_match(dataset, drop_inconsistent):
+    """n, mean and censored share bit for bit, the sd within 2 ulp, and exactly 0.0 at n = 1."""
+    got, want = summarize_means(dataset, drop_inconsistent), _row_summaries(dataset, drop_inconsistent)
+    exact = [(c.treatment, c.scenario, c.n, float.hex(c.mean), float.hex(c.share_censored)) for c in got]
+    assert exact == [(c.treatment, c.scenario, c.n, float.hex(c.mean), float.hex(c.share_censored)) for c in want]
+    for cell, row in zip(got, want):
+        assert abs(cell.sd - row.sd) <= 2 * np.spacing(row.sd)
+        if cell.n == 1:
+            assert float.hex(cell.sd) == float.hex(0.0)
+
+
+def _rowwise_kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent=True):
+    """Responses and cells in record order, and each cell's bincount mean and count (the row-wise reference)."""
+    labels = {broad_label: 0, narrow_label: 1, mid_label: 2}
+    obs = dataset.observations
+    cell_of = np.array([2 * labels.get(t, -1) for t in Treatment], dtype=np.int8)
+    cell = cell_of[obs.treatment] + obs.scenario
+    keep = cell >= 0
+    if drop_inconsistent:
+        keep &= obs.consistent
+    rows = np.flatnonzero(keep)
+    y, cell = obs.res_wage[rows], cell[rows]
+    counts = np.bincount(cell, minlength=6)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        g, s = divmod(int(empty[0]), 2)
+        raise Degenerate(
+            f"no {'consistent ' if drop_inconsistent else ''}observations for "
+            f"{(broad_label, narrow_label, mid_label)[g].value} in S{s + 1}; "
+            "kappa needs all three treatments in both scenarios"
+        )
+    means = (np.bincount(cell, weights=y, minlength=6) / counts).reshape(3, 2)
+    if all(abs(means[0, s] - means[1, s]) < 1e-9 for s in range(2)):
+        raise Degenerate(
+            "broad and narrow cell means coincide in both scenarios; "
+            "the bracketing weight is unidentified on this data"
+        )
+    return y, cell.astype(np.intp), means, counts.reshape(3, 2).astype(float)
+
+
+def _rowwise_nls_kappa(dataset, broad_label, narrow_label, mid_label, drop_inconsistent=True):
+    """nls_kappa with each trial's residual as y - fitted[cell] over the rows (the row-wise reference)."""
+    y, cell, means, _ = _rowwise_kappa_arrays(dataset, broad_label, narrow_label, mid_label, drop_inconsistent)
+    theta = np.array([means[0, 0], means[0, 1], means[1, 0], means[1, 1], 0.5])
+    resid = y - np.take(_kappa_fitted(theta), cell)
+    rss = float(resid @ resid)
+    for iterations in range(1, 501):
+        jac = _kappa_jac(theta, cell)
+        score = jac.T @ resid
+        if math.sqrt((2.0 * score) @ (2.0 * score)) < 1e-8:
+            converged = True
+            break
+        step, *_ = np.linalg.lstsq(jac.T @ jac, score, rcond=None)
+        lam = 1.0
+        while True:
+            trial = y - np.take(_kappa_fitted(theta + lam * step), cell)
+            rss_trial = float(trial @ trial)
+            if not (rss_trial > rss and lam > 1e-12):
+                break
+            lam /= 2.0
+        taken = lam * step
+        theta, resid, rss = theta + taken, trial, rss_trial
+        if math.sqrt(taken @ taken) < 1e-10:
+            jac = _kappa_jac(theta, cell)
+            gradient = 2.0 * (jac.T @ resid)
+            converged = math.sqrt(gradient @ gradient) < 1e-8
+            break
+    else:
+        raise NotConverged("Gauss-Newton did not converge in 500 iterations")
+    bread = np.linalg.inv(jac.T @ jac)
+    robust = bread @ (jac.T @ (jac * (resid**2)[:, None])) @ bread
+    model_cov = (rss / max(y.size - 5, 1)) * bread
+    se_r = np.sqrt(np.maximum(np.diag(robust), 0.0))
+    se_m = np.sqrt(np.maximum(np.diag(model_cov), 0.0))
+    return KappaFit(
+        b_s=(float(theta[0]), float(theta[1])),
+        n_s=(float(theta[2]), float(theta[3])),
+        se_b_s=(float(se_r[0]), float(se_r[1])),
+        se_n_s=(float(se_r[2]), float(se_r[3])),
+        kappa=float(theta[4]),
+        se_kappa=float(se_r[4]),
+        se_kappa_model=float(se_m[4]),
+        iterations=iterations,
+        converged=converged,
+        rss=rss,
+        n_obs=int(y.size),
+        broad=broad_label,
+        narrow=narrow_label,
+        mid=mid_label,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (Degenerate, NotConverged, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_kappa_layer_matches(dataset, labels, drop_inconsistent):
+    """nls_kappa, and the oracle on consistent rows, against the row-wise code: the same bits or the same error."""
+    fit = _outcome(nls_kappa, dataset, *labels, drop_inconsistent=drop_inconsistent)
+    reference = _outcome(_rowwise_nls_kappa, dataset, *labels, drop_inconsistent)
+    if isinstance(reference, KappaFit):
+        assert fit == reference and _bits(fit) == _bits(reference)
+    else:
+        assert fit == reference
+    if drop_inconsistent:
+        arrays = _outcome(_rowwise_kappa_arrays, dataset, *labels)
+        expected = arrays if len(arrays) == 2 else _kappa_profile_argmin(*arrays[2:])
+        assert _outcome(kappa_profile_oracle, dataset, *labels) == expected
+
+
+class TestLevelCountReaders:
+    """summarize_means, nls_kappa and the oracle read the level-count table; the row-wise code is the reference."""
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_summaries_are_the_row_wise_ones(self, drop):
+        arms = {Treatment.BROAD: 300, Treatment.NARROW: 300, Treatment.LOW: 300, Treatment.PARTIAL: 1}
+        simulated = simulate_dataset(PopulationSpec(counts=arms, seed=4, composition=MixtureComposition(0.7),
+                                                    tremble=0.3))
+        for data in (read_csv(str(GOLDEN_CSV)), simulated):
+            _assert_summaries_match(data, drop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, len(Treatment) - 1), ROW_KEYS), max_size=80), drop=st.booleans())
+    def test_summaries_of_any_rows_are_the_row_wise_ones(self, rows, drop):
+        _assert_summaries_match(dataset_from_rows(rows), drop)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("anchor", [Treatment.BROAD, Treatment.PARTIAL])
+    @pytest.mark.parametrize("source", ["golden", "simulated"])
+    def test_kappa_layer_is_the_row_wise_code(self, source, anchor, drop):
+        if source == "golden":  # it has no PARTIAL arm: both raise the same Degenerate
+            data = read_csv(str(GOLDEN_CSV))
+        else:
+            arms = {Treatment.BROAD: 500, Treatment.NARROW: 500, Treatment.LOW: 500, Treatment.PARTIAL: 500}
+            data = simulate_dataset(PopulationSpec(counts=arms, seed=0, composition=MixtureComposition(0.7),
+                                                   tremble=0.05))
+        _assert_kappa_layer_matches(data, (anchor, Treatment.LOW, Treatment.NARROW), drop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, len(Treatment) - 1), ROW_KEYS), max_size=80),
+        labels=st.permutations(list(Treatment)),
+        drop=st.booleans(),
+        fill=st.lists(st.integers(0, 80), max_size=6),
+    )
+    def test_kappa_layer_on_any_rows_is_the_row_wise_code(self, rows, labels, drop, fill):
+        # fill[k] places a consistent row of labels' k-th cell, so most examples fill every cell
+        for k, at in enumerate(fill):
+            g, s = divmod(k, 2)
+            rows.insert(at, (list(Treatment).index(labels[g]), s << N_ROWS | (1 << N_ROWS) - (1 << (at % 17))))
+        _assert_kappa_layer_matches(dataset_from_rows(rows), labels[:3], drop)
+
+    def test_recorded_wages_are_whole_quarters_at_most_4_25(self):
+        # the table's means have the bits of the row means only because every partial sum of
+        # recorded wages is exact; a price list given as input must keep to this grid
+        quarters = 4 * RECORDED_WAGE
+        assert (quarters == np.round(quarters)).all()
+        assert RECORDED_WAGE.max() == 4.25

@@ -1444,6 +1444,77 @@ def _walked_columns(records):
     ]
 
 
+def _row_wise_level_counts(data, drop_inconsistent):
+    """Rows counted by (treatment, scenario, level) from the observation columns, one row at a time."""
+    obs = data.observations
+    level = np.searchsorted(RECORDED_WAGE, obs.res_wage)
+    assert RECORDED_WAGE[level].tolist() == obs.res_wage.tolist()
+    counts = {}
+    for t, s, k, consistent in zip(obs.treatment.tolist(), obs.scenario.tolist(), level.tolist(), obs.consistent):
+        if consistent or not drop_inconsistent:
+            counts[t, s, k] = counts.get((t, s, k), 0) + 1
+    return counts
+
+
+def _assert_level_counts_match(data):
+    table = data._level_counts
+    assert table.shape == (len(Treatment), len(Scenario), N_ROWS + 1, 2)
+    for drop in (True, False):
+        levels = table[..., 1] if drop else table.sum(axis=-1)
+        assert {index: int(n) for index, n in np.ndenumerate(levels) if n} == _row_wise_level_counts(data, drop)
+    obs = data.observations
+    # the (treatment, scenario) marginal is each cell's N, and the last level its censored rows
+    for t, s in np.ndindex(len(Treatment), len(Scenario)):
+        rows = (obs.treatment == t) & (obs.scenario == s)
+        assert table[t, s].sum() == rows.sum()
+        assert table[t, s, N_ROWS].sum() == (rows & (obs.res_wage == CENSOR_CODE)).sum()
+
+
+class TestLevelCounts:
+    """The level-count table is a cache like observations: built once, read-only, invisible to ==, hash and repr."""
+
+    def test_built_once_and_read_only(self):
+        data = simulate_dataset(small_spec())
+        table = data._level_counts
+        assert data._level_counts is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1
+
+    def test_cache_is_not_compared_hashed_or_printed(self):
+        built = simulate_dataset(small_spec())
+        fresh = simulate_dataset(small_spec())
+        built._level_counts
+        assert "_level_counts" in vars(built) and "_level_counts" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+
+    def test_empty_dataset(self):
+        table = Dataset(())._level_counts
+        assert table.shape == (len(Treatment), len(Scenario), N_ROWS + 1, 2)
+        assert not table.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        composition=st.one_of(
+            st.floats(0, 1).map(MixtureComposition), st.floats(-0.5, 1.5).map(KappaComposition)
+        ),
+        tremble=st.floats(0, 1),
+    )
+    def test_marginals_are_the_row_wise_counts(self, seed, composition, tremble):
+        counts = {Treatment.BROAD: 20, Treatment.NARROW: 20, Treatment.LOW: 20, Treatment.PARTIAL: 5}
+        _assert_level_counts_match(
+            simulate_dataset(PopulationSpec(counts=counts, seed=seed, composition=composition, tremble=tremble))
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=record_tuples())
+    def test_marginals_of_any_records_are_the_row_wise_counts(self, records):
+        # record_tuples gives some subjects one scenario only
+        _assert_level_counts_match(Dataset(records))
+
+
 class TestColumnStorage:
     """A column-backed dataset agrees with the one built from its records."""
 
