@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .design import CENSOR_CODE, Treatment
 from .experiment import KappaComposition, MixtureComposition, PopulationSpec
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "example_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 
 class ConfigError(Exception):
@@ -104,10 +104,6 @@ def parse_config(
     kappa = _get(parser, "population", "kappa", float, None)
     if narrow_share is not None and kappa is not None:
         raise ConfigError("narrow_share and kappa are mutually exclusive")
-    if kappa is not None:
-        composition = KappaComposition(kappa)
-    else:
-        composition = MixtureComposition(1.0 if narrow_share is None else narrow_share)
 
     kwargs = {}
     for f in _SPEC_FIELDS:
@@ -117,6 +113,10 @@ def parse_config(
         else:
             kwargs[f.name] = _get(parser, "population", f.name, float, f.default)
     try:
+        if kappa is not None:
+            composition = KappaComposition(kappa)
+        else:
+            composition = MixtureComposition(1.0 if narrow_share is None else narrow_share)
         population = PopulationSpec(counts=counts, seed=seed, composition=composition, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -134,51 +134,3 @@ def parse_config(
         continuity=_get(parser, "estimators", "continuity", bool, False),
         drop_inconsistent=not _get(parser, "estimators", "keep_inconsistent", bool, False),
     )
-
-
-def example_config() -> str:
-    """A commented template documenting every key and its default."""
-    return """\
-# bracketlab run configuration
-[population]
-# subjects per treatment arm; omitted arms default to 0
-broad = 120
-narrow = 120
-low = 120
-partial = 0
-before = 0
-after = 0
-# master seed, required (or pass --seed)
-seed = 20250819
-# population composition: share of narrow bracketers in a
-# narrow/broad mixture, or a fixed bracketing weight via `kappa = 0.7`
-# (the two keys are mutually exclusive)
-narrow_share = 1.0
-# effort cost scale: log-normal, log alpha ~ location + link * (tediousness - 5.5) + scale * z
-alpha_location = -5.521460917862246
-alpha_scale = 0.35
-alpha_tediousness_link = 0.08
-# effort cost convexity: normal truncated to [gamma_lo, gamma_hi];
-# gamma_lo is finite, and gamma_hi = inf truncates from below only
-gamma_location = 2.0
-gamma_scale = 0.15
-gamma_male_shift = -0.10
-gamma_lo = 1.0
-gamma_hi = 4.0
-# money curvature: omit for money-linear preferences
-# rho = 0.5
-# per-row choice error probability
-tremble = 0.05
-male_share = 0.5
-age_min = 18
-age_max = 70
-# shift applied to the narrow component in framed treatments
-framing_shift = 0.0
-# accepted for compatibility (at least 1); no effect on output or speed
-workers = 1
-
-[estimators]
-censor_limit = 4.25
-continuity = false
-keep_inconsistent = false
-"""

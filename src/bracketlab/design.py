@@ -25,16 +25,12 @@ __all__ = [
     "Scenario",
     "TreatmentSpec",
     "PriceList",
-    "BASE_WAGE",
     "CENSOR_CODE",
     "N_ROWS",
     "treatment_spec",
     "price_list",
     "snap_rows",
 ]
-
-BASE_WAGE = 4.00
-"""Dollars already attached to option A; extra wages come on top."""
 
 
 class Treatment(enum.Enum):
@@ -73,15 +69,6 @@ class TreatmentSpec:
     option_a: Bundle
     option_b_tasks: int
     endowment: Bundle
-    base_wage: float = BASE_WAGE
-
-    def option_b(self, extra_wage: float) -> Bundle:
-        """Option B at a given extra wage: 15 more tasks, more money."""
-        return Bundle(self.option_b_tasks, self.option_a.money + extra_wage)
-
-    def full_outcome(self, presented: Bundle) -> Bundle:
-        """Presented option plus the endowment."""
-        return presented + self.endowment
 
 
 @dataclass(frozen=True)

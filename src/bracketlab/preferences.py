@@ -80,10 +80,6 @@ class Bundle:
     def __add__(self, other: Bundle) -> Bundle:
         return Bundle(self.tasks + other.tasks, self.money + other.money)
 
-    def less_money(self, amount: float) -> Bundle:
-        """The same bundle after paying ``amount`` dollars."""
-        return Bundle(self.tasks, self.money - amount)
-
 
 ZERO_BUNDLE = Bundle(0, 0.0)
 
@@ -104,15 +100,6 @@ class Lottery:
             total += p
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    @staticmethod
-    def degenerate(b: Bundle) -> Lottery:
-        return Lottery(((b, 1.0),))
-
-    @staticmethod
-    def over_money(pairs: list[tuple[float, float]]) -> Lottery:
-        """Money-only lottery from (dollars, probability) pairs."""
-        return Lottery(tuple((Bundle(0, m), p) for m, p in pairs))
 
     def shifted(self, wealth: float) -> Lottery:
         """Add ``wealth`` dollars to every outcome."""

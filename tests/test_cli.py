@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, determinism, golden reports."""
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import records_from_wages
@@ -9,8 +11,8 @@ from bracketlab import cli, experiment, theory
 from bracketlab.agents import ModeUnsupported, NoIndifference
 from bracketlab.cli import main
 from bracketlab.config import parse_config
-from bracketlab.estimation import nls_kappa
-from bracketlab.design import CENSOR_CODE, Treatment
+from bracketlab.estimation import cell_wages, mwu_test, nls_kappa, tobit_right
+from bracketlab.design import CENSOR_CODE, Scenario, Treatment
 from bracketlab.experiment import (
     CSV_COLUMNS,
     Dataset,
@@ -21,7 +23,14 @@ from bracketlab.experiment import (
     write_csv,
 )
 from bracketlab.preferences import NonMonotoneModel
-from bracketlab.reports import render_kappa_csv
+from bracketlab.reports import (
+    MwuRow,
+    render_kappa_csv,
+    render_mwu_csv,
+    render_mwu_markdown,
+    render_tobit_csv,
+    render_tobit_markdown,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_INI = str(DATA / "golden_run.ini")
@@ -181,6 +190,34 @@ def test_kappa_keep_inconsistent_uses_every_row(tmp_path, source):
     assert (tmp_path / "kappa.md").read_bytes() != golden("golden_kappa.md")
     assert "n_obs,240," in text  # 127 consistent + 113 inconsistent scenario rows
     assert text == render_kappa_csv(nls_kappa(read_csv(GOLDEN_CSV), drop_inconsistent=False))
+
+
+def _golden_reports_keeping_every_row(stat):
+    """The (markdown, csv) of mwu or tobit on golden_data.csv with every row kept, by default options."""
+    wages = cell_wages(read_csv(GOLDEN_CSV), drop_inconsistent=False)
+    mwu_rows, tobit_fits = [], []
+    for scenario in Scenario:
+        present = [t for t in Treatment if (t, scenario) in wages]
+        for a, b in combinations(present, 2):
+            x, y = wages[a, scenario], wages[b, scenario]
+            mwu_rows.append(MwuRow(scenario, a, b, x.size, y.size, mwu_test(x, y)))
+        arm = np.concatenate([np.full(wages[t, scenario].size, k) for k, t in enumerate(present)])
+        X = np.column_stack([np.ones(arm.size)] + [(arm == k).astype(float) for k in range(1, len(present))])
+        y = np.concatenate([wages[t, scenario] for t in present])
+        tobit_fits.append((scenario, ["const"] + [t.value for t in present[1:]], tobit_right(y, X)))
+    if stat == "mwu":
+        return render_mwu_markdown(mwu_rows), render_mwu_csv(mwu_rows)
+    return render_tobit_markdown(tobit_fits), render_tobit_csv(tobit_fits)
+
+
+@pytest.mark.parametrize("stat", ["mwu", "tobit"])
+def test_keep_inconsistent_reaches_mwu_and_tobit(tmp_path, stat):
+    argv = ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--keep-inconsistent"]
+    assert main(argv) == 0
+    markdown, csv_text = _golden_reports_keeping_every_row(stat)
+    assert (tmp_path / f"{stat}.md").read_text(encoding="utf-8") == markdown
+    assert (tmp_path / f"{stat}.csv").read_text(encoding="utf-8") == csv_text
+    assert markdown.encode() != golden(f"golden_{stat}.md") and csv_text.encode() != golden(f"golden_{stat}.csv")
 
 
 def test_kappa_default_config_drops_inconsistent(tmp_path):
@@ -379,6 +416,16 @@ def _golden_config_with_seed(tmp_path, seed, *population_lines):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
 
 
+def _estimate_on_golden(tmp_path, stat):
+    return ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path)]
+
+
+def _config(tmp_path, *population_lines):
+    path = tmp_path / "run.ini"
+    path.write_text("\n".join(["[population]", *population_lines, ""]), encoding="utf-8")
+    return ["--config", str(path)]
+
+
 NOT_FINITE = "usage error: need finite d > 0, alpha in (0,1), power in (0.5,1), finite ratio >= 1"
 BAD_INVOCATIONS = {
     "power-ratio-inf": (lambda tmp: ["power", "--d", "0.5", "--ratio", "inf"], 2, NOT_FINITE),
@@ -427,6 +474,18 @@ BAD_INVOCATIONS = {
         "error: need at least two treatments with data in one scenario",
     ),
     "empty-data-file": (lambda tmp: _estimate_on(tmp, "means", ""), 1, "error: empty file"),
+    "narrow-share-above-one": (
+        lambda tmp: ["simulate", "--out", str(tmp / "x.csv"), *_config(tmp, "seed = 1", "narrow_share = 1.5")], 2,
+        "config error: narrow_share must lie in [0, 1]",
+    ),
+    "narrow-share-nan-for-estimate-means": (
+        lambda tmp: [*_estimate_on_golden(tmp, "means"), *_config(tmp, "narrow_share = nan")], 2,
+        "config error: narrow_share must lie in [0, 1]",
+    ),
+    "kappa-inf-for-estimate-mwu": (
+        lambda tmp: [*_estimate_on_golden(tmp, "mwu"), *_config(tmp, "kappa = inf")], 2,
+        "config error: kappa must be finite",
+    ),
     "zero-workers": (
         lambda tmp: ["simulate", "--config", GOLDEN_INI, "--out", str(tmp / "x.csv"), "--workers", "0"], 2,
         "config error: --workers must be at least 1",

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bracketlab.config import _POPULATION_KEYS, ConfigError, example_config, parse_config
+from bracketlab.config import _POPULATION_KEYS, ConfigError, parse_config
 from bracketlab.design import Treatment
 from bracketlab.experiment import KappaComposition, MixtureComposition, PopulationSpec, population_digest
+
+
+EXAMPLE = Path(__file__).parent.parent / "configs" / "example.ini"
 
 
 def write(tmp_path, text):
@@ -36,8 +39,8 @@ def test_minimal_config(tmp_path):
     assert config.drop_inconsistent
 
 
-def test_example_config_parses_to_defaults(tmp_path):
-    config = parse_config(write(tmp_path, example_config()))
+def test_example_config_parses_to_defaults():
+    config = parse_config(str(EXAMPLE))
     pop = config.population
     assert pop.counts == {Treatment.BROAD: 120, Treatment.NARROW: 120, Treatment.LOW: 120}
     assert pop.seed == 20250819
@@ -90,6 +93,23 @@ def test_kappa_composition(tmp_path):
     assert parse_config(path).population.composition == KappaComposition(0.7)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("narrow_share = 1.5", "narrow_share must lie in [0, 1]"),
+        ("narrow_share = -0.1", "narrow_share must lie in [0, 1]"),
+        ("narrow_share = nan", "narrow_share must lie in [0, 1]"),
+        ("kappa = inf", "kappa must be finite"),
+        ("kappa = nan", "kappa must be finite"),
+    ],
+)
+def test_invalid_composition_is_a_config_error(tmp_path, line, message):
+    path = write(tmp_path, f"[population]\nseed = 1\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == message
+
+
 def test_unparseable_value(tmp_path):
     path = write(tmp_path, "[population]\nseed = soon\n")
     with pytest.raises(ConfigError, match="seed"):
@@ -126,13 +146,6 @@ def test_workers_validation(tmp_path):
     path = write(tmp_path, "[population]\nseed = 1\nworkers = 0\n")
     with pytest.raises(ConfigError, match="workers"):
         parse_config(path)
-
-
-def test_shipped_example_matches_template():
-    from pathlib import Path
-
-    shipped = Path(__file__).parent.parent / "configs" / "example.ini"
-    assert shipped.read_text(encoding="utf-8") == example_config()
 
 
 GOLDEN_RUN = Path(__file__).parent / "data" / "golden_run.ini"
@@ -230,8 +243,9 @@ def test_every_population_key_reaches_the_spec(tmp_path, key, value, composition
 
 
 def test_example_config_documents_every_key():
+    text = EXAMPLE.read_text(encoding="utf-8")
     parser = configparser.ConfigParser()
-    parser.read_string(example_config())
+    parser.read_string(text)
     # rho and kappa are shown commented out: setting them changes the defaults
     assert set(parser.options("population")) | {"rho", "kappa"} == _POPULATION_KEYS
-    assert "# rho = " in example_config() and "`kappa = 0.7`" in example_config()
+    assert "# rho = " in text and "`kappa = 0.7`" in text

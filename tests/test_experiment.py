@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import truncnorm
 
 from bracketlab import experiment
-from bracketlab.agents import Agent, Broad, Narrow, reservation_wage_exact, snap_to_list
+from bracketlab.agents import Agent, Broad, Narrow, Partial, _frame_problem, reservation_wage_exact, snap_to_list
 from bracketlab.design import (
     CENSOR_CODE,
     CODE_CONSISTENT,
@@ -69,16 +69,16 @@ class TestDesignTable:
     def test_narrow_s1_row(self):
         spec = treatment_spec(Treatment.NARROW, Scenario.S1)
         assert spec.option_a == Bundle(0, 4.0)
-        assert spec.option_b(0.25) == Bundle(15, 4.25)
-        assert spec.option_b(4.0) == Bundle(15, 8.0)
+        assert spec.option_b_tasks == 15
         assert spec.endowment == Bundle(15, 2.0)
-        assert spec.full_outcome(spec.option_a) == Bundle(15, 6.0)
-        assert spec.full_outcome(spec.option_b(1.0)) == Bundle(30, 7.0)
+        # the full outcomes are (15, $6) against (30, $6 + r); the presented ones (0, $4) against (15, $4 + r)
+        assert _frame_problem(Broad, spec) == (15, 30, 6.0)
+        assert _frame_problem(Narrow, spec) == (0, 15, 4.0)
 
     def test_broad_s2_row(self):
         spec = treatment_spec(Treatment.BROAD, Scenario.S2)
         assert spec.option_a == Bundle(30, 6.0)
-        assert spec.option_b(1.0) == Bundle(45, 7.0)
+        assert spec.option_b_tasks == 45
         assert spec.endowment == Bundle(0, 0.0)
 
     @pytest.mark.parametrize("enum_type", [Treatment, Scenario])
@@ -95,11 +95,6 @@ class TestDesignTable:
             assert pickle.loads(pickle.dumps(member)) is member
             assert copy.deepcopy(member) is member and copy.copy(member) is member
 
-    def test_base_wage_constant(self):
-        for t in Treatment:
-            for s in Scenario:
-                assert treatment_spec(t, s).base_wage == 4.0
-
     def test_option_b_is_fifteen_tasks_heavier(self):
         for t in Treatment:
             for s in Scenario:
@@ -108,16 +103,23 @@ class TestDesignTable:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_full_outcomes_agree_across_framed_treatments(self, scenario):
-        def outcome_set(t):
-            spec = treatment_spec(t, scenario)
-            return frozenset(
-                (spec.full_outcome(spec.option_a), spec.full_outcome(spec.option_b(r)))
-                for r in price_list().extra_wages
-            )
-
-        reference = outcome_set(Treatment.BROAD)
+        # the Broad frame prices the full outcomes, which the framed treatments only split differently
+        reference = _frame_problem(Broad, treatment_spec(Treatment.BROAD, scenario))
         for t in FRAMED[1:]:
-            assert outcome_set(t) == reference
+            assert _frame_problem(Broad, treatment_spec(t, scenario)) == reference
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_narrow_frame_of_the_narrow_treatments_is_low(self, scenario):
+        reference = _frame_problem(Narrow, treatment_spec(Treatment.LOW, scenario))
+        for t in (Treatment.NARROW, Treatment.BEFORE, Treatment.AFTER):
+            assert _frame_problem(Narrow, treatment_spec(t, scenario)) == reference
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_low_frames_differ_only_in_the_endowed_money(self, scenario):
+        spec = treatment_spec(Treatment.LOW, scenario)
+        tasks_a, tasks_b, money = _frame_problem(Narrow, spec)
+        assert _frame_problem(Broad, spec) == (tasks_a, tasks_b, money + 2.0)
+        assert _frame_problem(Partial, spec) == (tasks_a, tasks_b, money)  # it counts endowed tasks, and LOW has none
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_low_differs_from_narrow_only_in_endowed_tasks(self, scenario):

@@ -25,7 +25,7 @@ TOL = 1e-8  # root tolerance is 1e-9; allow one spare digit
 
 QL = QuasiLinearPowerCost(alpha=0.004, gamma=2.0)
 CARA = CaraMoneyPowerCost(rho=1.0, alpha=0.0, gamma=1.0)
-COIN = Lottery.over_money([(0.0, 0.5), (1.0, 0.5)])
+COIN = Lottery(((Bundle(0, 0.0), 0.5), (Bundle(0, 1.0), 0.5)))
 
 
 class TestBundle:
@@ -35,9 +35,6 @@ class TestBundle:
     def test_negative_tasks_rejected(self):
         with pytest.raises(ValueError):
             Bundle(-1, 0.0)
-
-    def test_less_money(self):
-        assert Bundle(5, 3.0).less_money(1.25) == Bundle(5, 1.75)
 
 
 class TestLottery:
@@ -242,7 +239,7 @@ class TestCertaintyEquivalent:
 
     def test_crra_depends_on_wealth(self):
         model = CrraMoney(eta=2.0)
-        coin = Lottery.over_money([(1.0, 0.5), (2.0, 0.5)])
+        coin = Lottery(((Bundle(0, 1.0), 0.5), (Bundle(0, 2.0), 0.5)))
         at_1 = certainty_equivalent(model, coin, wealth=1.0)
         at_10 = certainty_equivalent(model, coin, wealth=10.0)
         # harmonic-mean closed forms: 1.4 and 34/23
@@ -251,7 +248,7 @@ class TestCertaintyEquivalent:
         assert at_10 - at_1 == pytest.approx(0.07826086956521738, abs=1e-7)
 
     def test_degenerate_lottery_is_its_payoff(self):
-        lot = Lottery.degenerate(Bundle(0, 3.25))
+        lot = Lottery(((Bundle(0, 3.25), 1.0),))
         assert certainty_equivalent(QL, lot, wealth=0.0) == pytest.approx(3.25, abs=TOL)
 
     def test_risk_aversion_orders_ce_below_mean(self):
