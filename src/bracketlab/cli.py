@@ -91,17 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("stat", choices=("means", "mwu", "kappa", "tobit"))
     est.add_argument("--data", required=True, help="dataset CSV path")
     est.add_argument("--out", required=True, help="report output directory")
-    est.add_argument("--config", default=None, help="optional INI with [estimators] defaults")
     est.add_argument(
         "--censor-limit", type=float, default=None, help="tobit only: responses at or above it are censored"
     )
-    est.add_argument(
-        "--continuity", action="store_true", default=None, help="mwu only: continuity-corrected z statistic"
-    )
+    est.add_argument("--continuity", action="store_true", help="mwu only: continuity-corrected z statistic")
     est.add_argument(
         "--keep-inconsistent",
         action="store_true",
-        default=None,
         help="every stat: keep non-monotone price lists, coded at their first accepted wage",
     )
     est.set_defaults(func=cmd_estimate)
@@ -155,31 +151,20 @@ def cmd_simulate(args) -> int:
 
 
 def _resolved_options(args):
-    """Flag > config > built-in default for the estimator options.
+    """The censor limit, continuity choice and drop-inconsistent choice of an estimate call.
 
-    A flag given to a stat that does not use it is rejected; config
-    values are defaults and apply only where they have an effect. The
-    censor limit flag must be finite, as parse_config checks the config
-    value: y >= nan holds for no row, which would fit an uncensored model.
+    A flag given to a stat that does not use it is rejected. The censor
+    limit must be finite: y >= nan holds for no row, which would fit an
+    uncensored model.
     """
     if args.censor_limit is not None and args.stat != "tobit":
         raise UsageError("--censor-limit applies only to estimate tobit")
-    if args.continuity is not None and args.stat != "mwu":
+    if args.continuity and args.stat != "mwu":
         raise UsageError("--continuity applies only to estimate mwu")
-    if args.config is not None:
-        cfg = parse_config(args.config, require_seed=False)
-        censor, continuity, keep = cfg.censor_limit, cfg.continuity, not cfg.drop_inconsistent
-    else:
-        censor, continuity, keep = CENSOR_CODE, False, False
-    if args.censor_limit is not None:
-        if not math.isfinite(args.censor_limit):
-            raise UsageError(f"--censor-limit must be finite, got {args.censor_limit}")
-        censor = args.censor_limit
-    if args.continuity is not None:
-        continuity = args.continuity
-    if args.keep_inconsistent is not None:
-        keep = args.keep_inconsistent
-    return censor, continuity, not keep
+    censor = CENSOR_CODE if args.censor_limit is None else args.censor_limit
+    if not math.isfinite(censor):
+        raise UsageError(f"--censor-limit must be finite, got {censor}")
+    return censor, args.continuity, not args.keep_inconsistent
 
 
 def _write_reports(out_dir: str, stem: str, markdown: str, csv_text: str) -> None:

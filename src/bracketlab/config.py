@@ -1,16 +1,14 @@
 """INI run configuration.
 
-Two sections: [population] describes the simulated subject pool and
-treatment counts, [estimators] holds analysis options. Flat keys only;
-configparser is the whole parser.
+One section, [population], describes the simulated subject pool and
+treatment counts. Flat keys only; configparser is the whole parser.
 """
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields
 
-from .design import CENSOR_CODE, Treatment
+from .design import Treatment
 from .experiment import KappaComposition, MixtureComposition, PopulationSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
@@ -24,9 +22,6 @@ class ConfigError(Exception):
 class RunConfig:
     population: PopulationSpec
     workers: int = 1
-    censor_limit: float = CENSOR_CODE
-    continuity: bool = False
-    drop_inconsistent: bool = True
 
 
 _COUNT_KEYS = {t.value.lower(): t for t in Treatment}
@@ -44,30 +39,19 @@ _POPULATION_KEYS = (
     | {key for keys, _ in _PAIR_KEYS.values() for key in keys}
 )
 
-_ESTIMATOR_KEYS = {"censor_limit", "continuity", "keep_inconsistent"}
 
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
+def _get(parser, key, cast, default):
+    if not parser.has_option("population", key):
         return default
-    raw = parser.get(section, key)
+    raw = parser.get("population", key)
     try:
-        if cast is bool:
-            return parser.getboolean(section, key)
         return cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"[population] {key}: cannot parse {raw!r}") from exc
 
 
-def parse_config(
-    path: str, seed_override: int | None = None, require_seed: bool = True
-) -> RunConfig:
-    """Read a run configuration, validating keys and the required seed.
-
-    require_seed=False is for estimator-only consumers; a missing
-    [population] section or seed is then accepted, the seed falling back
-    to 0.
-    """
+def parse_config(path: str, seed_override: int | None = None) -> RunConfig:
+    """Read a run configuration, validating keys and the required seed."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -76,32 +60,27 @@ def parse_config(
         raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known = {"population": _POPULATION_KEYS, "estimators": _ESTIMATOR_KEYS}
     for section in parser.sections():
-        if section not in known:
+        if section != "population":
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in known[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if require_seed and not parser.has_section("population"):
+            if key not in _POPULATION_KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [population]")
+    if not parser.has_section("population"):
         raise ConfigError("missing required section [population]")
 
     counts = {}
     for key, treatment in _COUNT_KEYS.items():
-        n = _get(parser, "population", key, int, 0)
+        n = _get(parser, key, int, 0)
         if n:
             counts[treatment] = n
 
-    seed = seed_override
+    seed = _get(parser, "seed", int, None) if seed_override is None else seed_override
     if seed is None:
-        seed = _get(parser, "population", "seed", int, None)
-    if seed is None:
-        if require_seed:
-            raise ConfigError("missing required field: [population] seed")
-        seed = 0
+        raise ConfigError("missing required field: [population] seed")
 
-    narrow_share = _get(parser, "population", "narrow_share", float, None)
-    kappa = _get(parser, "population", "kappa", float, None)
+    narrow_share = _get(parser, "narrow_share", float, None)
+    kappa = _get(parser, "kappa", float, None)
     if narrow_share is not None and kappa is not None:
         raise ConfigError("narrow_share and kappa are mutually exclusive")
 
@@ -109,9 +88,9 @@ def parse_config(
     for f in _SPEC_FIELDS:
         if f.name in _PAIR_KEYS:
             keys, cast = _PAIR_KEYS[f.name]
-            kwargs[f.name] = tuple(_get(parser, "population", k, cast, d) for k, d in zip(keys, f.default))
+            kwargs[f.name] = tuple(_get(parser, k, cast, d) for k, d in zip(keys, f.default))
         else:
-            kwargs[f.name] = _get(parser, "population", f.name, float, f.default)
+            kwargs[f.name] = _get(parser, f.name, float, f.default)
     try:
         if kappa is not None:
             composition = KappaComposition(kappa)
@@ -121,16 +100,7 @@ def parse_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    workers = _get(parser, "population", "workers", int, 1)
+    workers = _get(parser, "workers", int, 1)
     if workers < 1:
         raise ConfigError("[population] workers: must be at least 1")
-    censor_limit = _get(parser, "estimators", "censor_limit", float, CENSOR_CODE)
-    if not math.isfinite(censor_limit):
-        raise ConfigError(f"[estimators] censor_limit: must be finite, got {censor_limit}")
-    return RunConfig(
-        population=population,
-        workers=workers,
-        censor_limit=censor_limit,
-        continuity=_get(parser, "estimators", "continuity", bool, False),
-        drop_inconsistent=not _get(parser, "estimators", "keep_inconsistent", bool, False),
-    )
+    return RunConfig(population=population, workers=workers)

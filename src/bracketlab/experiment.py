@@ -252,8 +252,8 @@ class Dataset:
     the accept code, from which design's tables give every other field.
     read_csv and simulate_dataset fill the columns directly and build no
     ScenarioOutcome, SubjectRecord or Covariates; Dataset(records)
-    derives the columns from the records, keying each distinct outcome
-    object once and checking each distinct covariates object as
+    derives the columns from the records, computing the key of every
+    outcome and checking each distinct covariates object as
     Covariates checks it. Every way in checks the covariate columns and
     the row offsets once per column, as Covariates and SubjectRecord
     check each object. records, observations and the private
@@ -274,15 +274,7 @@ class Dataset:
         records = tuple(records)
         for covariates in {id(r.covariates): r.covariates for r in records}.values():
             _check_covariates(covariates.male, covariates.age, covariates.tediousness)
-        memo: dict[int, int] = {}
-        keys = []
-        for record in records:
-            for outcome in record.outcomes:
-                # keyed by identity: the records keep every keyed object alive
-                key = memo.get(id(outcome))
-                if key is None:
-                    key = memo[id(outcome)] = _SCENARIO_CODE[outcome.scenario] << N_ROWS | _accept_code(outcome.choices)
-                keys.append(key)
+        keys = [_SCENARIO_CODE[o.scenario] << N_ROWS | _accept_code(o.choices) for r in records for o in r.outcomes]
         self._fill(
             [r.subject_id for r in records],
             [_TREATMENT_CODE[r.treatment] for r in records],
@@ -1055,7 +1047,7 @@ def _parse_flag(cell: str) -> bool:
 
 # The columnar reader, _read_columns. A canonical line is subject_id,treatment,outcome text,covariate text\n.
 _NEWLINE, _COMMA, _ONE = b"\n,1"
-_OUTCOME_WIDTH = len(_outcome_text(0))  # every key's text has this width; checked as each is rendered
+_OUTCOME_WIDTH = len(_outcome_text(0))  # every key's text has this width, as each of its cells has one width
 _OUTCOME_WORDS = -(-_OUTCOME_WIDTH // 8)
 _CHOICE_AT = _outcome_text(0).index(",") + 1 + 2 * np.arange(N_ROWS)  # each choice cell's offset in the text
 _SCENARIO_WORDS = [(int.from_bytes(name.encode(), "little"), (1 << 8 * len(name)) - 1) for name in _SCENARIO_NAMES]
@@ -1205,8 +1197,6 @@ def _read_columns(data: bytes | mmap.mmap) -> Dataset | None:
         fresh = unseen[np.diff(unseen, prepend=-1) != 0]  # not np.unique, which imports numpy.ma on numpy 2.4
         if fresh.size:
             texts = list(map(_outcome_text, fresh.tolist()))
-            if set(map(len, texts)) != {_OUTCOME_WIDTH}:
-                return None
             table = np.zeros((len(texts), 8 * _OUTCOME_WORDS), np.uint8)
             table[:, :_OUTCOME_WIDTH] = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), -1)
             key_row[fresh] = np.arange(len(canonical), len(canonical) + len(texts))

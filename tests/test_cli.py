@@ -175,15 +175,8 @@ def test_keep_inconsistent_grows_cells(tmp_path):
     assert row.split(",")[2] == "40"  # every simulated subject kept
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_kappa_keep_inconsistent_uses_every_row(tmp_path, source):
-    argv = ["estimate", "kappa", "--data", GOLDEN_CSV, "--out", str(tmp_path)]
-    if source == "flag":
-        argv.append("--keep-inconsistent")
-    else:
-        config = tmp_path / "est.ini"
-        config.write_text("[population]\n\n[estimators]\nkeep_inconsistent = true\n", encoding="utf-8")
-        argv += ["--config", str(config)]
+def test_kappa_keep_inconsistent_uses_every_row(tmp_path):
+    argv = ["estimate", "kappa", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--keep-inconsistent"]
     assert main(argv) == 0
     text = (tmp_path / "kappa.csv").read_text(encoding="utf-8")
     assert text.encode() != golden("golden_kappa.csv")
@@ -218,15 +211,6 @@ def test_keep_inconsistent_reaches_mwu_and_tobit(tmp_path, stat):
     assert (tmp_path / f"{stat}.md").read_text(encoding="utf-8") == markdown
     assert (tmp_path / f"{stat}.csv").read_text(encoding="utf-8") == csv_text
     assert markdown.encode() != golden(f"golden_{stat}.md") and csv_text.encode() != golden(f"golden_{stat}.csv")
-
-
-def test_kappa_default_config_drops_inconsistent(tmp_path):
-    config = tmp_path / "est.ini"
-    config.write_text("[population]\n\n[estimators]\nkeep_inconsistent = false\n", encoding="utf-8")
-    argv = ["estimate", "kappa", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
-    assert main(argv) == 0
-    assert (tmp_path / "kappa.md").read_bytes() == golden("golden_kappa.md")
-    assert (tmp_path / "kappa.csv").read_bytes() == golden("golden_kappa.csv")
 
 
 def test_kappa_degenerate_surfaces_remediation(tmp_path, capsys):
@@ -266,19 +250,6 @@ def test_estimate_missing_file_is_failure(tmp_path, capsys):
     assert rc == 1
 
 
-def test_estimate_config_defaults_and_flag_override(tmp_path):
-    config = tmp_path / "est.ini"
-    config.write_text(
-        "[population]\nseed = 1\n\n[estimators]\nkeep_inconsistent = true\n", encoding="utf-8"
-    )
-    rc = main(
-        ["estimate", "means", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
-    )
-    assert rc == 0
-    text = (tmp_path / "means.csv").read_text(encoding="utf-8")
-    assert next(l for l in text.splitlines() if l.startswith("BROAD,S1")).split(",")[2] == "40"
-
-
 @pytest.mark.parametrize("stat", ["means", "mwu", "kappa", "tobit"])
 @pytest.mark.parametrize(
     "flag, owner", [(["--censor-limit", "3.5"], "tobit"), (["--continuity"], "mwu")]
@@ -295,23 +266,27 @@ def test_estimator_flags_apply_to_one_stat(tmp_path, capsys, stat, flag, owner):
         assert not (tmp_path / f"{stat}.csv").exists()
 
 
-def test_estimator_config_values_are_defaults_not_errors(tmp_path):
-    config = tmp_path / "est.ini"
-    config.write_text("[population]\n\n[estimators]\ncensor_limit = 3.5\ncontinuity = true\n", encoding="utf-8")
-    for stat in ("means", "kappa"):
-        argv = ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)]
-        assert main(argv) == 0
-        assert (tmp_path / f"{stat}.csv").read_bytes() == golden(f"golden_{stat}.csv")
+def test_censor_limit_flag_at_the_censor_code_is_the_default(tmp_path):
+    argv = ["estimate", "tobit", "--data", GOLDEN_CSV, "--out", str(tmp_path), f"--censor-limit={CENSOR_CODE}"]
+    assert main(argv) == 0
+    assert (tmp_path / "tobit.md").read_bytes() == golden("golden_tobit.md")
+    assert (tmp_path / "tobit.csv").read_bytes() == golden("golden_tobit.csv")
 
 
-def test_estimators_only_config_applies_to_estimate(tmp_path):
-    # [population] is required only by simulate
-    config = tmp_path / "est.ini"
-    config.write_text("[estimators]\ncontinuity = true\n", encoding="utf-8")
-    rc = main(["estimate", "mwu", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
-    assert rc == 0
-    header, *rows = (tmp_path / "mwu.csv").read_text(encoding="utf-8").splitlines()
-    assert header.endswith(",continuity") and rows and {row.rsplit(",", 1)[1] for row in rows} == {"1"}
+def test_continuity_flag_corrects_every_mwu_row(tmp_path):
+    argv = ["estimate", "mwu", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--continuity"]
+    assert main(argv) == 0
+    wages = cell_wages(read_csv(GOLDEN_CSV), drop_inconsistent=True)
+    rows = [
+        MwuRow(s, a, b, wages[a, s].size, wages[b, s].size, mwu_test(wages[a, s], wages[b, s], continuity=True))
+        for s in Scenario
+        for a, b in combinations([t for t in Treatment if (t, s) in wages], 2)
+    ]
+    text = (tmp_path / "mwu.csv").read_text(encoding="utf-8")
+    assert text == render_mwu_csv(rows)
+    header, *lines = text.splitlines()
+    assert header.endswith(",continuity") and lines and {line.rsplit(",", 1)[1] for line in lines} == {"1"}
+    assert (tmp_path / "mwu.md").read_text(encoding="utf-8") == render_mwu_markdown(rows)
 
 
 @pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
@@ -322,24 +297,26 @@ def test_non_finite_censor_limit_flag_is_a_usage_error(tmp_path, capsys, limit):
     assert not (tmp_path / "tobit.csv").exists()
 
 
-@pytest.mark.parametrize("stat", ["tobit", "means"])
-def test_non_finite_censor_limit_config_is_a_config_error(tmp_path, capsys, stat):
-    config = tmp_path / "est.ini"
-    config.write_text("[population]\n\n[estimators]\ncensor_limit = nan\n", encoding="utf-8")
-    rc = main(["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
-    assert rc == 2
-    assert capsys.readouterr().err == "config error: [estimators] censor_limit: must be finite, got nan\n"
-    assert not (tmp_path / f"{stat}.csv").exists()
-
-
 def test_removed_are_key_is_a_config_error(tmp_path, capsys):
     # power takes --are as a flag; the config key was never read
-    config = tmp_path / "est.ini"
-    config.write_text("[population]\n\n[estimators]\nare = true\n", encoding="utf-8")
-    rc = main(["estimate", "means", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", str(config)])
+    config = tmp_path / "run.ini"
+    config.write_text("[population]\nseed = 1\nare = true\n", encoding="utf-8")
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
     assert rc == 2
-    assert capsys.readouterr().err == "config error: unknown key 'are' in section [estimators]\n"
-    assert not (tmp_path / "means.csv").exists()
+    assert capsys.readouterr().err == "config error: unknown key 'are' in section [population]\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_estimate_takes_no_config(tmp_path, capsys):
+    # the estimator options are flags alone
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "means", "--data", GOLDEN_CSV, "--out", str(tmp_path), "--config", GOLDEN_INI])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {GOLDEN_INI}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" not in capsys.readouterr().out
 
 
 def test_tobit_without_a_maximum_is_a_one_line_failure(tmp_path, capsys):
@@ -416,13 +393,9 @@ def _golden_config_with_seed(tmp_path, seed, *population_lines):
     return ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
 
 
-def _estimate_on_golden(tmp_path, stat):
-    return ["estimate", stat, "--data", GOLDEN_CSV, "--out", str(tmp_path)]
-
-
-def _config(tmp_path, *population_lines):
+def _config(tmp_path, *lines):
     path = tmp_path / "run.ini"
-    path.write_text("\n".join(["[population]", *population_lines, ""]), encoding="utf-8")
+    path.write_text("\n".join(["[population]", *lines, ""]), encoding="utf-8")
     return ["--config", str(path)]
 
 
@@ -478,13 +451,17 @@ BAD_INVOCATIONS = {
         lambda tmp: ["simulate", "--out", str(tmp / "x.csv"), *_config(tmp, "seed = 1", "narrow_share = 1.5")], 2,
         "config error: narrow_share must lie in [0, 1]",
     ),
-    "narrow-share-nan-for-estimate-means": (
-        lambda tmp: [*_estimate_on_golden(tmp, "means"), *_config(tmp, "narrow_share = nan")], 2,
+    "narrow-share-nan": (
+        lambda tmp: ["simulate", "--out", str(tmp / "x.csv"), *_config(tmp, "seed = 1", "narrow_share = nan")], 2,
         "config error: narrow_share must lie in [0, 1]",
     ),
-    "kappa-inf-for-estimate-mwu": (
-        lambda tmp: [*_estimate_on_golden(tmp, "mwu"), *_config(tmp, "kappa = inf")], 2,
+    "kappa-inf": (
+        lambda tmp: ["simulate", "--out", str(tmp / "x.csv"), *_config(tmp, "seed = 1", "kappa = inf")], 2,
         "config error: kappa must be finite",
+    ),
+    "estimators-section": (
+        lambda tmp: ["simulate", "--out", str(tmp / "x.csv"), *_config(tmp, "seed = 1", "[estimators]", "continuity = false")], 2,
+        "config error: unknown config section [estimators]",
     ),
     "zero-workers": (
         lambda tmp: ["simulate", "--config", GOLDEN_INI, "--out", str(tmp / "x.csv"), "--workers", "0"], 2,

@@ -1,12 +1,13 @@
 """INI parsing: defaults, overrides, and the failure messages."""
 import configparser
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bracketlab.config import _POPULATION_KEYS, ConfigError, parse_config
+from bracketlab.config import _POPULATION_KEYS, ConfigError, RunConfig, parse_config
 from bracketlab.design import Treatment
 from bracketlab.experiment import KappaComposition, MixtureComposition, PopulationSpec, population_digest
 
@@ -34,9 +35,11 @@ def test_minimal_config(tmp_path):
     assert config.population.seed == 42
     assert config.population.composition == MixtureComposition(1.0)
     assert config.workers == 1
-    assert config.censor_limit == 4.25
-    assert not config.continuity
-    assert config.drop_inconsistent
+
+
+def test_run_config_holds_the_population_and_workers_alone():
+    # the estimator options are flags of estimate, not configuration
+    assert [f.name for f in fields(RunConfig)] == ["population", "workers"]
 
 
 def test_example_config_parses_to_defaults():
@@ -59,15 +62,31 @@ def test_missing_seed_names_the_field(tmp_path):
 def test_seed_override_and_optional_seed(tmp_path):
     path = write(tmp_path, "[population]\nbroad = 10\n")
     assert parse_config(path, seed_override=7).population.seed == 7
-    assert parse_config(path, require_seed=False).population.seed == 0
     assert parse_config(write(tmp_path, MINIMAL), seed_override=9).population.seed == 9
 
 
 def test_estimators_only_config_needs_population_for_a_seed(tmp_path):
     path = write(tmp_path, "[estimators]\ncontinuity = true\n")
-    with pytest.raises(ConfigError, match=r"missing required section \[population\]"):
+    with pytest.raises(ConfigError) as info:
         parse_config(path)
-    assert parse_config(path, require_seed=False).continuity
+    assert str(info.value) == "unknown config section [estimators]"
+    with pytest.raises(ConfigError, match=r"missing required section \[population\]"):
+        parse_config(write(tmp_path, "# no section\n"))
+
+
+@pytest.mark.parametrize("line", ["censor_limit = 4.25", "continuity = false", "keep_inconsistent = false"])
+def test_estimator_key_is_unknown_in_population(tmp_path, line):
+    # the estimator options are flags of estimate; a file that sets one is rejected, not half read
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, MINIMAL + line + "\n"))
+    assert str(info.value) == f"unknown key '{line.split()[0]}' in section [population]"
+
+
+@pytest.mark.parametrize("line", ["censor_limit = 4.25", "continuity = false", "keep_inconsistent = false"])
+def test_estimators_section_is_unknown(tmp_path, line):
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, MINIMAL + "\n[estimators]\n" + line + "\n"))
+    assert str(info.value) == "unknown config section [estimators]"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -120,21 +139,6 @@ def test_invalid_population_value_wrapped(tmp_path):
     path = write(tmp_path, "[population]\nseed = 1\ntremble = 1.5\n")
     with pytest.raises(ConfigError, match="tremble"):
         parse_config(path)
-
-
-def test_estimator_section(tmp_path):
-    text = MINIMAL + "\n[estimators]\ncensor_limit = 3.5\ncontinuity = true\nkeep_inconsistent = true\n"
-    config = parse_config(write(tmp_path, text))
-    assert config.censor_limit == 3.5
-    assert config.continuity
-    assert not config.drop_inconsistent
-
-
-@pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
-def test_non_finite_censor_limit_is_rejected(tmp_path, limit):
-    text = MINIMAL + f"\n[estimators]\ncensor_limit = {limit}\n"
-    with pytest.raises(ConfigError, match=r"\[estimators\] censor_limit: must be finite"):
-        parse_config(write(tmp_path, text))
 
 
 def test_missing_file():

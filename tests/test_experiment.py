@@ -46,6 +46,7 @@ from bracketlab.experiment import (
     simulate_subject,
     subject_stream,
     write_csv,
+    _OUTCOME_WIDTH,
     _accept_codes,
     _distinct_rows,
     _outcome_text,
@@ -1270,6 +1271,12 @@ class TestRowKeys:
             parsed = [_parse_row(2, ["X", "BROAD", *text.split(","), "male", "30", "5"])[0] for text in texts]
             assert parsed == keys.tolist()
             assert [_canonical_key(text) for text in texts] == keys.tolist()
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_every_outcome_text_has_the_outcome_width(self, scenario):
+        # _read_columns lays every rendered outcome out at this one width
+        keys = np.arange(1 << N_ROWS) | list(Scenario).index(scenario) << 16
+        assert {len(_outcome_text(key)) for key in keys.tolist()} == {_OUTCOME_WIDTH}
 
     @pytest.mark.parametrize(
         "index, cell, message",
